@@ -148,9 +148,11 @@ def transfer_T(block, op, tol=None):
     The unitary part in the factor basis is reshaped so that a pure
     tensor becomes a rank-one matrix; the dominant singular pair yields
     the factors.  beta is normalized to be anti-unitary with its
-    largest-modulus entry real positive, which makes the output
-    deterministic.  A second singular value above tolerance signals an
-    inconsistent input and raises ``NotPureTensorError``.
+    largest-modulus entry (the first in row-major order among entries
+    within a relative 1e-8 of the largest modulus) real positive, which
+    makes the output deterministic.  A second singular value above
+    tolerance signals an inconsistent input and raises
+    ``NotPureTensorError``.
     """
     tol = linalg.TOL_INPUT if tol is None else tol
     fb = block.factor_basis
@@ -171,7 +173,10 @@ def transfer_T(block, op, tol=None):
     u_beta = vh[0].reshape(d, d)
     gram = u_beta @ u_beta.conj().T
     u_beta = u_beta / np.sqrt(np.trace(gram).real / d)
-    peak = u_beta.flat[int(np.argmax(np.abs(u_beta)))]
+    # Ties are common (a 2 x 2 skew beta has two entries of equal
+    # modulus), so the peak is the first entry near the largest modulus.
+    mod = np.abs(u_beta)
+    peak = u_beta.flat[int(np.argmax(mod >= (1 - 1e-8) * mod.max()))]
     u_beta = u_beta * (np.abs(peak) / peak)
 
     # Contract out the normalized beta factor; exact when ub is pure.

@@ -289,6 +289,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        linalg.input_tol()  # raises on a malformed TENFOLD_TOLERANCE
         return args.func(args)
     except SpecFileError as err:
         print(f"error: {err}", file=sys.stderr)

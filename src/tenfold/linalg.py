@@ -16,11 +16,46 @@ import numpy as np
 
 from .errors import InputShapeError
 
-TOL_INPUT = float(os.environ.get("TENFOLD_TOLERANCE", 1e-8))
+
+def _tolerance_from_env():
+    """TENFOLD_TOLERANCE, a number in (0, 1); 1e-8 when unset."""
+    text = os.environ.get("TENFOLD_TOLERANCE", "1e-8")
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 < value < 1:
+        raise InputShapeError("TENFOLD_TOLERANCE must be a number in (0, 1), "
+                              f"got {text!r}")
+    return value
+
+
+# A malformed TENFOLD_TOLERANCE leaves TOL_INPUT undefined: the package
+# still imports, but every read of the tolerance raises the error (see
+# __getattr__ and input_tol) instead of falling back to the default.
+try:
+    TOL_INPUT = _tolerance_from_env()
+except InputShapeError as err:
+    _TOL_ENV_ERROR = str(err)
 TOL_EIG = 1e-10
 TOL_DEDUP = 1e-8
 
 _MASK64 = (1 << 64) - 1
+
+
+def input_tol():
+    """``TOL_INPUT``; raises ``InputShapeError`` if TENFOLD_TOLERANCE is
+    malformed."""
+    try:
+        return TOL_INPUT
+    except NameError:
+        raise InputShapeError(_TOL_ENV_ERROR) from None
+
+
+def __getattr__(name):
+    if name == "TOL_INPUT":
+        return input_tol()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def tol_unitary(n):
@@ -83,7 +118,8 @@ def frob(a):
     return float(np.linalg.norm(a))
 
 
-def is_hermitian(a, tol=TOL_INPUT):
+def is_hermitian(a, tol=None):
+    tol = input_tol() if tol is None else tol
     a = np.asarray(a)
     return a.ndim == 2 and a.shape[0] == a.shape[1] and \
         frob(a - a.conj().T) <= tol * max(1.0, frob(a))
@@ -95,23 +131,25 @@ def is_unitary(a, tol=None):
         return False
     n = a.shape[0]
     if tol is None:
-        tol = max(tol_unitary(n), TOL_INPUT)
+        tol = max(tol_unitary(n), input_tol())
     return frob(a.conj().T @ a - np.eye(n)) <= tol
 
 
-def is_symmetric(a, tol=TOL_INPUT):
+def is_symmetric(a, tol=None):
+    tol = input_tol() if tol is None else tol
     a = np.asarray(a)
     return a.ndim == 2 and a.shape[0] == a.shape[1] and \
         frob(a - a.T) <= tol * max(1.0, frob(a))
 
 
-def is_skew(a, tol=TOL_INPUT):
+def is_skew(a, tol=None):
+    tol = input_tol() if tol is None else tol
     a = np.asarray(a)
     return a.ndim == 2 and a.shape[0] == a.shape[1] and \
         frob(a + a.T) <= tol * max(1.0, frob(a))
 
 
-def eig_hermitian(h, tol_input=TOL_INPUT):
+def eig_hermitian(h, tol_input=None):
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
@@ -125,6 +163,7 @@ def eig_hermitian(h, tol_input=TOL_INPUT):
         Ascending real eigenvalues and unitary eigenvector matrix with
         reconstruction residual below ``TOL_EIG * ||h||_F``.
     """
+    tol_input = input_tol() if tol_input is None else tol_input
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InputShapeError(f"expected a square matrix, got shape {h.shape}")
@@ -241,12 +280,13 @@ def _symplectic_permutation(j):
     return p
 
 
-def nullspace(a, tol=TOL_INPUT):
+def nullspace(a, tol=None):
     """Orthonormal basis of the numerical nullspace of ``a``.
 
     Returns the columns spanning {v : ||A v|| <= tol * ||A||_F * ||v||}
     as an (n, k) array; k may be zero.
     """
+    tol = input_tol() if tol is None else tol
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise InputShapeError("nullspace expects a 2-d array")

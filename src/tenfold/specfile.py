@@ -8,6 +8,7 @@ errors from the setting validation.
 """
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,24 +38,37 @@ def _require(condition, field, message):
         raise SpecFileError(field, message)
 
 
+_NUMBER = (int, float)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _entry_problem(entry):
+    """None for an [re, im] pair of finite numbers, else what is wrong."""
+    if not (isinstance(entry, list) and len(entry) == 2):
+        return "must be an [re, im] pair"
+    re, im = entry
+    if not (isinstance(re, _NUMBER) and isinstance(im, _NUMBER)):
+        return "must hold two numbers"
+    # Exact for ints of any size: they compare with the float limit
+    # without conversion, and NaN fails the comparison.
+    if not (abs(re) <= _FLOAT_MAX and abs(im) <= _FLOAT_MAX):
+        return "must be finite"
+    return None
+
+
 def _parse_matrix(raw, dim, field):
     _require(isinstance(raw, list) and len(raw) == dim, field,
              f"expected a {dim} x {dim} matrix as nested [re, im] pairs")
-    out = np.zeros((dim, dim), dtype=complex)
+    flat = []
     for i, row in enumerate(raw):
         _require(isinstance(row, list) and len(row) == dim, field,
                  f"row {i} must have {dim} entries")
         for j, entry in enumerate(row):
-            _require(isinstance(entry, list) and len(entry) == 2, field,
-                     f"entry ({i}, {j}) must be an [re, im] pair")
-            re, im = entry
-            _require(isinstance(re, (int, float)) and
-                     isinstance(im, (int, float)), field,
-                     f"entry ({i}, {j}) must hold two numbers")
-            _require(np.isfinite(re) and np.isfinite(im), field,
-                     f"entry ({i}, {j}) must be finite")
-            out[i, j] = complex(re, im)
-    return out
+            problem = _entry_problem(entry)
+            if problem:
+                raise SpecFileError(field, f"entry ({i}, {j}) {problem}")
+            flat += entry
+    return np.array(flat, dtype=float).view(complex).reshape(dim, dim)
 
 
 def matrix_to_pairs(m):

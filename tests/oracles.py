@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the library's own algorithms:
 multiplicities come from explicit irreducible matrices and characters,
-self-duality types from character sums over squared elements, tangent
-dimensions from brute-force real-linear constraint solving, and wedge
-products from permutation sorting on index tuples.
+self-duality types from character sums over squared elements,
+commutants from the full Kronecker constraint system, group closures
+from a linear duplicate scan, tangent dimensions from brute-force
+real-linear constraint solving, and wedge products from permutation
+sorting on index tuples.
 """
 
 from dataclasses import dataclass
@@ -156,6 +158,45 @@ def multiplicities_from_character(group, rep_elements):
         out[name] = int(np.rint(inner.real))
         assert abs(inner - out[name]) < 1e-8
     return out
+
+
+# ---------------------------------------------------------------------------
+# Brute-force commutant and group closure
+
+
+def commutant_oracle(generators, tol=1e-8):
+    """Commutant basis from the full Kronecker system, O(n^6).
+
+    vec([g, X]) = (g (x) I - I (x) g^T) vec(X) is stacked over every
+    generator, and the right singular vectors with singular value at most
+    ``tol * max(1, max ||g||_F)`` give a Frobenius-orthonormal basis.
+    """
+    n = generators[0].shape[0]
+    eye = np.eye(n)
+    a = np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in generators])
+    scale = max(1.0, max(np.linalg.norm(g) for g in generators))
+    _, s, vh = np.linalg.svd(a)
+    keep = np.ones(n * n, dtype=bool)
+    keep[: len(s)] = s <= tol * scale
+    return [row.conj().reshape(n, n) for row in vh[keep]]
+
+
+def close_group_oracle(generators, tol_dedup=1e-8):
+    """Breadth-first closure with a linear scan over all elements."""
+    dim = generators[0].shape[0]
+    elements = [np.eye(dim, dtype=complex)]
+    frontier = [0]
+    while frontier:
+        new = []
+        for idx in frontier:
+            for g in generators:
+                candidate = g @ elements[idx]
+                if all(np.linalg.norm(candidate - e) > tol_dedup
+                       for e in elements):
+                    elements.append(candidate)
+                    new.append(len(elements) - 1)
+        frontier = new
+    return elements
 
 
 # ---------------------------------------------------------------------------

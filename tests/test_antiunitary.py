@@ -149,8 +149,13 @@ class TestTransferT:
         tt1 = transfer_T(blocks[0], t)
         tt2 = transfer_T(blocks[0], t)
         assert np.array_equal(tt1.beta.u, tt2.beta.u)
-        peak = tt1.beta.u.flat[int(np.argmax(np.abs(tt1.beta.u)))]
-        assert abs(peak.imag) < 1e-12 and peak.real > 0
+        beta = tt1.beta.u
+        assert linalg.frob(beta @ beta.conj().T - np.eye(2)) <= 1e-10
+        # beta = [[0, a], [-a, 0]]: its two entries tie in modulus, and
+        # the first nonzero one in row-major order must be real positive
+        assert linalg.frob(beta + beta.T) <= 1e-10
+        first = beta.flat[int(np.argmax(np.abs(beta) > 1e-6))]
+        assert abs(first.imag) < 1e-12 and first.real > 0
 
     def test_non_pure_tensor_rejected(self, rng):
         # an operator that does not intertwine the sector structure

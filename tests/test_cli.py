@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 from tenfold.cli import main
 from tenfold.specfile import matrix_to_pairs
 
@@ -61,6 +62,21 @@ class TestClassifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["blocks"][0]["class"] == "A"
         assert payload["seed"] == 0
+
+    @pytest.mark.parametrize("tolerance", [1e-3, 1e-2])
+    def test_multiplicity_three_at_loose_tolerance(self, tmp_path, capsys,
+                                                   tolerance):
+        # Z3 on C^3 (x) C^3 in a non-diagonal basis: three lines in each
+        # of three sectors
+        shift = np.roll(np.eye(3), 1, axis=0)
+        w = np.linalg.qr(np.arange(81).reshape(9, 9) % 7 + np.eye(9))[0]
+        spec = trivial_spec(dim=9, tolerance=tolerance)
+        spec["g0"] = {"mode": "finite-group", "generators": [
+            pairs(w @ np.kron(shift, np.eye(3)) @ w.T)]}
+        path = write_spec(tmp_path, spec)
+        assert main(["classify", path, "--json"]) == 0
+        blocks = json.loads(capsys.readouterr().out)["blocks"]
+        assert sorted((b["d"], b["m"]) for b in blocks) == [(1, 3)] * 3
 
     def test_exit_two_on_schema_error(self, tmp_path, capsys):
         spec = trivial_spec()
@@ -226,3 +242,39 @@ class TestToleranceEnv:
             [sys.executable, "-m", "tenfold.cli", "classify", path],
             capture_output=True, env=env)
         assert loose.returncode == 0, loose.stderr
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "0", "2"])
+    def test_malformed_value_exits_two(self, tmp_path, value):
+        import os
+        import subprocess
+        import sys
+        path = write_spec(tmp_path, trivial_spec())
+        env = dict(os.environ, TENFOLD_TOLERANCE=value)
+        run = subprocess.run(
+            [sys.executable, "-m", "tenfold.cli", "classify", path],
+            capture_output=True, text=True, env=env)
+        assert run.returncode == 2
+        assert "TENFOLD_TOLERANCE" in run.stderr
+        assert "Traceback" not in run.stderr
+
+    def test_malformed_value_raises_on_library_use(self):
+        # the package imports, but reading the tolerance must not fall
+        # back to the default without a word
+        import os
+        import subprocess
+        import sys
+        code = ("import numpy as np\n"
+                "from tenfold import linalg\n"
+                "from tenfold.errors import InputShapeError\n"
+                "for read in (lambda: linalg.TOL_INPUT,\n"
+                "             lambda: linalg.is_hermitian(np.eye(2))):\n"
+                "    try:\n"
+                "        read()\n"
+                "    except InputShapeError as err:\n"
+                "        assert 'TENFOLD_TOLERANCE' in str(err)\n"
+                "    else:\n"
+                "        raise SystemExit('no error')\n")
+        env = dict(os.environ, TENFOLD_TOLERANCE="abc")
+        run = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr + run.stdout

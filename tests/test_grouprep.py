@@ -88,6 +88,107 @@ class TestCommutant:
         assert len(commutant_basis(group)) == predicted
 
 
+def _spin(two_j):
+    """Anti-Hermitian su(2) generators i J_x, i J_y, i J_z of spin j."""
+    j = two_j / 2
+    m = j - np.arange(two_j + 1)
+    up = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)
+    jx = (up + up.T) / 2
+    jy = (up - up.T) / 2j
+    return [1j * jx, 1j * jy, 1j * np.diag(m)]
+
+
+def _stack(pieces):
+    """Generators of a direct sum of (generators, multiplicity) pieces."""
+    import scipy.linalg as sla
+    return [sla.block_diag(*(np.kron(np.eye(mult), gens[k])
+                             for gens, mult in pieces))
+            for k in range(len(pieces[0][0]))]
+
+
+def _random_setting(name, rng):
+    """(generators, is_finite) of a random setting in a Haar basis."""
+    if name in oracles.GROUPS:
+        gens, _, _ = oracles.build_threefold_case(name, rng, None)
+        finite = True
+    elif name == "su2":
+        mults = rng.generator.integers(0, 3, size=3) + (0, 1, 0)
+        gens = _stack([(_spin(t), int(m)) for t, m in zip((0, 1, 2), mults)
+                       if m])
+        finite = False
+    elif name == "u1":
+        charges = rng.generator.integers(-2, 3, size=7).astype(float)
+        gens = [1j * np.diag(charges)]
+        finite = False
+    else:  # S4 on C^4 plus a trivial line
+        cycle = np.roll(np.eye(4), 1, axis=0)
+        swap = np.eye(4)[[1, 0, 2, 3]]
+        gens = [np.block([[g, np.zeros((4, 1))],
+                          [np.zeros((1, 4)), np.eye(1)]])
+                for g in (cycle, swap)]
+        finite = True
+    w = linalg.haar_unitary(gens[0].shape[0], rng)
+    return [w @ g @ w.conj().T for g in gens], finite
+
+
+def _span_projector(basis):
+    b = np.array([x.ravel() for x in basis])
+    return b.T @ b.conj(), b
+
+
+SETTINGS = ("Z3", "S3", "D4", "Q8", "su2", "u1", "S4")
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("name", SETTINGS)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_commutant_spans_oracle(self, name, seed):
+        gens, finite = _random_setting(name, linalg.RngStream(seed))
+        action = close_group(gens) if finite else lie_algebra_action(gens)
+        basis = commutant_basis(action)
+        p_new, b = _span_projector(basis)
+        p_oracle, _ = _span_projector(oracles.commutant_oracle(gens))
+        assert linalg.frob(p_new - p_oracle) <= 1e-10
+        assert linalg.frob(b @ b.conj().T - np.eye(len(basis))) <= 1e-12
+        for x in basis:
+            for g in gens:
+                assert linalg.frob(x @ g - g @ x) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["Z3", "S3", "D4", "Q8", "S4"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_close_group_matches_linear_scan(self, name, seed):
+        gens, _ = _random_setting(name, linalg.RngStream(seed))
+        expected = oracles.close_group_oracle(gens)
+        got = close_group(gens).elements
+        assert len(got) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    @pytest.mark.parametrize("name", ["Q8", "S4"])
+    def test_budget_raised_at_exactly_max_order(self, name):
+        gens, _ = _random_setting(name, linalg.RngStream(7))
+        order = len(oracles.close_group_oracle(gens))
+        assert len(close_group(gens, max_order=order).elements) == order
+        with pytest.raises(GroupTooLargeError):
+            close_group(gens, max_order=order - 1)
+
+    @pytest.mark.parametrize("name", ["su2", "u1"])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-4])
+    def test_noisy_lie_commutant_dimension(self, name, tol):
+        # anti-Hermitian noise of norm 0.1 tol must not split the
+        # eigenspaces the commutant is solved on
+        rng = linalg.RngStream(11)
+        gens, _ = _random_setting(name, rng)
+        noisy = []
+        for g in gens:
+            z = rng.complex_normal(g.shape)
+            z = z - z.conj().T
+            noisy.append(g + 0.1 * tol * z / linalg.frob(z))
+        action = lie_algebra_action(noisy, tol)
+        assert len(commutant_basis(action, tol)) == \
+            len(oracles.commutant_oracle(noisy, tol)) == \
+            len(oracles.commutant_oracle(gens, tol))
+
+
 class TestIsotypicDecompose:
     def test_trivial_group(self, rng):
         blocks = isotypic_decompose(trivial_action(5), rng)
@@ -133,6 +234,35 @@ class TestIsotypicDecompose:
         for b in blocks:
             for g in group.generators:
                 assert linalg.frob(g @ b.projector - b.projector @ g) < 1e-8
+
+    @pytest.mark.parametrize("name", ["Z3", "S3"])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-2])
+    def test_many_lines_at_loose_tolerance(self, name, tol):
+        # every irrep three times: merging two lines is fatal here, so
+        # the cluster gap must not grow with tol
+        irreps = oracles.GROUPS[name].irreps.values()
+        gens = _stack([(list(rep), 3) for rep in irreps])
+        w = linalg.haar_unitary(gens[0].shape[0], linalg.RngStream(5))
+        group = close_group([w @ g @ w.conj().T for g in gens])
+        blocks = isotypic_decompose(group, linalg.RngStream(6), tol)
+        assert sorted((b.irrep_dim, b.multiplicity) for b in blocks) == \
+            sorted((rep[0].shape[0], 3) for rep in irreps)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_noisy_su2_at_tolerance_1e4(self, seed):
+        tol = 1e-4
+        rng = linalg.RngStream(seed)
+        gens = _stack([(_spin(0), 2), (_spin(1), 3), (_spin(2), 2)])
+        w = linalg.haar_unitary(gens[0].shape[0], rng)
+        noisy = []
+        for g in gens:
+            z = rng.complex_normal(g.shape)
+            z = z - z.conj().T
+            noisy.append(w @ g @ w.conj().T + 0.1 * tol * z / linalg.frob(z))
+        blocks = isotypic_decompose(lie_algebra_action(noisy, tol),
+                                    rng.child(1), tol)
+        assert sorted((b.irrep_dim, b.multiplicity) for b in blocks) == \
+            [(1, 2), (2, 3), (3, 2)]
 
     def test_block_kronecker_structure(self, rng):
         # generators act as identity (x) irrep in the factor basis

@@ -9,8 +9,8 @@ import pytest
 from tenfold.antiunitary import parity
 from tenfold.errors import (NotInvolutiveError, SpecFileError,
                             SymmetryConsistencyError)
-from tenfold.specfile import (matrix_to_pairs, parse_spec, parse_spec_data,
-                              read_samples, write_samples)
+from tenfold.specfile import (_parse_matrix, matrix_to_pairs, parse_spec,
+                              parse_spec_data, read_samples, write_samples)
 
 
 def pairs(mat):
@@ -97,6 +97,74 @@ class TestParse:
         assert parsed.tolerance == 1e-6
         assert parsed.seed == 42
         assert parsed.setting.tolerance == 1e-6
+
+
+def _grid(entry, at=(1, 0), dim=2):
+    """A dim x dim matrix of [0.5, -1] pairs with ``entry`` at ``at``."""
+    raw = [[[0.5, -1] for _ in range(dim)] for _ in range(dim)]
+    raw[at[0]][at[1]] = entry
+    return raw
+
+
+class TestMatrixEntries:
+    """The accept/reject set of matrix entries, pinned."""
+
+    @pytest.mark.parametrize("entry, value", [
+        ([1, -2], 1 - 2j),
+        ([0.25, 1e308], 0.25 + 1e308j),
+        ([True, False], 1 + 0j),
+        ([-0.0, 3], complex(-0.0, 3)),
+        ([10 ** 20, 0], 1e20 + 0j),
+    ])
+    def test_accepted(self, entry, value):
+        out = _parse_matrix(_grid(entry), 2, "m")
+        assert out.dtype == complex and out.shape == (2, 2)
+        assert out[1, 0] == value
+        assert np.array_equal(out[[0, 0, 1], [0, 1, 1]], [0.5 - 1j] * 3)
+
+    @pytest.mark.parametrize("entry, message", [
+        ([float("nan"), 0], "entry (1, 0) must be finite"),
+        ([0, float("inf")], "entry (1, 0) must be finite"),
+        ([-float("inf"), 0], "entry (1, 0) must be finite"),
+        ([10 ** 400, 0], "entry (1, 0) must be finite"),
+        (["1.0", 0], "entry (1, 0) must hold two numbers"),
+        ([0, None], "entry (1, 0) must hold two numbers"),
+        ([[1], 0], "entry (1, 0) must hold two numbers"),
+        ([1], "entry (1, 0) must be an [re, im] pair"),
+        ([1, 2, 3], "entry (1, 0) must be an [re, im] pair"),
+        ((1.0, 2.0), "entry (1, 0) must be an [re, im] pair"),
+        (1.0, "entry (1, 0) must be an [re, im] pair"),
+        ("1+2j", "entry (1, 0) must be an [re, im] pair"),
+    ])
+    def test_rejected(self, entry, message):
+        with pytest.raises(SpecFileError) as err:
+            _parse_matrix(_grid(entry), 2, "m")
+        assert err.value.field == "m"
+        assert message in str(err.value)
+
+    def test_first_bad_entry_in_row_major_order(self):
+        raw = _grid(["x", 0], at=(2, 0), dim=3)
+        raw[1][2] = [float("nan"), 0]
+        with pytest.raises(SpecFileError, match=r"entry \(1, 2\) must be "
+                                                r"finite"):
+            _parse_matrix(raw, 3, "m")
+
+    def test_bad_row_after_bad_entry(self):
+        raw = _grid([None, 0], at=(0, 1), dim=3)
+        raw[2] = raw[2][:2]
+        with pytest.raises(SpecFileError, match=r"entry \(0, 1\) must hold"):
+            _parse_matrix(raw, 3, "m")
+
+    def test_bad_entry_after_bad_row(self):
+        raw = _grid([None, 0], at=(2, 1), dim=3)
+        raw[1] = raw[1] + [[0, 0]]
+        with pytest.raises(SpecFileError, match="row 1 must have 3 entries"):
+            _parse_matrix(raw, 3, "m")
+
+    @pytest.mark.parametrize("raw", [None, "m", [[[0, 0]]], (((0, 0),),)])
+    def test_wrong_outer_shape(self, raw):
+        with pytest.raises(SpecFileError, match="expected a 2 x 2 matrix"):
+            _parse_matrix(raw, 2, "m")
 
 
 class TestSampleFiles:
