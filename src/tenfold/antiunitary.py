@@ -56,10 +56,6 @@ class AntiUnitaryOp:
         w = np.asarray(w, dtype=complex)
         return AntiUnitaryOp(w @ self.u @ w.T)
 
-    def compose_antiunitary(self, other):
-        """The (linear, unitary) composition self o other."""
-        return self.u @ np.conj(other.u)
-
 
 def parity(op, tol=None):
     """Sign eps with op^2 = eps * identity.
@@ -136,10 +132,6 @@ class TransferredT:
     beta: AntiUnitaryOp
     eps_alpha: int
     eps_beta: int
-
-    @property
-    def eps_total(self):
-        return self.eps_alpha * self.eps_beta
 
 
 def transfer_T(block, op, tol=None):

@@ -16,6 +16,7 @@ basis of the input leaves the labels unchanged.
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import grouprep, linalg
 from .antiunitary import AntiUnitaryOp, parity, sector_action, transfer_T
@@ -25,11 +26,81 @@ from .grouprep import (GroupAction, MODE_FINITE, MODE_LIE, MODE_NONE,
                        MODE_SPIN_HALF, isotypic_decompose, self_duality_type,
                        spin_half_action, trivial_action, u1_charge_action)
 
-FAMILIES = ("A", "AI", "AII", "C", "CI", "D", "DIII", "AIII", "BDI", "CII")
-_CHIRAL = ("AIII", "BDI", "CII")
+
+@dataclass(frozen=True)
+class Family:
+    """One row of the Altland-Zirnbauer table (Phys. Rev. B 55, 1142).
+
+    ``block``: Hamiltonian block form, ``plain`` (H on C^N), ``nambu``
+    ([[W, Z], [Z^dag, -W^t]] on C^(2N)) or ``chiral`` (off-diagonal in
+    a (p, q) grading).  ``constraints``: defining relations (name,
+    twist, anti-unitary, sign) in the sampler basis.  ``tau``: Cartan
+    involution (kind, twist) on the compact group ``ambient``, whose
+    symplectic form is the twist ``ambient_form``.  ``space``: U, K and
+    block form, with n = N or p + q and n2 = 2N; ``tangent_dim(n, p,
+    q)`` is dim U/K.  ``setting``: G0 and the T twist of the canonical
+    Hilbert-space setting (chiral rows add the grading S).  ``even``
+    asks for even dims.  Twists name the matrices built by ``twist``.
+    """
+
+    block: str
+    constraints: tuple
+    tau: tuple
+    ambient: str
+    space: tuple
+    tangent_dim: object
+    setting: tuple
+    even: bool = False
+    ambient_form: str = None
 
 
-@dataclass(frozen=True, eq=False)
+_P_J, _P_SWAP = ("P", "J", True, -1), ("P", "swap", True, -1)
+_S = ("S", "S", False, -1)
+
+FAMILY = {
+    "A": Family("plain", (), ("flip", None), "unitary",
+                ("U_{n}", "", "H complex Hermitian"),
+                lambda n, p, q: n * n, ("u1", None)),
+    "AI": Family("plain", (("T", "1", True, 1),), ("conj", None), "unitary",
+                 ("U_{n}", "O_{n}", "H real symmetric"),
+                 lambda n, p, q: n * (n + 1) // 2, ("u1", "1")),
+    "AII": Family("plain", (("T", "J", True, 1),), ("conj_J", "J"),
+                  "unitary", ("U_{n}", "USp_{n}", "H quaternion self-dual"),
+                  lambda n, p, q: n * (n - 1) // 2, ("u1", "J"), even=True),
+    "C": Family("nambu", (_P_J,), ("flip", None), "symplectic-unitary",
+                ("USp_{n2}", "", "W Hermitian, Z complex symmetric"),
+                lambda n, p, q: n * (2 * n + 1), ("spin-half", None),
+                ambient_form="J"),
+    "CI": Family("nambu", (_P_J, ("T", "swap", True, 1)), ("conj", None),
+                 "symplectic-unitary",
+                 ("USp_{n2}", "U_{n}", "Z complex symmetric, W = 0"),
+                 lambda n, p, q: n * (n + 1), ("spin-half", "Jspin"),
+                 ambient_form="J"),
+    "D": Family("nambu", (_P_SWAP,), ("flip", None), "special-orthogonal",
+                ("SO_{n2}", "", "W Hermitian, Z complex skew"),
+                lambda n, p, q: n * (2 * n - 1), ("trivial", None)),
+    "DIII": Family("nambu", (_P_SWAP, ("T", "J", True, 1)),
+                   ("conj_J", "J"), "special-orthogonal",
+                   ("SO_{n2}", "U_{n}", "Z complex skew, W = 0"),
+                   lambda n, p, q: n * (n - 1), ("trivial", "J")),
+    "AIII": Family("chiral", (_S,), ("adj_S", "S"), "unitary",
+                   ("U_{n}", "U_{p} x U_{q}", "Z complex {p} x {q}, W = 0"),
+                   lambda n, p, q: 2 * p * q, ("u1", None)),
+    "BDI": Family("chiral", (_S, ("T", "1", True, 1)), ("adj_S", "S"),
+                  "orthogonal",
+                  ("O_{n}", "O_{p} x O_{q}", "Z real {p} x {q}, W = 0"),
+                  lambda n, p, q: p * q, ("u1", "1")),
+    "CII": Family("chiral", (_S, ("T", "Jpq", True, 1)), ("adj_S", "S"),
+                  "symplectic-unitary",
+                  ("USp_{n}", "USp_{p} x USp_{q}",
+                   "Z quaternion {p} x {q}, W = 0"),
+                  lambda n, p, q: p * q, ("u1", "Jpq"), even=True,
+                  ambient_form="Jpq"),
+}
+FAMILIES = tuple(FAMILY)
+
+
+@dataclass(frozen=True)
 class ClassLabel:
     """A Cartan family with its block dimensions (N, or (p, q))."""
 
@@ -37,40 +108,28 @@ class ClassLabel:
     dims: tuple
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY:
             raise InputShapeError(f"unknown family {self.family!r}")
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        if self.family in _CHIRAL:
-            if len(dims) != 2 or min(dims) < 0 or sum(dims) < 1:
-                raise InputShapeError(f"{self.family} needs dims (p, q)")
-            if self.family == "CII" and (dims[0] % 2 or dims[1] % 2):
-                raise InputShapeError("CII needs even p and q")
-        else:
-            if len(dims) != 1 or dims[0] < 1:
-                raise InputShapeError(f"{self.family} needs a single "
-                                      "positive dimension")
-            if self.family == "AII" and dims[0] % 2:
-                raise InputShapeError("AII needs an even dimension")
+        row = FAMILY[self.family]
+        rank = 2 if row.block == "chiral" else 1
+        if len(dims) != rank or min(dims) < 0 or sum(dims) < 1:
+            shape = "dims (p, q)" if rank == 2 else \
+                "a single positive dimension"
+            raise InputShapeError(f"{self.family} needs {shape}")
+        if row.even and any(d % 2 for d in dims):
+            raise InputShapeError(f"{self.family} needs even dimensions")
 
     @property
     def matrix_dim(self):
         """Size of the Hamiltonian matrices of this class."""
-        n = self.dims[0] if len(self.dims) == 1 else sum(self.dims)
-        if self.family in ("C", "CI", "D", "DIII"):
-            return 2 * n
-        return n
+        n = sum(self.dims)
+        return 2 * n if FAMILY[self.family].block == "nambu" else n
 
     @property
     def space_name(self):
         return compatible_space(self).space_name
-
-    def __eq__(self, other):
-        return (isinstance(other, ClassLabel) and self.family == other.family
-                and self.dims == other.dims)
-
-    def __hash__(self):
-        return hash((self.family, self.dims))
 
     def __str__(self):
         dims = ",".join(str(d) for d in self.dims)
@@ -80,6 +139,34 @@ class ClassLabel:
 def label(family, *dims):
     """Shorthand constructor, e.g. ``label("AIII", 1, 2)``."""
     return ClassLabel(family=family, dims=tuple(dims))
+
+
+_TWISTS = {
+    "1": lambda n, p, q: np.eye(n),
+    "J": lambda n, p, q: linalg.symplectic_form(n // 2),
+    "swap": lambda n, p, q: nambu_form(n // 2),
+    "Jspin": lambda n, p, q: np.kron(np.eye(n // 2), 1j * grouprep.PAULI_Y),
+    "S": lambda n, p, q: np.diag(np.concatenate([np.ones(p), -np.ones(q)])),
+    "Jpq": lambda n, p, q: block_diag(linalg.symplectic_form(p // 2),
+                                      linalg.symplectic_form(q // 2)),
+}
+
+
+def twist(lab, name, size=None):
+    """The named fixed matrix of a family's row at ``size`` (default:
+    the Hamiltonian size), or None for no name.
+
+    ``1`` identity, ``J`` standard symplectic form, ``swap`` pairing of
+    V with V* in W = V + V*, ``S`` chiral grading diag(+1 x p, -1 x q),
+    ``Jpq`` symplectic form on each grading block, ``Jspin`` I (x) i
+    sigma_y (spin fast).
+    """
+    n = lab.matrix_dim if size is None else size
+    if name == "J" and n % 2:
+        raise InputShapeError(f"{lab}: J needs an even dimension, got {n}")
+    chiral = FAMILY[lab.family].block == "chiral"
+    p, q = lab.dims if chiral else (0, 0)
+    return None if name is None else _TWISTS[name](n, p, q)
 
 
 @dataclass(frozen=True)
@@ -99,48 +186,19 @@ def compatible_space(lab):
     ``tangent_dim`` is the real dimension of the space of compatible
     Hamiltonians (the tangent space of U/K).
     """
-    f = lab.family
-    if f in _CHIRAL:
-        p, q = lab.dims
-        n = p + q
+    fam = FAMILY[lab.family]
+    p, q = lab.dims if fam.block == "chiral" else (0, 0)
+    n = sum(lab.dims)
+    group, subgroup, form = (text.format(n=n, n2=2 * n, p=p, q=q)
+                             for text in fam.space)
+    if not subgroup:
+        name = group
+    elif " x " in subgroup:
+        name = f"{group}/({subgroup})"
     else:
-        n = lab.dims[0]
-    if f == "A":
-        return CompatibleSpace(f"U_{n}", f"U_{n}", "", "H complex Hermitian",
-                               n * n)
-    if f == "AI":
-        return CompatibleSpace(f"U_{n}/O_{n}", f"U_{n}", f"O_{n}",
-                               "H real symmetric", n * (n + 1) // 2)
-    if f == "AII":
-        return CompatibleSpace(f"U_{n}/USp_{n}", f"U_{n}", f"USp_{n}",
-                               "H quaternion self-dual", n * (n - 1) // 2)
-    if f == "C":
-        return CompatibleSpace(f"USp_{2 * n}", f"USp_{2 * n}", "",
-                               "W Hermitian, Z complex symmetric",
-                               n * (2 * n + 1))
-    if f == "CI":
-        return CompatibleSpace(f"USp_{2 * n}/U_{n}", f"USp_{2 * n}",
-                               f"U_{n}", "Z complex symmetric, W = 0",
-                               n * (n + 1))
-    if f == "D":
-        return CompatibleSpace(f"SO_{2 * n}", f"SO_{2 * n}", "",
-                               "W Hermitian, Z complex skew",
-                               n * (2 * n - 1))
-    if f == "DIII":
-        return CompatibleSpace(f"SO_{2 * n}/U_{n}", f"SO_{2 * n}", f"U_{n}",
-                               "Z complex skew, W = 0", n * (n - 1))
-    p, q = lab.dims
-    if f == "AIII":
-        return CompatibleSpace(f"U_{n}/(U_{p} x U_{q})", f"U_{n}",
-                               f"U_{p} x U_{q}",
-                               f"Z complex {p} x {q}, W = 0", 2 * p * q)
-    if f == "BDI":
-        return CompatibleSpace(f"O_{n}/(O_{p} x O_{q})", f"O_{n}",
-                               f"O_{p} x O_{q}",
-                               f"Z real {p} x {q}, W = 0", p * q)
-    return CompatibleSpace(f"USp_{n}/(USp_{p} x USp_{q})", f"USp_{n}",
-                           f"USp_{p} x USp_{q}",
-                           f"Z quaternion {p} x {q}, W = 0", p * q)
+        name = f"{group}/{subgroup}"
+    return CompatibleSpace(name, group, subgroup, form,
+                           fam.tangent_dim(n, p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +313,6 @@ def nambu_form(n):
     return q
 
 
-def nambu_reality(n):
-    """Anti-unitary real structure fixing the Majorana subspace of W."""
-    return AntiUnitaryOp(nambu_form(n))
-
-
 def _induced_unitary(g):
     """Action v + f -> g v + (g^{-1})^t f as a block matrix on W."""
     n = g.shape[0]
@@ -304,11 +357,7 @@ def build_nambu(setting):
                                           for x in act.generators))
     t_w = None
     if setting.time_reversal is not None:
-        u = setting.time_reversal.u
-        blocks = np.zeros((2 * n, 2 * n), dtype=complex)
-        blocks[:n, :n] = u
-        blocks[n:, n:] = np.conj(u)
-        t_w = AntiUnitaryOp(blocks)
+        t_w = AntiUnitaryOp(_induced_unitary(setting.time_reversal.u))
     c_w = None
     if setting.particle_hole is not None:
         s = np.asarray(setting.particle_hole, dtype=complex)
@@ -558,47 +607,20 @@ def classify_tenfold(setting, rng=None):
 # Canonical settings for the ten families
 
 
+_G0 = {"u1": u1_charge_action, "trivial": trivial_action,
+       "spin-half": lambda n: spin_half_action(2 * n)}
+
+
 def canonical_setting(lab):
     """The reference Hilbert-space setting whose classification is ``lab``.
 
     Used by the ensemble round-trip checks: a sample drawn for ``lab``
     satisfies every symmetry constraint of ``canonical_setting(lab)``.
     """
-    f = lab.family
-    if f in _CHIRAL:
-        p, q = lab.dims
-        n = p + q
-    else:
-        n = lab.dims[0]
-    eye = np.eye(n)
-    if f == "A":
-        return hilbert_setting(u1_charge_action(n))
-    if f == "AI":
-        return hilbert_setting(u1_charge_action(n), AntiUnitaryOp(eye))
-    if f == "AII":
-        j = linalg.symplectic_form(n // 2)
-        return hilbert_setting(u1_charge_action(n), AntiUnitaryOp(j))
-    if f == "D":
-        return hilbert_setting(trivial_action(n))
-    if f == "DIII":
-        if n % 2:
-            raise InputShapeError("DIII canonical setting needs even N")
-        j = linalg.symplectic_form(n // 2)
-        return hilbert_setting(trivial_action(n), AntiUnitaryOp(j))
-    if f == "C":
-        return hilbert_setting(spin_half_action(2 * n))
-    if f == "CI":
-        u = np.kron(np.eye(n), 1j * grouprep.PAULI_Y)
-        return hilbert_setting(spin_half_action(2 * n), AntiUnitaryOp(u))
-    p, q = lab.dims
-    s = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
-    if f == "AIII":
-        return hilbert_setting(u1_charge_action(n), particle_hole=s)
-    if f == "BDI":
-        return hilbert_setting(u1_charge_action(n), AntiUnitaryOp(eye),
-                               particle_hole=s)
-    u = np.zeros((n, n), dtype=complex)
-    u[:p, :p] = linalg.symplectic_form(p // 2)
-    u[p:, p:] = linalg.symplectic_form(q // 2)
-    return hilbert_setting(u1_charge_action(n), AntiUnitaryOp(u),
+    fam = FAMILY[lab.family]
+    g0_name, t_name = fam.setting
+    g0 = _G0[g0_name](sum(lab.dims))
+    t = twist(lab, t_name, g0.dim)
+    s = twist(lab, "S") if fam.block == "chiral" else None
+    return hilbert_setting(g0, None if t is None else AntiUnitaryOp(t),
                            particle_hole=s)

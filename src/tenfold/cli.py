@@ -12,17 +12,16 @@ import sys
 
 import numpy as np
 
-from . import ensembles, focklab, linalg, verify
-from .classifier import (ClassLabel, classify_tenfold, classify_threefold,
-                         label)
+from . import ensembles, linalg, verify
+from .classifier import (FAMILIES, ClassLabel, classify_tenfold,
+                         classify_threefold)
 from .errors import (DegenerateDecompositionError, GroupTooLargeError,
                      InconsistentSymmetryError, InputShapeError,
                      NotDefiniteTypeError, NotInManifoldError,
                      NotInvolutiveError, NotPureTensorError,
                      NotQuadraticError, SpecFileError,
                      SymmetryConsistencyError, TenfoldError,
-                     UnsupportedConfigurationError, UnsupportedFamilyError,
-                     UnsupportedModeError)
+                     UnsupportedConfigurationError, UnsupportedModeError)
 from .specfile import parse_spec, read_samples, write_samples
 
 EXIT_OK = 0
@@ -40,10 +39,6 @@ def _parse_dims(text):
     if len(dims) not in (1, 2):
         raise InputShapeError("dims must be N or p,q")
     return dims
-
-
-def _label_from_args(args):
-    return ClassLabel(family=args.family, dims=_parse_dims(args.dims))
 
 
 def cmd_classify(args):
@@ -66,14 +61,17 @@ def cmd_classify(args):
     return EXIT_OK
 
 
-def cmd_sample(args):
-    lab = _label_from_args(args)
+def _draw(args, rng):
+    lab = ClassLabel(family=args.family, dims=_parse_dims(args.dims))
     spec = ensembles.EnsembleSpec(label=lab, sigma=args.sigma, kind=args.kind)
-    rng = linalg.RngStream(args.seed)
     if args.kind == "gaussian":
-        draws = ensembles.sample_gaussian(spec, rng, size=args.count)
-    else:
-        draws = ensembles.sample_circular(spec, rng, size=args.count)
+        return lab, ensembles.sample_gaussian(spec, rng, size=args.count)
+    return lab, ensembles.sample_circular(spec, rng, size=args.count)
+
+
+def cmd_sample(args):
+    rng = linalg.RngStream(args.seed)
+    lab, draws = _draw(args, rng)
     matrices = [draws[i] for i in range(args.count)]
 
     def emit(fh):
@@ -87,10 +85,11 @@ def cmd_sample(args):
     return EXIT_OK
 
 
-def _spectra_from_matrices(meta, matrices):
-    if meta.get("kind") == "circular":
-        return [np.sort(np.angle(np.linalg.eigvals(m))) for m in matrices]
-    return [np.linalg.eigvalsh(m) for m in matrices]
+def _spectra(kind, matrices):
+    if kind == "circular":
+        return np.stack([np.sort(np.angle(np.linalg.eigvals(m)))
+                         for m in matrices])
+    return np.linalg.eigvalsh(np.asarray(matrices))
 
 
 def cmd_stats(args):
@@ -99,34 +98,35 @@ def cmd_stats(args):
         meta, matrices = read_samples(args.infile)
         if not matrices:
             raise SpecFileError("$", "sample file holds no records")
-        spectra = _spectra_from_matrices(meta, matrices)
+        spectra = _spectra(meta.get("kind"), matrices)
     elif args.poisson:
         spectra = np.sort(rng.generator.uniform(
             size=(args.count, args.poisson)), axis=1)
     elif args.family and args.dims:
-        lab = _label_from_args(args)
-        spec = ensembles.EnsembleSpec(label=lab, sigma=args.sigma,
-                                      kind=args.kind)
-        if args.kind == "gaussian":
-            draws = ensembles.sample_gaussian(spec, rng, size=args.count)
-            spectra = np.linalg.eigvalsh(draws)
-        else:
-            draws = ensembles.sample_circular(spec, rng, size=args.count)
-            spectra = np.stack([np.sort(np.angle(np.linalg.eigvals(m)))
-                                for m in draws])
+        spectra = _spectra(args.kind, _draw(args, rng)[1])
     else:
         raise InputShapeError("need --in, --poisson, or --class/--dims")
-    stats = ensembles.pooled_spacing_ratios(np.asarray(spectra))
+    stats = ensembles.pooled_spacing_ratios(spectra)
     lines = [f"# tenfold stats seed={rng.seed}",
              "statistic,value,stderr",
              f"mean_r,{stats.mean!r},{stats.stderr!r}",
              f"dropped_spacings,{stats.dropped},0"]
     if args.bins:
-        hist = ensembles.spectral_density(np.asarray(spectra), args.bins)
+        hist = ensembles.spectral_density(spectra, args.bins)
         lines.append("bin_center,density")
         for c, d in zip(hist.centers, hist.density):
             lines.append(f"{float(c)!r},{float(d)!r}")
     print("\n".join(lines))
+    return EXIT_OK
+
+
+def _report(results):
+    failures = [name for name, ok, _ in results if not ok]
+    for name, ok, detail in results:
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    if failures:
+        print("failed invariants: " + ", ".join(failures))
+        return EXIT_INVARIANT
     return EXIT_OK
 
 
@@ -135,93 +135,15 @@ def cmd_verify(args):
         parsed = parse_spec(args.spec)
         tenfold_mode = (args.tenfold or parsed.declared_kind == "nambu" or
                         parsed.setting.particle_hole is not None)
-        results = verify.run_setting_checks(parsed, tenfold_mode)
-    elif args.all_classes:
-        results = verify.run_checks(args.level)
-    else:
-        raise InputShapeError("need a spec path or --all-classes")
-    failures = []
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        if not ok:
-            failures.append(name)
-    if failures:
-        print("failed invariants: " + ", ".join(failures))
-        return EXIT_INVARIANT
-    return EXIT_OK
+        return _report(verify.run_setting_checks(parsed, tenfold_mode))
+    if args.all_classes:
+        return _report(verify.run_checks(args.level))
+    raise InputShapeError("need a spec path or --all-classes")
 
 
 def cmd_fock_verify(args):
-    n = args.modes
-    rng = linalg.RngStream(args.seed)
-    fock = focklab.build_fock(n)
-    results = []
-
-    worst_car = verify.car_residual(fock)
-    results.append(("fock.car", worst_car <= 1e-12,
-                    f"residual {worst_car:.2e}"))
-
-    c_op = focklab.particle_hole(fock)
-    square = c_op.u @ np.conj(c_op.u)
-    law_ok = True
-    for state in range(fock.dim):
-        occ = int(fock.occupation[state])
-        expected = (-1.0) ** (occ * (n - occ))
-        if abs(square[state, state] - expected) > 1e-12:
-            law_ok = False
-    results.append(("fock.C2-sign-law", law_ok, "(-1)^(n(N-n)) per level"))
-
-    worst_def = 0.0
-    omega = np.zeros(fock.dim, dtype=complex)
-    omega[fock.top_index] = 1.0
-    for _ in range(args.trials):
-        deg = int(rng.generator.integers(0, n + 1))
-        idx = np.nonzero(fock.occupation == deg)[0]
-        psi = np.zeros(fock.dim, dtype=complex)
-        phi = np.zeros(fock.dim, dtype=complex)
-        psi[idx] = rng.complex_normal(len(idx))
-        phi[idx] = rng.complex_normal(len(idx))
-        lhs = focklab.wedge(fock, c_op.apply(psi), phi)
-        rhs = np.vdot(psi, phi) * omega
-        worst_def = max(worst_def, float(np.linalg.norm(lhs - rhs)))
-    results.append(("fock.defining-property", worst_def <= 1e-10,
-                    f"residual {worst_def:.2e}"))
-
-    worst_cov = 0.0
-    two_to_one = True
-    for _ in range(args.trials):
-        w = ensembles.sample_gaussian(
-            ensembles.EnsembleSpec(label("A", n)), rng)
-        b = rng.complex_normal((n, n))
-        z = 0.5 * (b - b.T)
-        h = focklab.lift_one_body(fock, w, z)
-        record = focklab.covering_check(fock, h, w, z)
-        worst_cov = max(worst_cov, record.generator_residual,
-                        record.orthogonality_residual,
-                        abs(record.determinant - 1.0))
-        two_to_one = two_to_one and record.sign_invariant
-    results.append(("fock.covering-generator", worst_cov <= 1e-9,
-                    f"residual {worst_cov:.2e}"))
-    results.append(("fock.covering-two-to-one", two_to_one,
-                    "rotation of -U identical"))
-
-    if n >= 2:
-        s = np.diag([1.0] * (n // 2) + [-1.0] * (n - n // 2)).astype(complex)
-    else:
-        s = np.eye(1, dtype=complex)
-    record = focklab.twisted_ph_transfer_check(fock, s)
-    results.append(("fock.twisted-transfer", record.passed,
-                    f"max residual {record.max_residual:.2e}"))
-
-    failures = []
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        if not ok:
-            failures.append(name)
-    if failures:
-        print("failed invariants: " + ", ".join(failures))
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return _report(verify.run_fock_checks(args.modes, args.trials,
+                                          args.seed))
 
 
 def build_parser():
@@ -242,8 +164,7 @@ def build_parser():
 
     p = sub.add_parser("sample", help="draw ensemble samples")
     p.add_argument("--class", dest="family", required=True,
-                   choices=("A", "AI", "AII", "C", "CI", "D", "DIII",
-                            "AIII", "BDI", "CII"))
+                   choices=FAMILIES)
     p.add_argument("--dims", required=True, help="N or p,q")
     p.add_argument("--kind", choices=("gaussian", "circular"),
                    default="gaussian")
@@ -257,8 +178,7 @@ def build_parser():
     p.add_argument("--in", dest="infile", default=None,
                    help="sample file produced by the sample command")
     p.add_argument("--class", dest="family", default=None,
-                   choices=("A", "AI", "AII", "C", "CI", "D", "DIII",
-                            "AIII", "BDI", "CII"))
+                   choices=FAMILIES)
     p.add_argument("--dims", default=None)
     p.add_argument("--kind", choices=("gaussian", "circular"),
                    default="gaussian")
@@ -290,6 +210,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         linalg.input_tol()  # raises on a malformed TENFOLD_TOLERANCE
+        for flag in ("count", "trials"):
+            if getattr(args, flag, 1) < 1:
+                raise InputShapeError(f"--{flag} must be at least 1")
         return args.func(args)
     except SpecFileError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -301,9 +224,8 @@ def main(argv=None):
     except UnsupportedConfigurationError as err:
         print(f"unsupported configuration: {err}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (InputShapeError, GroupTooLargeError, UnsupportedFamilyError,
-            UnsupportedModeError, NotDefiniteTypeError,
-            NotInManifoldError) as err:
+    except (InputShapeError, GroupTooLargeError, UnsupportedModeError,
+            NotDefiniteTypeError, NotInManifoldError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (DegenerateDecompositionError, NotQuadraticError,

@@ -23,12 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, symspace
-from .classifier import ClassLabel
-from .errors import InputShapeError, UnsupportedFamilyError
-from .linalg import symplectic_form
-
-_NAMBU = ("C", "CI", "D", "DIII")
-_CHIRAL = ("AIII", "BDI", "CII")
+from .classifier import FAMILY, ClassLabel, twist
+from .errors import InputShapeError
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +36,9 @@ class EnsembleSpec:
     kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise InputShapeError("variance parameter must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise InputShapeError("variance parameter must be finite and "
+                                  "positive")
         if self.kind not in ("gaussian", "circular"):
             raise InputShapeError(f"unknown ensemble kind {self.kind!r}")
 
@@ -71,38 +68,8 @@ def class_constraints(lab):
     Hamiltonian space out of the Hermitian matrices; every Gaussian
     sample satisfies them to machine precision.
     """
-    f = lab.family
-    n = lab.matrix_dim
-    if f == "A":
-        return ()
-    if f == "AI":
-        return (Constraint("T", np.eye(n), True, 1),)
-    if f == "AII":
-        return (Constraint("T", symplectic_form(n // 2), True, 1),)
-    modes = lab.dims[0] if f in _NAMBU else None
-    if f in _NAMBU:
-        swap = np.zeros((n, n))
-        swap[:modes, modes:] = np.eye(modes)
-        swap[modes:, :modes] = np.eye(modes)
-        j = symplectic_form(modes)
-        if f == "D":
-            return (Constraint("P", swap, True, -1),)
-        if f == "DIII":
-            return (Constraint("P", swap, True, -1),
-                    Constraint("T", j, True, 1))
-        if f == "C":
-            return (Constraint("P", j, True, -1),)
-        return (Constraint("P", j, True, -1),
-                Constraint("T", swap, True, 1))
-    p, q = lab.dims
-    s = symspace.chiral_grading(p, q)
-    if f == "AIII":
-        return (Constraint("S", s, False, -1),)
-    if f == "BDI":
-        return (Constraint("S", s, False, -1),
-                Constraint("T", np.eye(n), True, 1))
-    return (Constraint("S", s, False, -1),
-            Constraint("T", symspace.split_symplectic_form(p, q), True, 1))
+    return tuple(Constraint(name, twist(lab, tw), anti, sign)
+                 for name, tw, anti, sign in FAMILY[lab.family].constraints)
 
 
 def max_constraint_residual(lab, h):
@@ -145,67 +112,59 @@ def _assemble_chiral(b, p, q):
     return h
 
 
+def _check_draw(spec, kind, size):
+    if spec.kind != kind:
+        raise InputShapeError(f"spec.kind must be {kind!r}")
+    if size is not None and size < 1:
+        raise InputShapeError("sample size must be at least 1")
+
+
 def sample_gaussian(spec, rng, size=None):
     """Draw from the Gaussian ensemble of ``spec.label``.
 
     Returns an (n, n) matrix, or a stacked (size, n, n) array when
-    ``size`` is given.  Structural constraints hold exactly.
+    ``size`` is given.  Structural constraints hold exactly.  The block
+    form and the twists of T and P in the family's row choose the
+    construction.
     """
-    if spec.kind != "gaussian":
-        raise InputShapeError("spec.kind must be 'gaussian'")
+    _check_draw(spec, "gaussian", size)
     lab, sigma = spec.label, spec.sigma
-    f = lab.family
-    if f == "A":
-        return _hermitian_gaussian(rng, lab.dims[0], sigma, size)
-    if f == "AI":
-        return _real_symmetric_gaussian(rng, lab.dims[0], sigma, size)
-    if f == "AII":
+    fam = FAMILY[lab.family]
+    twists = {name: tw for name, tw, _, _ in fam.constraints}
+    t = twists.get("T")
+    if fam.block == "plain":
         n = lab.dims[0]
-        j = symplectic_form(n // 2)
+        if t == "1":
+            return _real_symmetric_gaussian(rng, n, sigma, size)
         h = _hermitian_gaussian(rng, n, sigma, size)
+        if t is None:
+            return h
+        j = twist(lab, t)
         dual = j @ np.conj(h) @ j.T
         return 0.5 * (h + dual)
-    if f in _NAMBU:
+    if fam.block == "nambu":
         n = lab.dims[0]
         full = _hermitian_gaussian(rng, 2 * n, sigma, size)
         a = full[..., :n, :n]
         b = full[..., :n, n:]
         d = full[..., n:, n:]
         w = 0.5 * (a - d.swapaxes(-1, -2))
-        if f in ("CI", "DIII"):
+        if t is not None:
             w = np.zeros_like(w)
-        if f in ("C", "CI"):
+        # P = J conj makes Z symmetric (C, CI), P = swap conj skew (D, DIII)
+        if twists["P"] == "J":
             z = 0.5 * (b + b.swapaxes(-1, -2))
         else:
             z = 0.5 * (b - b.swapaxes(-1, -2))
         return _assemble_nambu(w, z)
     p, q = lab.dims
     b = _complex_block(rng, p, q, sigma, size)
-    if f == "BDI":
+    if t == "1":
         b = b.real.astype(complex)
-    elif f == "CII":
-        jp = symplectic_form(p // 2)
-        jq = symplectic_form(q // 2)
-        b = 0.5 * (b + jp @ np.conj(b) @ jq.T)
+    elif t is not None:
+        j = twist(lab, t)
+        b = 0.5 * (b + j[:p, :p] @ np.conj(b) @ j[p:, p:].T)
     return _assemble_chiral(b, p, q)
-
-
-def _haar_in_group(lab, rng):
-    f = lab.family
-    n = lab.matrix_dim
-    if f in ("A", "AI", "AII", "AIII"):
-        return linalg.haar_unitary(n, rng)
-    if f == "BDI":
-        return linalg.haar_orthogonal(n, rng).astype(complex)
-    if f in ("D", "DIII"):
-        return linalg.haar_orthogonal(n, rng, special=True).astype(complex)
-    if f in ("C", "CI"):
-        return linalg.haar_symplectic_unitary(n, rng)
-    if f == "CII":
-        p, q = lab.dims
-        return linalg.haar_symplectic_unitary(
-            n, rng, j=symspace.split_symplectic_form(p, q))
-    raise UnsupportedFamilyError(f"no Haar measure implemented for {f}")
 
 
 def sample_circular(spec, rng, size=None):
@@ -216,18 +175,12 @@ def sample_circular(spec, rng, size=None):
     tau(x) = x^{-1}.  For the group-type families A, C, D the Haar draw
     itself is returned (class A gives the CUE).
     """
-    if spec.kind != "circular":
-        raise InputShapeError("spec.kind must be 'circular'")
+    _check_draw(spec, "circular", size)
     pair = symspace.involution(spec.label)
     if size is not None:
-        return np.stack([symspace.cartan_embed(_haar_in_group(
-            spec.label, rng), pair) for _ in range(size)])
-    return symspace.cartan_embed(_haar_in_group(spec.label, rng), pair)
-
-
-def eigenvalues(h):
-    """Ascending eigenvalues; batched over any leading axes."""
-    return np.linalg.eigvalsh(h)
+        return np.stack([symspace.cartan_embed(pair.haar(rng), pair)
+                         for _ in range(size)])
+    return symspace.cartan_embed(pair.haar(rng), pair)
 
 
 # ---------------------------------------------------------------------------
@@ -244,27 +197,38 @@ class SpectralStats:
     dropped: int
 
 
+def _kept_ratios(spectra, drop_tol):
+    """Ratios min/max of consecutive kept spacings within each row of a
+    stack of sorted spectra, and the number of dropped spacings.
+
+    Spacings below ``drop_tol`` times their spectrum's range are dropped
+    so exact degeneracies (such as Kramers pairs) do not poison the
+    statistic; a ratio never straddles two spectra.
+    """
+    spacings = np.diff(spectra, axis=1)
+    span = spectra[:, -1] - spectra[:, 0]
+    good = spacings >= drop_tol * np.maximum(span, np.finfo(float).tiny)[:, None]
+    row = np.nonzero(good)[0]
+    s = spacings[good]
+    r = np.minimum(s[:-1], s[1:]) / np.maximum(s[:-1], s[1:])
+    return r[row[:-1] == row[1:]], int(np.sum(~good))
+
+
 def spacing_ratios(values, drop_tol=1e-12):
     """Ratios min(s_i, s_{i+1}) / max(s_i, s_{i+1}) of level spacings.
 
     ``values`` must be at least three ascending levels.  Spacings below
-    ``drop_tol`` times the spectral range are dropped (and counted) so
-    exact degeneracies do not poison the statistic.
+    ``drop_tol`` times the spectral range are dropped (and counted).
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 3:
         raise InputShapeError("need at least three levels")
-    spacings = np.diff(values)
-    if np.any(spacings < 0):
+    if np.any(np.diff(values) < 0):
         raise InputShapeError("levels must be ascending")
-    span = values[-1] - values[0]
-    keep = spacings >= drop_tol * max(span, np.finfo(float).tiny)
-    dropped = int(np.sum(~keep))
-    s = spacings[keep]
-    if s.size < 2:
-        return SpectralStats(ratios=np.empty(0), mean=np.nan, stderr=np.nan,
+    r, dropped = _kept_ratios(values[None], drop_tol)
+    if r.size == 0:
+        return SpectralStats(ratios=r, mean=np.nan, stderr=np.nan,
                              dropped=dropped)
-    r = np.minimum(s[:-1], s[1:]) / np.maximum(s[:-1], s[1:])
     mean = float(np.mean(r))
     stderr = float(np.std(r, ddof=1) / np.sqrt(r.size)) if r.size > 1 else 0.0
     return SpectralStats(ratios=r, mean=mean, stderr=stderr, dropped=dropped)
@@ -273,21 +237,18 @@ def spacing_ratios(values, drop_tol=1e-12):
 def pooled_spacing_ratios(spectra, drop_tol=1e-12):
     """Spacing-ratio statistics pooled over a stack of sorted spectra.
 
-    Vectorized over the leading axis; the standard error treats the
-    pooled ratios as independent, which is exact when each spectrum
-    contributes a single ratio.
+    Each spectrum follows the rule of ``spacing_ratios``.  Vectorized
+    over the leading axis; the standard error treats the pooled ratios
+    as independent, which is exact when each spectrum contributes a
+    single ratio.  Raises ``InputShapeError`` when no ratio survives.
     """
     spectra = np.atleast_2d(np.asarray(spectra, dtype=float))
     if spectra.shape[1] < 3:
         raise InputShapeError("need at least three levels per spectrum")
-    spacings = np.diff(spectra, axis=1)
-    span = spectra[:, -1] - spectra[:, 0]
-    good = spacings >= drop_tol * np.maximum(span, np.finfo(float).tiny)[:, None]
-    pair_good = good[:, :-1] & good[:, 1:]
-    r_all = np.minimum(spacings[:, :-1], spacings[:, 1:]) / \
-        np.maximum(spacings[:, :-1], spacings[:, 1:])
-    r = r_all[pair_good]
-    dropped = int(np.sum(~good))
+    r, dropped = _kept_ratios(spectra, drop_tol)
+    if r.size == 0:
+        raise InputShapeError("no spacing ratio survives: every spectrum "
+                              "has fewer than two non-degenerate spacings")
     mean = float(np.mean(r))
     stderr = float(np.std(r, ddof=1) / np.sqrt(r.size))
     return SpectralStats(ratios=r, mean=mean, stderr=stderr, dropped=dropped)

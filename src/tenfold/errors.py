@@ -41,10 +41,6 @@ class UnsupportedConfigurationError(TenfoldError):
     """Symmetry configuration outside the supported decision table."""
 
 
-class UnsupportedFamilyError(TenfoldError):
-    """Ensemble family without an implemented Haar measure."""
-
-
 class NotInManifoldError(TenfoldError):
     """Point fails the symmetric-space membership test."""
 

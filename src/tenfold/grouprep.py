@@ -77,8 +77,8 @@ class IsotypicBlock:
 
     ``factor_basis`` columns identify the sector with E (x) R; column
     j*d + k is the image of (e_j tensor r_k), so the multiplicity index
-    is slow and the irreducible index fast.  ``gram`` is the Hermitian
-    scalar product transferred to E in this basis.
+    is slow and the irreducible index fast; the columns are
+    orthonormal, so the scalar product transferred to E is the identity.
     """
 
     label: int
@@ -86,7 +86,6 @@ class IsotypicBlock:
     multiplicity: int
     projector: np.ndarray
     factor_basis: np.ndarray
-    gram: np.ndarray
 
     @property
     def dim(self):
@@ -292,8 +291,7 @@ def _hom_space(rep_a, rep_b, tol):
 def _single_block(dim, d, m):
     eye = np.eye(dim, dtype=complex)
     return [IsotypicBlock(label=0, irrep_dim=d, multiplicity=m,
-                          projector=eye, factor_basis=eye,
-                          gram=np.eye(m, dtype=complex))]
+                          projector=eye, factor_basis=eye)]
 
 
 def isotypic_decompose(action, rng, tol=None, retries=5):
@@ -399,8 +397,7 @@ def _decompose_once(action, comm, rng, tol):
                     "factor basis failed the block-Kronecker test")
         blocks.append(IsotypicBlock(label=label, irrep_dim=d,
                                     multiplicity=mult, projector=proj,
-                                    factor_basis=fb,
-                                    gram=np.eye(mult, dtype=complex)))
+                                    factor_basis=fb))
 
     if sum(b.dim for b in blocks) != n:
         raise DegenerateDecompositionError("sector dimensions do not sum to "

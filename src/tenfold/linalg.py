@@ -160,8 +160,10 @@ def eig_hermitian(h, tol_input=None):
     Returns
     -------
     HermitianEigenSystem
-        Ascending real eigenvalues and unitary eigenvector matrix with
-        reconstruction residual below ``TOL_EIG * ||h||_F``.
+        Ascending real eigenvalues and unitary eigenvector matrix.  The
+        reconstruction residual is not checked here; ``verify``'s
+        ``linalg.eig-reconstruction`` check measures it against
+        ``TOL_EIG``.
     """
     tol_input = input_tol() if tol_input is None else tol_input
     h = np.asarray(h, dtype=complex)
@@ -225,9 +227,7 @@ def haar_symplectic_unitary(n2, rng, j=None):
         raise InputShapeError("symplectic dimension must be even and >= 2")
     n = n2 // 2
     if j is None:
-        j = symplectic_form(n)
-        u = _haar_usp_standard(n, rng)
-        return u
+        return _haar_usp_standard(n, rng)
     # General j: conjugate a standard draw by the permutation relating j
     # to the standard form.
     perm = _symplectic_permutation(j)

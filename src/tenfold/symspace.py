@@ -18,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .classifier import ClassLabel
+from .classifier import FAMILY, ClassLabel, twist
 from .errors import InputShapeError, NotInManifoldError
-
-_GROUP_TYPE = ("A", "C", "D")
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,29 +46,42 @@ class CartanPair:
     def tau(self, u):
         """The involution on group elements.
 
-        For group-type families the argument is a pair (a, b) from the
-        doubled model and the flip is returned; the geometry operations
-        below never need this form.
+        Being linear or anti-linear, it is also its own linearization on
+        the Lie algebra.  Group-type pairs have no tau on U: their flip
+        acts on the doubled model, which the geometry below never needs.
         """
-        if self.kind == "flip":
-            a, b = u
-            return (b, a)
         if self.kind == "conj":
             return np.conj(u)
         if self.kind == "conj_J":
             return self.twist @ np.conj(u) @ self.twist.T
-        return self.twist @ u @ self.twist
+        if self.kind == "adj_S":
+            return self.twist @ u @ self.twist
+        raise InputShapeError(f"{self.label} is group-type; its flip "
+                              "involution acts on pairs")
 
-    def dtau(self, x):
-        """Linearization of tau on Lie-algebra elements."""
-        if self.kind == "flip":
-            a, b = x
-            return (b, a)
-        if self.kind == "conj":
-            return np.conj(x)
-        if self.kind == "conj_J":
-            return self.twist @ np.conj(x) @ self.twist.T
-        return self.twist @ x @ self.twist
+    def haar(self, rng):
+        """A Haar-distributed element of the ambient group U."""
+        n = self.matrix_dim
+        if self.ambient == "unitary":
+            return linalg.haar_unitary(n, rng)
+        if self.ambient == "symplectic-unitary":
+            return linalg.haar_symplectic_unitary(n, rng, self.ambient_form)
+        special = self.ambient == "special-orthogonal"
+        return linalg.haar_orthogonal(n, rng, special).astype(complex)
+
+    def ambient_defects(self, u):
+        """Defects of u from U as (residual, tolerance scale) pairs:
+        unitarity, then reality and determinant, or the symplectic form."""
+        n = self.matrix_dim
+        defects = [(linalg.frob(u.conj().T @ u - np.eye(n)), 1.0)]
+        if self.ambient in ("orthogonal", "special-orthogonal"):
+            defects.append((linalg.frob(u.imag), np.sqrt(n)))
+        if self.ambient == "special-orthogonal":
+            defects.append((abs(np.linalg.det(u.real) - 1.0), n))
+        if self.ambient == "symplectic-unitary":
+            j = self.ambient_form
+            defects.append((linalg.frob(u.T @ j @ u - j), np.sqrt(n)))
+        return defects
 
     def in_group(self, u, tol=None):
         """Membership test for the ambient group U."""
@@ -79,65 +90,17 @@ class CartanPair:
         n = self.matrix_dim
         if u.shape != (n, n):
             return False
-        if not linalg.is_unitary(u, max(tol, linalg.tol_unitary(n))):
-            return False
-        if self.ambient in ("orthogonal", "special-orthogonal"):
-            if linalg.frob(u.imag) > tol * np.sqrt(n):
-                return False
-            if self.ambient == "special-orthogonal" and \
-                    abs(np.linalg.det(u.real) - 1.0) > tol * n:
-                return False
-        if self.ambient == "symplectic-unitary":
-            j = self.ambient_form
-            if linalg.frob(u.T @ j @ u - j) > tol * np.sqrt(n):
-                return False
-        return True
-
-
-def chiral_grading(p, q):
-    """The grading operator diag(+1 x p, -1 x q)."""
-    return np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
-
-
-def split_symplectic_form(p, q):
-    """Block-diagonal symplectic form compatible with a (p, q) grading."""
-    j = np.zeros((p + q, p + q))
-    j[:p, :p] = linalg.symplectic_form(p // 2)
-    j[p:, p:] = linalg.symplectic_form(q // 2)
-    return j
+        (unitarity, _), *rest = self.ambient_defects(u)
+        return unitarity <= max(tol, linalg.tol_unitary(n)) and \
+            all(residual <= tol * scale for residual, scale in rest)
 
 
 def involution(lab):
     """Cartan involution data for any of the ten class labels."""
-    f = lab.family
-    n = lab.matrix_dim
-    if f == "A":
-        return CartanPair(lab, "flip", n)
-    if f == "C":
-        return CartanPair(lab, "flip", n, ambient="symplectic-unitary",
-                          ambient_form=linalg.symplectic_form(n // 2))
-    if f == "D":
-        return CartanPair(lab, "flip", n, ambient="special-orthogonal")
-    if f == "AI":
-        return CartanPair(lab, "conj", n)
-    if f == "AII":
-        return CartanPair(lab, "conj_J", n,
-                          twist=linalg.symplectic_form(n // 2))
-    if f == "CI":
-        return CartanPair(lab, "conj", n, ambient="symplectic-unitary",
-                          ambient_form=linalg.symplectic_form(n // 2))
-    if f == "DIII":
-        return CartanPair(lab, "conj_J", n,
-                          twist=linalg.symplectic_form(n // 2),
-                          ambient="special-orthogonal")
-    p, q = lab.dims
-    s = chiral_grading(p, q)
-    if f == "AIII":
-        return CartanPair(lab, "adj_S", n, twist=s)
-    if f == "BDI":
-        return CartanPair(lab, "adj_S", n, twist=s, ambient="orthogonal")
-    return CartanPair(lab, "adj_S", n, twist=s, ambient="symplectic-unitary",
-                      ambient_form=split_symplectic_form(p, q))
+    fam = FAMILY[lab.family]
+    kind, tau_twist = fam.tau
+    return CartanPair(lab, kind, lab.matrix_dim, twist(lab, tau_twist),
+                      fam.ambient, twist(lab, fam.ambient_form))
 
 
 def in_space(x, pair, tol=1e-8):
@@ -239,7 +202,7 @@ def _orthonormal_span(mats, n, tol=1e-8):
 
 
 def tangent_split(lab):
-    """Split the ambient algebra into dtau eigenspaces k (+1) and p (-1).
+    """Split the ambient algebra into tau eigenspaces k (+1) and p (-1).
 
     For the group-type families both lists are copies of the Lie algebra
     itself, standing for the diagonal and anti-diagonal of the doubled
@@ -253,7 +216,7 @@ def tangent_split(lab):
                                     p_basis=tuple(ambient))
     plus, minus = [], []
     for x in ambient:
-        dt = pair.dtau(x)
+        dt = pair.tau(x)
         plus.append(0.5 * (x + dt))
         minus.append(0.5 * (x - dt))
     k_basis = _orthonormal_span(plus, n)

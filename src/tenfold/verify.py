@@ -138,7 +138,8 @@ def _check_spectral_pairing():
     rng = linalg.RngStream(19)
     worst = 0.0
     for lab in TEN_LABELS:
-        if lab.family in ("A", "AI", "AII"):
+        # only a P or S relation (sign -1) pairs E with -E
+        if all(c.sign > 0 for c in ensembles.class_constraints(lab)):
             continue
         h = ensembles.sample_gaussian(ensembles.EnsembleSpec(lab), rng)
         ev = np.linalg.eigvalsh(h)
@@ -175,10 +176,14 @@ def _check_cartan_membership():
     worst = 0.0
     for lab in TEN_LABELS:
         pair = symspace.involution(lab)
-        u = ensembles._haar_in_group(lab, rng)
-        x = symspace.cartan_embed(u, pair)
+        x = symspace.cartan_embed(pair.haar(rng), pair)
         if not symspace.in_space(x, pair, 1e-10):
             return False, f"{lab} embedding left the space"
+        if pair.group_type:
+            worst = max([worst] + [r for r, _ in pair.ambient_defects(x)])
+        else:
+            worst = max(worst, linalg.frob(
+                pair.tau(x) @ x - np.eye(pair.matrix_dim)))
     return True, f"worst residual {worst:.2e}"
 
 
@@ -186,8 +191,8 @@ def _check_geodesic_involution():
     rng = linalg.RngStream(23)
     for lab in TEN_LABELS:
         pair = symspace.involution(lab)
-        x = symspace.cartan_embed(ensembles._haar_in_group(lab, rng), pair)
-        y = symspace.cartan_embed(ensembles._haar_in_group(lab, rng), pair)
+        x = symspace.cartan_embed(pair.haar(rng), pair)
+        y = symspace.cartan_embed(pair.haar(rng), pair)
         z = symspace.geodesic_inversion(y, x, pair)
         back = symspace.geodesic_inversion(y, z, pair)
         if linalg.frob(back - x) > 1e-9 * np.sqrt(pair.matrix_dim):
@@ -263,19 +268,65 @@ def car_residual(fock):
     return worst
 
 
+def c2_sign_residual(fock, c):
+    """||C^2 - diag((-1)^(n(N-n)))||_F, off-diagonal entries included."""
+    occ = fock.occupation
+    expected = (-1.0) ** (occ * (fock.n_modes - occ))
+    return linalg.frob(c.u @ np.conj(c.u) - np.diag(expected))
+
+
+def covering_residual(fock, rng, trials):
+    """Worst covering residual over random quadratic Hamiltonians, and
+    whether every rotation was invariant under U -> -U."""
+    n = fock.n_modes
+    worst, two_to_one = 0.0, True
+    for _ in range(trials):
+        w = ensembles.sample_gaussian(
+            ensembles.EnsembleSpec(label("A", n)), rng)
+        b = rng.complex_normal((n, n))
+        z = 0.5 * (b - b.T)
+        h = focklab.lift_one_body(fock, w, z)
+        record = focklab.covering_check(fock, h, w, z)
+        worst = max(worst, record.generator_residual,
+                    record.orthogonality_residual,
+                    abs(record.determinant - 1.0))
+        two_to_one = two_to_one and record.sign_invariant
+    return worst, two_to_one
+
+
+def twisted_transfer(fock):
+    """Twisted particle-hole transfer check with S = diag(+1..., -1...)."""
+    n = fock.n_modes
+    p = n // 2 or 1
+    s = np.diag([1.0] * p + [-1.0] * (n - p)).astype(complex)
+    return focklab.twisted_ph_transfer_check(fock, s)
+
+
+def _defining_property_residual(fock, c, rng, trials):
+    """Worst ||C(psi) ^ phi - <psi, phi> Omega|| over random pairs."""
+    n = fock.n_modes
+    omega = np.zeros(fock.dim, dtype=complex)
+    omega[fock.top_index] = 1.0
+    worst = 0.0
+    for _ in range(trials):
+        deg = int(rng.generator.integers(0, n + 1))
+        idx = np.nonzero(fock.occupation == deg)[0]
+        psi = np.zeros(fock.dim, dtype=complex)
+        phi = np.zeros(fock.dim, dtype=complex)
+        psi[idx] = rng.complex_normal(len(idx))
+        phi[idx] = rng.complex_normal(len(idx))
+        lhs = focklab.wedge(fock, c.apply(psi), phi)
+        rhs = np.vdot(psi, phi) * omega
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
 def _check_c2_sign_law(max_modes=6):
     for n in range(1, max_modes + 1):
         fock = focklab.build_fock(n)
-        c = focklab.particle_hole(fock)
-        square = c.u @ np.conj(c.u)
-        for state in range(fock.dim):
-            occ = fock.occupation[state]
-            expected = (-1.0) ** (occ * (n - occ))
-            if abs(square[state, state] - expected) > 1e-12:
-                return False, f"sign law broken at N={n}, state {state}"
-        off = square - np.diag(np.diag(square))
-        if linalg.frob(off) > 1e-12:
-            return False, f"C^2 not diagonal at N={n}"
+        resid = c2_sign_residual(fock, focklab.particle_hole(fock))
+        if resid > 1e-12:
+            return False, f"sign law broken at N={n}, residual {resid:.2e}"
     return True, f"C^2 = (-1)^(n(N-n)) exact for N <= {max_modes}"
 
 
@@ -283,19 +334,11 @@ def _check_covering(max_modes=6, trials=2):
     rng = linalg.RngStream(25)
     worst = 0.0
     for n in range(1, max_modes + 1):
-        fock = focklab.build_fock(n)
-        for _ in range(trials):
-            w = ensembles.sample_gaussian(
-                ensembles.EnsembleSpec(label("A", n)), rng)
-            b = rng.complex_normal((n, n))
-            z = 0.5 * (b - b.T)
-            h = focklab.lift_one_body(fock, w, z)
-            record = focklab.covering_check(fock, h, w, z)
-            if not record.sign_invariant:
-                return False, f"two-to-one property broken at N={n}"
-            worst = max(worst, record.generator_residual,
-                        record.orthogonality_residual,
-                        abs(record.determinant - 1.0))
+        resid, two_to_one = covering_residual(focklab.build_fock(n), rng,
+                                              trials)
+        if not two_to_one:
+            return False, f"two-to-one property broken at N={n}"
+        worst = max(worst, resid)
     return worst <= 1e-9, f"worst covering residual {worst:.2e}"
 
 
@@ -313,9 +356,7 @@ def _check_ct_commutation(max_modes=4):
 def _check_twisted_transfer(max_modes=4):
     worst = 0.0
     for n in range(2, max_modes + 1):
-        fock = focklab.build_fock(n)
-        s = np.diag([1.0] * (n // 2) + [-1.0] * (n - n // 2)).astype(complex)
-        record = focklab.twisted_ph_transfer_check(fock, s)
+        record = twisted_transfer(focklab.build_fock(n))
         if not record.passed:
             return False, f"transfer identity failed at N={n}"
         worst = max(worst, record.max_residual)
@@ -363,6 +404,28 @@ def run_checks(level="fast"):
             ok, detail = False, f"raised {type(err).__name__}: {err}"
         results.append((name, ok, detail))
     return results
+
+
+def run_fock_checks(n_modes, trials, seed):
+    """The ``fock-verify`` suite at one mode number."""
+    rng = linalg.RngStream(seed)
+    fock = focklab.build_fock(n_modes)
+    c = focklab.particle_hole(fock)
+    car = car_residual(fock)
+    c2 = c2_sign_residual(fock, c)
+    defining = _defining_property_residual(fock, c, rng, trials)
+    cov, two_to_one = covering_residual(fock, rng, trials)
+    record = twisted_transfer(fock)
+    return [
+        ("fock.car", car <= 1e-12, f"residual {car:.2e}"),
+        ("fock.C2-sign-law", c2 <= 1e-12, f"residual {c2:.2e}"),
+        ("fock.defining-property", defining <= 1e-10,
+         f"residual {defining:.2e}"),
+        ("fock.covering-generator", cov <= 1e-9, f"residual {cov:.2e}"),
+        ("fock.covering-two-to-one", two_to_one, "rotation of -U identical"),
+        ("fock.twisted-transfer", record.passed,
+         f"max residual {record.max_residual:.2e}"),
+    ]
 
 
 def run_setting_checks(parsed, tenfold):

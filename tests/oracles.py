@@ -5,8 +5,8 @@ multiplicities come from explicit irreducible matrices and characters,
 self-duality types from character sums over squared elements,
 commutants from the full Kronecker constraint system, group closures
 from a linear duplicate scan, tangent dimensions from brute-force
-real-linear constraint solving, and wedge products from permutation
-sorting on index tuples.
+real-linear constraint solving, wedge products from permutation
+sorting on index tuples, and spacing ratios from a plain loop.
 """
 
 from dataclasses import dataclass
@@ -336,6 +336,15 @@ def subset_sums(values):
                 total += v
         sums.append(total)
     return np.sort(np.array(sums))
+
+
+def spacing_ratios_oracle(levels, drop_tol=1e-12):
+    """Ratios of consecutive kept spacings of one sorted spectrum, by a
+    plain loop; spacings below ``drop_tol`` times the range are skipped."""
+    span = max(levels[-1] - levels[0], np.finfo(float).tiny)
+    kept = [b - a for a, b in zip(levels[:-1], levels[1:])
+            if b - a >= drop_tol * span]
+    return [min(s, t) / max(s, t) for s, t in zip(kept[:-1], kept[1:])]
 
 
 def slater_overlap(us, vs):

@@ -316,9 +316,8 @@ def test_criterion_8_symmetric_space_geometry():
     closure_ok = True
     for lab in verify.TEN_LABELS:
         pair = symspace.involution(lab)
-        from tenfold.ensembles import _haar_in_group
-        x = symspace.cartan_embed(_haar_in_group(lab, rng), pair)
-        y = symspace.cartan_embed(_haar_in_group(lab, rng), pair)
+        x = symspace.cartan_embed(symspace.involution(lab).haar(rng), pair)
+        y = symspace.cartan_embed(symspace.involution(lab).haar(rng), pair)
         if not pair.group_type:
             worst_membership = max(worst_membership, linalg.frob(
                 pair.tau(x) @ x - np.eye(pair.matrix_dim)))

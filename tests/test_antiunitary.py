@@ -162,8 +162,7 @@ class TestTransferT:
         from tenfold.grouprep import trivial_action, IsotypicBlock
         fake = IsotypicBlock(label=0, irrep_dim=2, multiplicity=2,
                              projector=np.eye(4),
-                             factor_basis=np.eye(4, dtype=complex),
-                             gram=np.eye(2, dtype=complex))
+                             factor_basis=np.eye(4, dtype=complex))
         # generic symmetric unitary: T^2 = +1 but not a pure tensor
         u = haar_unitary(4, rng)
         t = AntiUnitaryOp(u @ u.T)

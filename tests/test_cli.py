@@ -140,6 +140,31 @@ class TestSampleCommand:
                      "--count", "1"]) == 2
 
 
+class TestRejectedEnsembleInputs:
+    def test_circular_count_zero_exits_two(self, capsys):
+        assert main(["sample", "--class", "A", "--dims", "2", "--kind",
+                     "circular", "--count", "0"]) == 2
+
+    def test_negative_count_exits_two(self, capsys):
+        assert main(["sample", "--class", "A", "--dims", "2", "--count",
+                     "-1"]) == 2
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_nonfinite_sigma_exits_two(self, sigma, capsys):
+        assert main(["sample", "--class", "AI", "--dims", "2", "--sigma",
+                     sigma]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_stats_count_zero_exits_two(self, capsys):
+        assert main(["stats", "--class", "A", "--dims", "4", "--count",
+                     "0"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_fock_verify_negative_trials_exits_two(self, capsys):
+        assert main(["fock-verify", "--modes", "2", "--trials", "-1"]) == 2
+        assert "PASS" not in capsys.readouterr().out
+
+
 class TestStatsCommand:
     def test_poisson_control(self, capsys):
         assert main(["stats", "--poisson", "3", "--count", "20000",
@@ -184,6 +209,16 @@ class TestStatsCommand:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("family,dims", [("AII", "8"), ("DIII", "4"),
+                                             ("CII", "4,2")])
+    def test_kramers_classes_give_a_finite_ratio(self, family, dims, capsys):
+        assert main(["stats", "--class", family, "--dims", dims, "--count",
+                     "200", "--seed", "2"]) == 0
+        row = capsys.readouterr().out.splitlines()[2]
+        name, value, stderr = row.split(",")
+        assert name == "mean_r"
+        assert 0.0 < float(value) < 1.0 and np.isfinite(float(stderr))
 
     def test_unreadable_file_exit_two(self, tmp_path):
         assert main(["stats", "--in", str(tmp_path / "nope.txt")]) == 2

@@ -155,6 +155,21 @@ class TestCircular:
                             rng)
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(InputShapeError):
+            EnsembleSpec(label("A", 2), sigma=sigma)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_sample_size_must_be_positive(self, size, rng):
+        with pytest.raises(InputShapeError):
+            sample_gaussian(EnsembleSpec(label("A", 2)), rng, size=size)
+        with pytest.raises(InputShapeError):
+            sample_circular(EnsembleSpec(label("A", 2), kind="circular"),
+                            rng, size=size)
+
+
 class TestSpacingRatios:
     def test_three_equally_spaced_levels(self):
         stats = spacing_ratios([0.0, 1.0, 2.0])
@@ -181,6 +196,46 @@ class TestSpacingRatios:
         pooled = pooled_spacing_ratios(spectra)
         singles = np.concatenate([spacing_ratios(s).ratios for s in spectra])
         assert np.allclose(np.sort(pooled.ratios), np.sort(singles))
+
+    def test_pooled_equals_per_spectrum_rule_with_degeneracies(self, rng):
+        spectra = np.sort(rng.normal((40, 7)), axis=1)
+        spectra[::3, 2] = spectra[::3, 1]           # one degenerate gap
+        spectra[1::5, 4:6] = spectra[1::5, 3:4]     # two in a row
+        spectra[2::7, -1] = spectra[2::7, -2]       # the last gap
+        spectra[4::9, 1] = spectra[4::9, 0]         # the first gap
+        spectra[6] = spectra[6, 0]                  # no gap at all
+        pooled = pooled_spacing_ratios(spectra)
+        singles = [spacing_ratios(s) for s in spectra]
+        assert np.array_equal(pooled.ratios,
+                              np.concatenate([s.ratios for s in singles]))
+        assert pooled.dropped == sum(s.dropped for s in singles)
+        loop = [r for s in spectra for r in oracles.spacing_ratios_oracle(s)]
+        assert np.array_equal(pooled.ratios, loop)
+
+    def test_pooled_is_unchanged_without_degeneracies(self, rng):
+        spectra = np.sort(rng.normal((25, 6)), axis=1)
+        spacings = np.diff(spectra, axis=1)
+        r = np.minimum(spacings[:, :-1], spacings[:, 1:]) / \
+            np.maximum(spacings[:, :-1], spacings[:, 1:])
+        assert np.array_equal(pooled_spacing_ratios(spectra).ratios,
+                              r.ravel())
+
+    def test_kramers_spectra_give_the_gse_ratio(self):
+        # AII levels come in exact Kramers pairs; without the zero gaps
+        # the ratio follows the GSE, <r> = 0.6744 (Atas et al., PRL 110,
+        # 084101 (2013))
+        draws = sample_gaussian(EnsembleSpec(label("AII", 40)), RngStream(7),
+                                size=200)
+        stats = pooled_spacing_ratios(np.linalg.eigvalsh(draws))
+        assert stats.dropped == 200 * 20
+        assert np.isfinite(stats.stderr)
+        assert abs(stats.mean - 0.6744) <= 0.02
+
+    def test_no_surviving_ratio_is_rejected(self):
+        with pytest.raises(InputShapeError):
+            pooled_spacing_ratios(np.zeros((4, 5)))
+        with pytest.raises(InputShapeError):
+            pooled_spacing_ratios(np.empty((0, 5)))
 
     def test_poisson_mean_small_sample(self):
         rng = RngStream(5)
