@@ -23,7 +23,7 @@ from .antiunitary import AntiUnitaryOp, parity, sector_action, transfer_T
 from .errors import (InputShapeError, SymmetryConsistencyError,
                      UnsupportedConfigurationError)
 from .grouprep import (GroupAction, MODE_FINITE, MODE_LIE, MODE_NONE,
-                       MODE_SPIN_HALF, isotypic_decompose, self_duality_type,
+                       isotypic_decompose, self_duality_type,
                        spin_half_action, trivial_action, u1_charge_action)
 
 

@@ -214,6 +214,13 @@ def _kept_ratios(spectra, drop_tol):
     return r[row[:-1] == row[1:]], int(np.sum(~good))
 
 
+def _summary(r, dropped):
+    """Mean and standard error of one or more ratios (stderr 0 for one)."""
+    stderr = float(np.std(r, ddof=1) / np.sqrt(r.size)) if r.size > 1 else 0.0
+    return SpectralStats(ratios=r, mean=float(np.mean(r)), stderr=stderr,
+                         dropped=dropped)
+
+
 def spacing_ratios(values, drop_tol=1e-12):
     """Ratios min(s_i, s_{i+1}) / max(s_i, s_{i+1}) of level spacings.
 
@@ -229,9 +236,7 @@ def spacing_ratios(values, drop_tol=1e-12):
     if r.size == 0:
         return SpectralStats(ratios=r, mean=np.nan, stderr=np.nan,
                              dropped=dropped)
-    mean = float(np.mean(r))
-    stderr = float(np.std(r, ddof=1) / np.sqrt(r.size)) if r.size > 1 else 0.0
-    return SpectralStats(ratios=r, mean=mean, stderr=stderr, dropped=dropped)
+    return _summary(r, dropped)
 
 
 def pooled_spacing_ratios(spectra, drop_tol=1e-12):
@@ -249,9 +254,7 @@ def pooled_spacing_ratios(spectra, drop_tol=1e-12):
     if r.size == 0:
         raise InputShapeError("no spacing ratio survives: every spectrum "
                               "has fewer than two non-degenerate spacings")
-    mean = float(np.mean(r))
-    stderr = float(np.std(r, ddof=1) / np.sqrt(r.size))
-    return SpectralStats(ratios=r, mean=mean, stderr=stderr, dropped=dropped)
+    return _summary(r, dropped)
 
 
 @dataclass(frozen=True, eq=False)

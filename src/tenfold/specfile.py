@@ -212,5 +212,9 @@ def read_samples(path):
         if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
             raise SpecFileError(f"record[{i}]",
                                 "expected a square matrix of [re, im] pairs")
+        if matrices and arr.shape[0] != len(matrices[0]):
+            n = len(matrices[0])
+            raise SpecFileError(f"record[{i}]", f"expected a {n} x {n} matrix "
+                                "like the first record")
         matrices.append(arr[..., 0] + 1j * arr[..., 1])
     return meta, matrices

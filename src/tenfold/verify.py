@@ -11,7 +11,7 @@ import numpy as np
 from . import ensembles, focklab, grouprep, linalg, symspace
 from .antiunitary import AntiUnitaryOp, parity, transfer_T
 from .classifier import (canonical_setting, classify_tenfold,
-                         classify_threefold, compatible_space, label)
+                         classify_threefold, label)
 
 TEN_LABELS = (
     label("A", 4), label("AI", 4), label("AII", 4),
@@ -209,23 +209,17 @@ def _check_triple_brackets():
 
 
 def _bracket_residual(split):
-    def span_residual(basis, w):
-        a = np.stack([symspace._vec_real(m) for m in basis], axis=1)
-        q, _ = np.linalg.qr(a)
-        v = symspace._vec_real(w)
-        return np.linalg.norm(v - q @ (q.T @ v))
+    """Worst residual of [k, k], [p, p] off k and [k, p] off p, over the
+    first four elements of each basis."""
+    def brackets(xs, ys):
+        xs, ys = np.asarray(xs)[:, None], np.asarray(ys)[None]
+        return (xs @ ys - ys @ xs).reshape(-1, *xs.shape[-2:])
 
     k, p = split.k_basis, split.p_basis
-    worst = 0.0
-    for x in k[:4]:
-        for y in k[:4]:
-            worst = max(worst, span_residual(k, x @ y - y @ x))
-        for y in p[:4]:
-            worst = max(worst, span_residual(p, x @ y - y @ x))
-    for x in p[:4]:
-        for y in p[:4]:
-            worst = max(worst, span_residual(k, x @ y - y @ x))
-    return worst
+    in_k = np.concatenate([brackets(k[:4], k[:4]), brackets(p[:4], p[:4])])
+    return max(np.linalg.norm(symspace.off_span(k, in_k), axis=-1).max(),
+               np.linalg.norm(symspace.off_span(p, brackets(k[:4], p[:4])),
+                              axis=-1).max())
 
 
 def _check_wegner_closure():

@@ -5,7 +5,8 @@ multiplicities come from explicit irreducible matrices and characters,
 self-duality types from character sums over squared elements,
 commutants from the full Kronecker constraint system, group closures
 from a linear duplicate scan, tangent dimensions from brute-force
-real-linear constraint solving, wedge products from permutation
+real-linear constraint solving, the double-commutator closure test
+from every triple of basis elements, wedge products from permutation
 sorting on index tuples, and spacing ratios from a plain loop.
 """
 
@@ -197,6 +198,35 @@ def close_group_oracle(generators, tol_dedup=1e-8):
                     new.append(len(elements) - 1)
         frontier = new
     return elements
+
+
+def _vec_real(m):
+    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+
+
+def closure_oracle(p_basis):
+    """Worst relative residual ||P_off [x, [y, z]]|| / (|x| |y| |z|) over
+    every triple of basis elements, O(d^3) brackets, and its triple."""
+    mats = [np.asarray(m, dtype=complex) for m in p_basis]
+    span = np.stack([_vec_real(m) for m in mats], axis=1)
+    q, _ = np.linalg.qr(span)
+    worst = 0.0
+    worst_triple = (0, 0, 0)
+    for iy, y in enumerate(mats):
+        for iz, z in enumerate(mats):
+            inner = y @ z - z @ y
+            for ix, x in enumerate(mats):
+                w = x @ inner - inner @ x
+                v = _vec_real(w)
+                residual = np.linalg.norm(v - q @ (q.T @ v))
+                scale = max(np.linalg.norm(_vec_real(x)) *
+                            np.linalg.norm(_vec_real(y)) *
+                            np.linalg.norm(_vec_real(z)), 1e-300)
+                rel = residual / scale
+                if rel > worst:
+                    worst = rel
+                    worst_triple = (ix, iy, iz)
+    return worst, worst_triple
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the command-line surface and its exit-code contract."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,27 @@ class TestStatsCommand:
 
     def test_unreadable_file_exit_two(self, tmp_path):
         assert main(["stats", "--in", str(tmp_path / "nope.txt")]) == 2
+
+    def test_mixed_record_sizes_exit_two(self, tmp_path, capsys):
+        small, big = tmp_path / "a3.txt", tmp_path / "a4.txt"
+        for path, dims in ((small, "3"), (big, "4")):
+            assert main(["sample", "--class", "A", "--dims", dims, "--count",
+                         "3", "--seed", "1", "--out", str(path)]) == 0
+        mixed = tmp_path / "mixed.txt"
+        mixed.write_text(small.read_text() +
+                         "".join(big.read_text().splitlines(True)[1:]))
+        capsys.readouterr()
+        assert main(["stats", "--in", str(mixed)]) == 2
+        assert "record[3]" in capsys.readouterr().err
+
+    def test_single_ratio_has_zero_stderr(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stats", "--class", "A", "--dims", "3", "--count",
+                         "1", "--seed", "0"]) == 0
+        name, value, stderr = capsys.readouterr().out.splitlines()[2].split(",")
+        assert name == "mean_r" and 0.0 < float(value) <= 1.0
+        assert float(stderr) == 0.0
 
 
 class TestVerifyCommand:

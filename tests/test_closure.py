@@ -1,0 +1,104 @@
+"""The batched closure test against the triple-loop oracle.
+
+``closure_check`` reports the operator norm of x -> P_off [x, k'] over
+the normalized brackets k' = span [p, p]; every per-triple residual of
+the oracle is one column of that operator, so in exact arithmetic
+
+    oracle <= new <= sqrt(d (d - 1) / 2) * oracle.
+
+Both sides are computed in floating point, and on a closed span both
+measure only roundoff, so the bounds carry ``ROUNDOFF``: 1e-13 is far
+above the ~1e-14 roundoff of unit-norm brackets of these sizes and
+three orders below the closure tolerance.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from test_family_table import CASES, _two_dims
+from tenfold.classifier import FAMILIES, label
+from tenfold.errors import InputShapeError
+from tenfold.symspace import closure_check, tangent_split
+
+TOL = 1e-9
+ROUNDOFF = 1e-13
+
+
+def _generic(rng, n, d):
+    a = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+    return list(0.5 * (a - a.conj().transpose(0, 2, 1)))
+
+
+def _perturbed(p_basis, eps, seed):
+    """Each element moved by eps times a unit generic direction."""
+    rng = np.random.default_rng(seed)
+    moves = _generic(rng, p_basis[0].shape[0], len(p_basis))
+    return [x + eps * m / np.linalg.norm(m) for x, m in zip(p_basis, moves)]
+
+
+def _smallest_p(family):
+    bases = [tangent_split(label(family, *dims)).p_basis
+             for dims in _two_dims(family)]
+    return min((b for b in bases if b), key=len)
+
+
+def assert_matches_oracle(p_basis):
+    result = closure_check(p_basis)
+    oracle, triple = oracles.closure_oracle(p_basis)
+    d = len(p_basis)
+    new = result.max_residual
+    assert oracle <= new + ROUNDOFF, (oracle, triple, new)
+    assert new <= np.sqrt(d * (d - 1) / 2) * (oracle + ROUNDOFF), \
+        (oracle, triple, new)
+    if oracle > 10 * TOL or oracle < TOL / 10:
+        assert result.passed == (oracle <= TOL), (oracle, triple, new)
+    return oracle, result
+
+
+@pytest.mark.parametrize("family,dims", CASES,
+                         ids=[f"{f}{d}" for f, d in CASES])
+def test_tangent_spaces_close(family, dims):
+    p_basis = tangent_split(label(family, *dims)).p_basis
+    if not p_basis:
+        with pytest.raises(InputShapeError):
+            closure_check(p_basis)
+        return
+    _, result = assert_matches_oracle(p_basis)
+    assert result.passed
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_generic_spans(seed):
+    rng = np.random.default_rng([seed, 11])
+    n = int(rng.integers(2, 5))
+    d = int(rng.integers(2, min(7, n * n)))
+    assert_matches_oracle(_generic(rng, n, d))
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_perturbed_tangent_spaces(family, eps):
+    p_basis = _smallest_p(family)
+    oracle, result = assert_matches_oracle(_perturbed(p_basis, eps, 5))
+    n = p_basis[0].shape[0]
+    if 1 < len(p_basis) < n * n:
+        # short of all of u(n), a moved span no longer closes, by about eps
+        assert oracle > eps / 10
+        assert result.passed == (eps < TOL)
+
+
+def test_repeated_element():
+    p_basis = list(tangent_split(label("AI", 3)).p_basis)
+    _, result = assert_matches_oracle(p_basis + p_basis[:1])
+    assert result.passed
+    rng = np.random.default_rng(3)
+    generic = _generic(rng, 3, 3)
+    _, result = assert_matches_oracle(generic + [2.0 * generic[1]])
+    assert not result.passed
+
+
+def test_one_element_basis():
+    oracle, result = assert_matches_oracle(
+        _generic(np.random.default_rng(4), 3, 1))
+    assert oracle == result.max_residual == 0.0 and result.passed
