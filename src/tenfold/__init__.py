@@ -28,8 +28,7 @@ from .grouprep import (GroupAction, IsotypicBlock, close_group,
                        spin_half_action, transfer_hermitian, trivial_action,
                        u1_charge_action)
 from .linalg import (HermitianEigenSystem, RngStream, eig_hermitian,
-                     haar_orthogonal, haar_symplectic_unitary, haar_unitary,
-                     nullspace)
+                     haar_orthogonal, haar_symplectic_unitary, haar_unitary)
 from .symspace import (CartanPair, ClosureResult, TangentDecomposition,
                        cartan_embed, closure_check, geodesic_inversion,
                        in_space, involution, tangent_split)

@@ -1,8 +1,8 @@
 """Dense complex linear algebra foundation.
 
 Provides the Hermitian eigensolver, Haar-distributed unitary sampling,
-tolerance-based nullspaces and matrix predicates, and the deterministic
-random-number streams used by every sampler in the package.
+matrix predicates, and the deterministic random-number streams used by
+every sampler in the package.
 
 All tolerances are centralized here: ``TOL_INPUT`` for input validation,
 ``TOL_EIG`` for eigendecomposition residuals, and ``tol_unitary(n)`` for
@@ -278,23 +278,3 @@ def _symplectic_permutation(j):
         p[a, k] = 1.0
         p[b, n + k] = 1.0
     return p
-
-
-def nullspace(a, tol=None):
-    """Orthonormal basis of the numerical nullspace of ``a``.
-
-    Returns the columns spanning {v : ||A v|| <= tol * ||A||_F * ||v||}
-    as an (n, k) array; k may be zero.
-    """
-    tol = input_tol() if tol is None else tol
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise InputShapeError("nullspace expects a 2-d array")
-    m, n = a.shape
-    if m == 0 or n == 0:
-        return np.eye(n, dtype=complex)
-    _, s, vh = np.linalg.svd(a)
-    cutoff = tol * np.linalg.norm(a)
-    keep = np.ones(n, dtype=bool)
-    keep[: len(s)] = s <= cutoff
-    return vh[keep].conj().T

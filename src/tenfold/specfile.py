@@ -73,9 +73,8 @@ def _parse_matrix(raw, dim, field):
 
 def matrix_to_pairs(m):
     """Encode a complex matrix as nested [re, im] pairs."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(m[i, j].real), float(m[i, j].imag)]
-             for j in range(m.shape[1])] for i in range(m.shape[0])]
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(*m.shape, 2).tolist()
 
 
 def parse_spec_data(data):

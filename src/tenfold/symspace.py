@@ -175,11 +175,22 @@ def off_span(basis, mats):
     ``mats`` is a stack of matrices of any leading shape; the result has
     that shape with the last two axes replaced by one axis of real
     coordinates, so its norms along that axis are Frobenius residuals.
-    One QR of the basis serves the whole stack.
+    One thin SVD of the basis serves the whole stack; its singular
+    vectors are cut at the rank, so a repeated or dependent basis
+    element adds no direction.
     """
-    q, _ = np.linalg.qr(_vec_real(np.asarray(basis, dtype=complex)).T)
+    q, _, rank = _rank_svd(_vec_real(np.asarray(basis, dtype=complex)).T)
+    q = q[:, :rank]
     v = _vec_real(np.asarray(mats, dtype=complex))
     return v - (v @ q) @ q.T
+
+
+def _rank_svd(a):
+    """Thin SVD (u, s) of ``a`` and its rank at numpy's ``matrix_rank``
+    threshold."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    cut = s.max(initial=0.0) * max(a.shape) * np.finfo(float).eps
+    return u, s, int(np.sum(s > cut))
 
 
 def ambient_algebra(pair):
@@ -273,9 +284,7 @@ def closure_check(p_basis, tol=1e-9):
     unit = mats / np.maximum(norms, 1e-300)[:, None, None]
     y, z = np.triu_indices(len(mats), 1)
     brackets = _vec_real(unit[y] @ unit[z] - unit[z] @ unit[y]).T
-    u, s, _ = np.linalg.svd(brackets, full_matrices=False)
-    cut = s.max(initial=0.0) * max(brackets.shape) * np.finfo(float).eps
-    rank = int(np.sum(s > cut))
+    u, s, rank = _rank_svd(brackets)
     w = _unvec_real((u[:, :rank] * s[:rank]).T, n)
     x = unit[:, None]
     off = off_span(mats, x @ w - w @ x)

@@ -250,16 +250,20 @@ def _check_fock_car(max_modes=4):
 
 
 def car_residual(fock):
+    """Worst Frobenius norm of {a_k, a_l} and {a_k^dag, a_l} - d_kl.
+
+    AB and BA carry the same mask, so each anticommutator is one signed
+    permutation and its Frobenius norm that of its sign vector.
+    """
     worst = 0.0
-    dim = fock.dim
-    for k in range(fock.n_modes):
-        for l in range(fock.n_modes):
-            ak, al = fock.annihilate[k], fock.annihilate[l]
-            ckl = fock.create[k] @ al + al @ fock.create[k]
-            target = np.eye(dim) if k == l else np.zeros((dim, dim))
-            worst = max(worst, linalg.frob(ak @ al + al @ ak),
-                        linalg.frob(ckl - target))
-    return worst
+    for k, (adk, ak) in enumerate(zip(fock.create, fock.annihilate)):
+        for l, al in enumerate(fock.annihilate):
+            delta = 1.0 if k == l else 0.0
+            worst = max(worst,
+                        np.linalg.norm((ak @ al).sign + (al @ ak).sign),
+                        np.linalg.norm((adk @ al).sign + (al @ adk).sign
+                                       - delta))
+    return float(worst)
 
 
 def c2_sign_residual(fock, c):
@@ -336,15 +340,23 @@ def _check_covering(max_modes=6, trials=2):
     return worst <= 1e-9, f"worst covering residual {worst:.2e}"
 
 
+def ct_residual(c, t_u, factor):
+    """||C T - factor T C||_F for anti-unitaries C and T = t_u K."""
+    return linalg.frob(c.u @ np.conj(t_u) - factor * t_u @ np.conj(c.u))
+
+
 def _check_ct_commutation(max_modes=4):
+    """C T = det(O) T C for T = Lift(O) K, O Haar-random real orthogonal:
+    C anticommutes with the lift of a reflection."""
+    rng = linalg.RngStream(26)
     worst = 0.0
     for n in range(1, max_modes + 1):
         fock = focklab.build_fock(n)
-        c = focklab.particle_hole(fock)
-        # conjugation-type T fixes the all-ones reference state
-        t_u = np.eye(fock.dim)
-        worst = max(worst, linalg.frob(c.u @ np.conj(t_u) - t_u @ np.conj(c.u)))
-    return worst <= 1e-12, f"worst CT - TC residual {worst:.2e}"
+        o = linalg.haar_orthogonal(n, rng)
+        worst = max(worst, ct_residual(focklab.particle_hole(fock),
+                                       focklab.lift_unitary(fock, o),
+                                       np.linalg.det(o)))
+    return worst <= 1e-12, f"worst CT - det(O) TC residual {worst:.2e}"
 
 
 def _check_twisted_transfer(max_modes=4):

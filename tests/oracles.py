@@ -7,12 +7,16 @@ commutants from the full Kronecker constraint system, group closures
 from a linear duplicate scan, tangent dimensions from brute-force
 real-linear constraint solving, the double-commutator closure test
 from every triple of basis elements, wedge products from permutation
-sorting on index tuples, and spacing ratios from a plain loop.
+sorting on index tuples, Fock operators and the Fock-space checks from
+dense 2^N x 2^N matrices with Fock lifts from minors, and spacing
+ratios from a plain loop.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
+from scipy.linalg import expm
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +213,8 @@ def closure_oracle(p_basis):
     every triple of basis elements, O(d^3) brackets, and its triple."""
     mats = [np.asarray(m, dtype=complex) for m in p_basis]
     span = np.stack([_vec_real(m) for m in mats], axis=1)
-    q, _ = np.linalg.qr(span)
+    q = np.linalg.svd(span, full_matrices=False)[0]
+    q = q[:, :np.linalg.matrix_rank(span)]
     worst = 0.0
     worst_triple = (0, 0, 0)
     for iy, y in enumerate(mats):
@@ -381,6 +386,112 @@ def slater_overlap(us, vs):
     """Gram determinant <u_1 ^ ... ^ u_n, v_1 ^ ... ^ v_n>."""
     gram = np.array([[np.vdot(u, v) for v in vs] for u in us])
     return np.linalg.det(gram)
+
+
+# ---------------------------------------------------------------------------
+# Dense Fock-space references: every operator a 2^N x 2^N matrix
+
+
+def dense_fock_oracle(n_modes):
+    """Creation/annihilation matrices for ``n_modes`` modes, built densely.
+
+    a_k^dag acting on a bitstring with bit k clear picks up the sign
+    (-1)^(number of occupied modes below k).
+    """
+    dim = 1 << n_modes
+    occupation = np.array([int(b).bit_count() for b in range(dim)])
+    create = []
+    for k in range(n_modes):
+        mask = 1 << k
+        a_dag = np.zeros((dim, dim), dtype=complex)
+        for b in range(dim):
+            if b & mask:
+                continue
+            sign = -1.0 if int(b & (mask - 1)).bit_count() % 2 else 1.0
+            a_dag[b | mask, b] = sign
+        create.append(a_dag)
+    annihilate = [m.conj().T for m in create]
+    return SimpleNamespace(n_modes=n_modes, dim=dim, create=tuple(create),
+                           annihilate=tuple(annihilate),
+                           occupation=occupation)
+
+
+def particle_hole_oracle(n_modes):
+    """Unitary part of C: e_S -> sign e_(S^c), sign from e_(S^c) ^ e_S."""
+    dim = 1 << n_modes
+    u = np.zeros((dim, dim))
+    for s in range(dim):
+        sc = (dim - 1) ^ s
+        u[sc, s] = wedge_tuples(index_to_tuple(sc), index_to_tuple(s))[0]
+    return u
+
+
+def lift_minors_oracle(s):
+    """Fock lift of a one-particle matrix by Cauchy-Binet:
+    <e_T| Lift(s) |e_S> = det s[T, S] for |T| = |S|."""
+    n_modes = s.shape[0]
+    dim = 1 << n_modes
+    out = np.zeros((dim, dim), dtype=complex)
+    out[0, 0] = 1.0
+    for a in range(1, dim):
+        for b in range(1, dim):
+            ta, tb = index_to_tuple(a), index_to_tuple(b)
+            if len(ta) == len(tb):
+                out[a, b] = np.linalg.det(s[np.ix_(ta, tb)])
+    return out
+
+
+def one_body_oracle(fock, w, z):
+    """Sum W a^dag a + (Z a^dag a^dag + h.c.)/2 from dense matrices."""
+    h = np.zeros((fock.dim, fock.dim), dtype=complex)
+    for k in range(fock.n_modes):
+        for l in range(fock.n_modes):
+            h += w[k, l] * (fock.create[k] @ fock.annihilate[l])
+            h += 0.5 * z[k, l] * (fock.create[k] @ fock.create[l])
+            h += 0.5 * np.conj(z[k, l]) * \
+                (fock.annihilate[l] @ fock.annihilate[k])
+    return h
+
+
+def covering_oracle(fock, h_fock):
+    """Rotation M with U c_i U^dag = sum_j M_ji c_j for U = exp(-i H),
+    the worst residual of U c_i U^dag off the Majorana span, and M for
+    -U; dense Majoranas and one trace per coefficient."""
+    c_ops = []
+    for a_dag, a in zip(fock.create, fock.annihilate):
+        c_ops += [a + a_dag, 1j * a - 1j * a_dag]
+    u = expm(-1j * np.asarray(h_fock, dtype=complex))
+
+    def rotation_of(ev):
+        m = np.zeros((len(c_ops), len(c_ops)), dtype=complex)
+        residual = 0.0
+        for i, c in enumerate(c_ops):
+            image = ev @ c @ ev.conj().T
+            m[:, i] = [np.trace(cj @ image) / fock.dim for cj in c_ops]
+            recon = sum(cf * cj for cf, cj in zip(m[:, i], c_ops))
+            residual = max(residual, np.linalg.norm(image - recon))
+        return m, residual
+
+    m, residual = rotation_of(u)
+    return m, residual, rotation_of(-u)[0]
+
+
+def twisted_transfer_oracle(fock, s):
+    """Residuals ||C~ a_k^dag P_n - (-1)^(N-n+1) S a_k S^-1 C~ P_n|| per
+    (n, k), C~ = C Lift(S), with dense projectors P_n."""
+    n_modes = fock.n_modes
+    s_fock = lift_minors_oracle(s)
+    u_ct = particle_hole_oracle(n_modes) @ np.conj(s_fock)
+    out = np.zeros((n_modes + 1, n_modes))
+    for n in range(n_modes + 1):
+        proj = np.diag((fock.occupation == n).astype(float))
+        sign = -1.0 if (n_modes - n + 1) % 2 else 1.0
+        for k in range(n_modes):
+            lhs = u_ct @ np.conj(fock.create[k] @ proj)
+            rhs = sign * (s_fock @ fock.annihilate[k] @ s_fock.conj().T
+                          @ u_ct @ proj)
+            out[n, k] = np.linalg.norm(lhs - rhs)
+    return out
 
 
 # ---------------------------------------------------------------------------

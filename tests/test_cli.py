@@ -165,6 +165,12 @@ class TestRejectedEnsembleInputs:
         assert main(["fock-verify", "--modes", "2", "--trials", "-1"]) == 2
         assert "PASS" not in capsys.readouterr().out
 
+    def test_fock_verify_above_the_dense_cap_exits_two(self, capsys):
+        assert main(["fock-verify", "--modes", "12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "limited to" in captured.err
+
 
 class TestStatsCommand:
     def test_poisson_control(self, capsys):

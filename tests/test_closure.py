@@ -19,7 +19,7 @@ import oracles
 from test_family_table import CASES, _two_dims
 from tenfold.classifier import FAMILIES, label
 from tenfold.errors import InputShapeError
-from tenfold.symspace import closure_check, tangent_split
+from tenfold.symspace import closure_check, off_span, tangent_split
 
 TOL = 1e-9
 ROUNDOFF = 1e-13
@@ -96,6 +96,20 @@ def test_repeated_element():
     generic = _generic(rng, 3, 3)
     _, result = assert_matches_oracle(generic + [2.0 * generic[1]])
     assert not result.passed
+
+
+def test_repeated_element_adds_no_direction():
+    rng = np.random.default_rng(7)
+    p_basis = _generic(rng, 3, 3)
+    x = np.array(_generic(rng, 3, 4))
+    repeated = p_basis + p_basis[:1]
+    assert np.allclose(off_span(repeated, x), off_span(p_basis, x),
+                       rtol=0, atol=1e-12)
+    assert abs(oracles.closure_oracle(repeated)[0] -
+               oracles.closure_oracle(p_basis)[0]) <= 1e-12
+    for basis in (p_basis, list(tangent_split(label("AI", 3)).p_basis)):
+        assert closure_check(basis + basis[:1]).passed == \
+            closure_check(basis).passed
 
 
 def test_one_element_basis():

@@ -1,6 +1,8 @@
-"""Tests for the dense Fock-space oracle."""
+"""Tests for the Fock-space oracle against dense references."""
 
 import itertools
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from tenfold import linalg
 from tenfold.classifier import label
 from tenfold.ensembles import EnsembleSpec, sample_gaussian
 from tenfold.errors import InputShapeError, NotQuadraticError
-from tenfold.focklab import (build_fock, covering_check, lift_one_body,
+from tenfold.focklab import (MAX_DENSE_MODES, FockSpace, SignedPerm,
+                             build_fock, covering_check, lift_one_body,
                              lift_unitary, majorana_basis, nambu_generator,
                              particle_hole, twisted_ph_transfer_check, wedge)
 
@@ -24,7 +27,7 @@ def random_skew(n, rng):
 class TestBuildFock:
     def test_single_mode_creation_matrix(self):
         fock = build_fock(1)
-        assert np.allclose(fock.create[0], [[0, 0], [1, 0]])
+        assert np.allclose(fock.create[0].dense(), [[0, 0], [1, 0]])
 
     def test_number_operator_spectrum_two_modes(self):
         fock = build_fock(2)
@@ -38,8 +41,9 @@ class TestBuildFock:
         dim = fock.dim
         for k in range(n):
             for l in range(n):
-                ak, al = fock.annihilate[k], fock.annihilate[l]
-                adk = fock.create[k]
+                ak = fock.annihilate[k].dense()
+                al = fock.annihilate[l].dense()
+                adk = fock.create[k].dense()
                 worst = max(worst, linalg.frob(ak @ al + al @ ak))
                 anti = adk @ al + al @ adk
                 target = np.eye(dim) if k == l else 0.0
@@ -50,7 +54,7 @@ class TestBuildFock:
         fock = build_fock(3)
         for adk in fock.create:
             for state in range(fock.dim):
-                col = adk[:, state]
+                col = adk.dense()[:, state]
                 hit = np.nonzero(col)[0]
                 for target in hit:
                     assert fock.occupation[target] == \
@@ -93,7 +97,8 @@ class TestWedge:
                 vec = np.zeros(fock.dim, dtype=complex)
                 vec[0] = 1.0
                 for v in reversed(vectors):
-                    op = sum(v[k] * fock.create[k] for k in range(n_modes))
+                    op = sum(v[k] * fock.create[k].dense()
+                             for k in range(n_modes))
                     vec = op @ vec
                 return vec
 
@@ -176,7 +181,7 @@ class TestLiftUnitary:
         g = lift_unitary(fock, linalg.haar_unitary(4, rng))
         assert linalg.is_unitary(g, 1e-10)
         for n in range(5):
-            proj = fock.degree_projector(n)
+            proj = np.diag((fock.occupation == n).astype(float))
             assert linalg.frob(g @ proj - proj @ g) < 1e-10
 
 
@@ -247,7 +252,7 @@ class TestMajorana:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_clifford_relations(self, n):
         fock = build_fock(n)
-        cs = majorana_basis(fock)
+        cs = [c.dense() for c in majorana_basis(fock)]
         assert len(cs) == 2 * n
         for i, ci in enumerate(cs):
             assert linalg.frob(ci - ci.conj().T) < 1e-13
@@ -323,3 +328,135 @@ class TestTwistedTransfer:
         s = np.diag([1.0] * (n // 2) + [-1.0] * (n - n // 2))
         record = twisted_ph_transfer_check(fock, s)
         assert record.passed, record.failures
+
+
+def _dense_view(fock):
+    """The dense-oracle form of a FockSpace built from signed permutations."""
+    return SimpleNamespace(
+        n_modes=fock.n_modes, dim=fock.dim, occupation=fock.occupation,
+        create=tuple(a.dense() for a in fock.create),
+        annihilate=tuple(a.dense() for a in fock.annihilate))
+
+
+class TestSignedPermutations:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_materialise_to_the_dense_oracle(self, n):
+        fock = build_fock(n)
+        dense = oracles.dense_fock_oracle(n)
+        for ours, theirs in zip(fock.create, dense.create):
+            assert np.array_equal(ours.dense(), theirs)
+        for ours, theirs in zip(fock.annihilate, dense.annihilate):
+            assert np.array_equal(ours.dense(), theirs)
+        for ours, (k, plus) in zip(majorana_basis(fock),
+                                   itertools.product(range(n), (1, 0))):
+            a, a_dag = dense.annihilate[k], dense.create[k]
+            assert np.array_equal(ours.dense(), a + a_dag if plus else
+                                  1j * a - 1j * a_dag)
+        assert np.array_equal(fock.occupation, dense.occupation)
+        assert np.array_equal(particle_hole(fock).u,
+                              oracles.particle_hole_oracle(n))
+
+    def test_composition_and_action_match_dense_products(self, rng):
+        fock = build_fock(4)
+        ops = fock.create + fock.annihilate + tuple(majorana_basis(fock))
+        x = rng.complex_normal((fock.dim, fock.dim))
+        for a, b in itertools.product(ops[::3], ops[1::3]):
+            assert np.array_equal((a @ b).dense(), a.dense() @ b.dense())
+            assert np.allclose(a @ x, a.dense() @ x, rtol=0, atol=1e-15)
+            assert np.allclose(x @ b, x @ b.dense(), rtol=0, atol=1e-15)
+            assert np.array_equal(a.adjoint().dense(), a.dense().conj().T)
+
+
+class TestDenseReferences:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lift_one_body_matches_dense_oracle(self, n, rng):
+        w = sample_gaussian(EnsembleSpec(label("A", n)), rng)
+        z = random_skew(n, rng)
+        h = lift_one_body(build_fock(n), w, z)
+        expected = oracles.one_body_oracle(oracles.dense_fock_oracle(n), w, z)
+        assert linalg.frob(h - expected) <= 1e-13
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_lift_unitary_matches_minors(self, n, rng):
+        s = linalg.haar_unitary(n, rng)
+        got = lift_unitary(build_fock(n), s)
+        assert linalg.frob(got - oracles.lift_minors_oracle(s)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_covering_matches_dense_oracle(self, n, rng):
+        fock = build_fock(n)
+        for _ in range(2):
+            w = sample_gaussian(EnsembleSpec(label("A", n)), rng)
+            z = random_skew(n, rng)
+            h = lift_one_body(fock, w, z)
+            record = covering_check(fock, h, w, z)
+            m, span_residual, m_neg = oracles.covering_oracle(
+                oracles.dense_fock_oracle(n), h)
+            assert linalg.frob(record.rotation - m) <= 1e-12
+            assert max(record.span_residual, span_residual) <= 1e-12
+            assert record.sign_invariant == np.array_equal(m, m_neg)
+
+    def test_non_quadratic_leaves_the_span_in_both(self):
+        fock = build_fock(3)
+        num = fock.number_operator()
+        _, span_residual, _ = oracles.covering_oracle(
+            oracles.dense_fock_oracle(3), num @ num)
+        assert span_residual > 1e-9
+        with pytest.raises(NotQuadraticError):
+            covering_check(fock, num @ num, np.zeros((3, 3)),
+                           np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_twisted_transfer_matches_dense_oracle(self, n, rng):
+        fock = build_fock(n)
+        v = linalg.haar_unitary(n, rng)
+        for s in (np.diag([1.0] * (n // 2) + [-1.0] * (n - n // 2)),
+                  v @ np.diag([(-1.0) ** k for k in range(n)]) @ v.conj().T):
+            record = twisted_ph_transfer_check(fock, s)
+            expected = oracles.twisted_transfer_oracle(
+                oracles.dense_fock_oracle(n), s)
+            assert abs(record.max_residual - expected.max()) <= 1e-12
+            assert record.passed and expected.max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_wrong_sign_operators_fail_the_transfer(self, n):
+        # hard-core bosons: a_k^dag without the Jordan-Wigner string
+        fock = build_fock(n)
+        bosons = tuple(SignedPerm(a.mask, np.abs(a.sign))
+                       for a in fock.create)
+        wrong = FockSpace(n_modes=n, dim=fock.dim, create=bosons,
+                          annihilate=tuple(a.adjoint() for a in bosons),
+                          occupation=fock.occupation)
+        s = np.diag([1.0] * (n // 2) + [-1.0] * (n - n // 2))
+        record = twisted_ph_transfer_check(wrong, s)
+        expected = oracles.twisted_transfer_oracle(_dense_view(wrong), s)
+        assert not record.passed
+        assert [(n_, k) for n_, k, _ in record.failures] == \
+            [tuple(ix) for ix in np.argwhere(expected > 1e-10)]
+
+
+class TestDenseModeCap:
+    def test_operators_reach_max_modes(self):
+        fock = build_fock(14)
+        assert fock.dim == 1 << 14
+        assert fock.create[13].sign.shape == (fock.dim,)
+
+    def test_dense_entry_points_refuse_before_allocating(self):
+        n = MAX_DENSE_MODES + 1
+        fock = build_fock(n)
+        zeros = np.zeros((n, n))
+        calls = (lambda: particle_hole(fock),
+                 lambda: lift_unitary(fock, np.eye(n)),
+                 lambda: lift_one_body(fock, zeros, zeros),
+                 lambda: covering_check(fock, None, zeros, zeros),
+                 lambda: twisted_ph_transfer_check(fock, np.eye(n)),
+                 fock.number_operator)
+        tracemalloc.start()
+        try:
+            for call in calls:
+                with pytest.raises(InputShapeError, match="limited to"):
+                    call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -6,7 +6,7 @@ import pytest
 from tenfold import linalg
 from tenfold.errors import InputShapeError
 from tenfold.linalg import (RngStream, eig_hermitian, haar_orthogonal,
-                            haar_symplectic_unitary, haar_unitary, nullspace,
+                            haar_symplectic_unitary, haar_unitary,
                             symplectic_form)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -120,28 +120,6 @@ class TestHaarOrthogonalSymplectic:
         j = symplectic_form(n2 // 2)
         assert linalg.frob(u.conj().T @ u - np.eye(n2)) < 1e-12 * np.sqrt(n2)
         assert linalg.frob(u.T @ j @ u - j) < 1e-10
-
-
-class TestNullspace:
-    def test_identity_has_trivial_nullspace(self):
-        assert nullspace(np.eye(3), 1e-8).shape == (3, 0)
-
-    def test_zero_matrix_full_nullspace(self):
-        ns = nullspace(np.zeros((3, 3)), 1e-8)
-        assert ns.shape == (3, 3)
-
-    def test_threshold_semantics(self):
-        a = np.diag([1.0, 1e-14, 2.0])
-        ns = nullspace(a, 1e-8)
-        assert ns.shape == (3, 1)
-        assert abs(abs(ns[1, 0]) - 1.0) < 1e-12
-
-    def test_rectangular(self, rng):
-        a = rng.complex_normal((2, 5))
-        ns = nullspace(a, 1e-10)
-        assert ns.shape == (5, 3)
-        assert np.allclose(a @ ns, 0, atol=1e-9)
-        assert np.allclose(ns.conj().T @ ns, np.eye(3), atol=1e-12)
 
 
 class TestPredicates:

@@ -182,6 +182,18 @@ class TestSampleFiles:
         for a, b in zip(mats, loaded):
             assert np.array_equal(a, b)  # [re, im] pairs are bit-exact
 
+    def test_record_bytes_are_pinned(self):
+        m = np.empty((2, 2), dtype=complex)
+        m.real = [[-0.0, 3.0], [2.2250738585072014e-308, 1e-310]]
+        m.imag = [[5e-324, -0.0], [-7.0, 0.0]]
+        buf = io.StringIO()
+        write_samples(buf, "A", (2,), "gaussian", 1, [m, m.T])
+        assert buf.getvalue().splitlines()[1:] == [
+            "[[[-0.0,5e-324],[3.0,-0.0]],"
+            "[[2.2250738585072014e-308,-7.0],[1e-310,0.0]]]",
+            "[[[-0.0,5e-324],[2.2250738585072014e-308,-7.0]],"
+            "[[3.0,-0.0],[1e-310,0.0]]]"]
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("[[1, 2]]\n")

@@ -50,3 +50,17 @@ def test_fock_suite_at_one_mode_number():
     assert all(ok for _, ok, _ in results)
     c2_detail = dict((name, detail) for name, _, detail in results)
     assert c2_detail["fock.C2-sign-law"] == "residual 0.00e+00"
+
+
+def test_ct_commutation_carries_the_determinant():
+    fock = focklab.build_fock(3)
+    c = focklab.particle_hole(fock)
+    o = linalg.haar_orthogonal(3, linalg.RngStream(5))
+    if np.linalg.det(o) > 0:
+        o[:, 0] *= -1.0
+    lift = focklab.lift_unitary(fock, o)
+    # C Lift(O) = det(O) Lift(O) C: a reflection anticommutes with C
+    assert verify.ct_residual(c, lift, -1.0) <= 1e-12
+    assert verify.ct_residual(c, lift, 1.0) >= 1.0
+    ok, detail = verify._check_ct_commutation()
+    assert ok, detail
