@@ -7,6 +7,7 @@ defaults to 0 and is echoed in every output header.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -100,6 +101,12 @@ def cmd_stats(args):
             raise SpecFileError("$", "sample file holds no records")
         spectra = _spectra(meta.get("kind"), matrices)
     elif args.poisson:
+        if args.poisson < 0:
+            raise InputShapeError("--poisson must not be negative")
+        if args.count * args.poisson * 8 > ensembles.MAX_SAMPLE_BYTES:
+            raise InputShapeError(
+                f"{args.count} Poisson spectra of {args.poisson} levels "
+                f"exceed the limit of {ensembles.MAX_SAMPLE_BYTES} bytes")
         spectra = np.sort(rng.generator.uniform(
             size=(args.count, args.poisson)), axis=1)
     elif args.family and args.dims:
@@ -146,7 +153,9 @@ def cmd_fock_verify(args):
                                           args.seed))
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="tenfold",
         description="Classify symmetry settings into the ten symmetry "

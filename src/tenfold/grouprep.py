@@ -9,15 +9,23 @@ with the multiplicity factor E slow and the irreducible factor R fast
 in the column ordering of the returned bases.
 
 The decomposition is purely numerical: eigenspaces of a random Hermitian
-commutant element resolve the multiplicity lines, and intertwiner
-nullspaces decide which lines are isomorphic (the dimension of the
-space of equivariant maps between two irreducibles is zero or one).
+commutant element x resolve the multiplicity lines.  The lines are
+G-invariant, so Hom_G(a, b) = Q_b^H End_G(V) Q_a for orthonormal bases
+Q_a, Q_b of two lines, and the commutant basis, rotated into x's
+eigenbasis, already holds every intertwiner: a slice of it decides
+which lines are isomorphic (the space of equivariant maps between two
+irreducibles has dimension zero or one) and supplies the map that
+aligns them.
 
 Cost.  ``commutant_basis`` solves the commutation constraints only on
 the eigenspaces (dimensions m_i) of one fixed generic Hermitian element
 of the algebra the k generators span, where every commutant element is
 block-diagonal: O(k n^2 M^2 + k n^3) with M = sum m_i^2 <= n^2, instead
 of O(k n^6) for the full Kronecker system on C^(n x n).
+``isotypic_decompose`` then rotates that basis into x's eigenbasis one
+line at a time, O(|comm| n^3) in all, and reads each hom space from a
+thin SVD of a |comm| x d_a d_b slice, instead of a full SVD of a
+(k d^2 x d^2) Kronecker system, O(k d^6), per pair of lines.
 ``close_group`` finds duplicates through a sorted scalar key, so a
 group of order N closes in O(k N) products of dim x dim matrices and
 O(k N log N) key lookups rather than O(k N^2) Frobenius distances.
@@ -214,8 +222,9 @@ def close_group(generators, max_order=MAX_ORDER, tol_dedup=linalg.TOL_DEDUP,
 def commutant_basis(action, tol=None):
     """Frobenius-orthonormal basis of {X : [X, g] = 0 for all generators}.
 
-    For a finite group the dimension equals the sum of squared
-    multiplicities of the irreducible sectors.
+    The basis is returned stacked, as a (dim, n, n) array.  For a finite
+    group the dimension equals the sum of squared multiplicities of the
+    irreducible sectors.
 
     Every commutant element commutes with the Hermitian algebra element
     h = sum_k c_k g_k + h.c. (fixed generic c_k), so it is block-diagonal
@@ -230,7 +239,7 @@ def commutant_basis(action, tol=None):
     n = action.dim
     gens = list(action.generators)
     if not gens:
-        return list(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
+        return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
     coeff = linalg.RngStream(_PROBE_SEED).complex_normal(len(gens))
     h = sum(c * g for c, g in zip(coeff, gens))
     evals, q = np.linalg.eigh(h + h.conj().T)
@@ -252,7 +261,7 @@ def commutant_basis(action, tol=None):
     null = vh[s <= tol * scale].conj()
     blocks = np.zeros((len(null), n, n), dtype=complex)
     blocks[:, rows, cols] = null
-    return list(q @ blocks @ q.conj().T)
+    return q @ blocks @ q.conj().T
 
 
 def _eigen_clusters(evals, noise):
@@ -271,9 +280,12 @@ def _eigen_clusters(evals, noise):
 def _hom_space(rep_a, rep_b, tol):
     """Orthonormal basis of {M : rep_b(g) M = M rep_a(g) for all g}.
 
-    The singular-value cutoff is scaled by the generator norms, not by
-    the stacked difference operator, which can be numerically zero when
-    the two representations coincide exactly.
+    A full SVD of the (k d_a d_b x d_a d_b) Kronecker system.  Only
+    ``self_duality_type`` needs it: the dual of a sector is not inside
+    the commutant that ``_slice_hom`` reads.  The singular-value cutoff
+    is scaled by the generator norms, not by the stacked difference
+    operator, which can be numerically zero when the two
+    representations coincide exactly.
     """
     da = rep_a[0].shape[0]
     db = rep_b[0].shape[0]
@@ -297,10 +309,12 @@ def _single_block(dim, d, m):
 def isotypic_decompose(action, rng, tol=None, retries=5):
     """Decompose V into isotypic sectors E_lambda (x) R_lambda.
 
-    The eigenspaces of a random Hermitian element of the commutant are
-    generically single copies of an irreducible; intertwiner nullspaces
-    between them fix the isomorphism classes, and normalized intertwiners
-    assemble the factor bases.  Retries with fresh randomness when the
+    The eigenspaces of a random Hermitian element x of the commutant
+    are generically single copies of an irreducible.  Slices of the
+    commutant basis rotated into x's eigenbasis span the intertwiners
+    between them (``_slice_hom``): a nonzero slice puts two copies in
+    one isomorphism class, and its normalized top singular vector
+    assembles the factor basis.  Retries with fresh randomness when the
     spectrum fails the health checks, and raises
     ``DegenerateDecompositionError`` when the retry budget is exhausted.
     """
@@ -322,25 +336,49 @@ def isotypic_decompose(action, rng, tol=None, retries=5):
         f"no clean sector split after {retries} attempts: {last_error}")
 
 
-def _decompose_once(action, comm, rng, tol):
-    n = action.dim
+def _eigen_split(action, comm, rng):
+    """Eigenspaces of a random Hermitian element x of the commutant.
+
+    Returns x's eigenvectors, the index ranges [lo, hi) of its eigenvalue
+    clusters, and the singular-value cut that separates intertwiners
+    from rounding in the commutant slices read by ``_slice_hom``.
+    """
     # Complex coefficients: the Hermitian part of a real span of the
     # commutant basis can be degenerate (conjugate characters collide).
     coeff = rng.complex_normal(len(comm))
     x = sum(c * b for c, b in zip(coeff, comm))
     x = 0.5 * (x + x.conj().T)
     evals, evecs = np.linalg.eigh(x)
-
-    gens = list(action.generators)
     # Inside one irreducible line the eigenvalue is degenerate up to how
     # far x fails to commute with the generators.  That residual, not
     # tol, sets the cluster gap: merging two lines is fatal here, and a
     # gap of 1e2 * tol would merge them at loose tolerances.  The floor
     # covers rounding in eigh.
     scale = max(1.0, float(np.max(np.abs(evals))))
-    residual = max(linalg.frob(x @ g - g @ x) for g in gens) / scale
-    clusters = [evecs[:, lo:hi]
-                for lo, hi in _eigen_clusters(evals, max(residual, 1e-12))]
+    residual = max(linalg.frob(x @ g - g @ x)
+                   for g in action.generators) / scale
+    bounds = _eigen_clusters(evals, max(residual, 1e-12))
+    return evecs, bounds, max(1e2 * residual, 1e-10)
+
+
+def _slice_hom(row, cols, cut):
+    """Orthonormal rows (flattened d_b x d_a maps) spanning Hom_G(a, b).
+
+    The clusters are G-invariant, so Hom_G(a, b) = Q_b^H End_G(V) Q_a.
+    ``row`` is Q_b^H C evecs for the stacked commutant basis C, ``cols``
+    selects cluster a's columns, and the right singular vectors of the
+    (|comm| x d_b d_a) slice above ``cut`` span the hom space.
+    """
+    _, s, vh = np.linalg.svd(row[:, :, cols].reshape(len(row), -1),
+                             full_matrices=False)
+    return vh[s > cut]
+
+
+def _decompose_once(action, comm, rng, tol):
+    n = action.dim
+    gens = list(action.generators)
+    evecs, bounds, cut = _eigen_split(action, comm, rng)
+    clusters = [evecs[:, lo:hi] for lo, hi in bounds]
     reps = [[q.conj().T @ g @ q for g in gens] for q in clusters]
 
     # Invariance check: generators must not leak out of any cluster.
@@ -350,24 +388,26 @@ def _decompose_once(action, comm, rng, tol):
                 raise DegenerateDecompositionError(
                     "eigenspace of commutant element is not invariant")
 
-    # Each cluster must be a single irreducible copy.
-    for rep in reps:
-        if len(_hom_space(rep, rep, tol)) != 1:
+    classes = []  # list of lists of cluster indices
+    links = {}  # cluster index -> intertwiner from its class's first one
+    for idx, q in enumerate(clusters):
+        # One rotated row of the commutant at a time, never a second
+        # full |comm| x n x n stack.
+        row = (q.conj().T @ comm) @ evecs
+        # Each cluster must be a single irreducible copy.
+        if len(_slice_hom(row, slice(*bounds[idx]), cut)) != 1:
             raise DegenerateDecompositionError(
                 "cluster is not irreducible (merged eigenvalues)")
-
-    classes = []  # list of lists of cluster indices
-    for idx in range(len(clusters)):
-        placed = False
+        d = q.shape[1]
         for cls in classes:
-            rep0 = reps[cls[0]]
-            if reps[idx][0].shape != rep0[0].shape:
+            if clusters[cls[0]].shape[1] != d:
                 continue
-            if _hom_space(rep0, reps[idx], tol):
+            found = _slice_hom(row, slice(*bounds[cls[0]]), cut)
+            if len(found):
                 cls.append(idx)
-                placed = True
+                links[idx] = found[0].reshape(d, d)
                 break
-        if not placed:
+        else:
             classes.append([idx])
 
     blocks = []
@@ -377,8 +417,7 @@ def _decompose_once(action, comm, rng, tol):
         d = q0.shape[1]
         maps = [q0]
         for idx in cls[1:]:
-            hom = _hom_space(reps[first], reps[idx], tol)
-            m = hom[0]
+            m = links[idx]
             scale = np.trace(m.conj().T @ m).real / d
             m = m / np.sqrt(scale)
             if linalg.frob(m.conj().T @ m - np.eye(d)) > 1e3 * tol:

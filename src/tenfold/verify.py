@@ -12,6 +12,7 @@ from . import ensembles, focklab, grouprep, linalg, symspace
 from .antiunitary import AntiUnitaryOp, parity, transfer_T
 from .classifier import (canonical_setting, classify_tenfold,
                          classify_threefold, label)
+from .errors import InputShapeError
 
 TEN_LABELS = (
     label("A", 4), label("AI", 4), label("AII", 4),
@@ -413,7 +414,16 @@ def run_checks(level="fast"):
 
 
 def run_fock_checks(n_modes, trials, seed):
-    """The ``fock-verify`` suite at one mode number."""
+    """The ``fock-verify`` suite at one mode number.
+
+    Every check needs dense operators, so the mode count must lie in
+    1..``MAX_DENSE_MODES``.
+    """
+    cap = focklab.MAX_DENSE_MODES
+    if not 1 <= n_modes <= cap:
+        raise InputShapeError(f"fock-verify needs dense operators, which "
+                              f"are limited to {cap} modes: the mode count "
+                              f"must be in 1..{cap} ({n_modes} requested)")
     rng = linalg.RngStream(seed)
     fock = focklab.build_fock(n_modes)
     c = focklab.particle_hole(fock)

@@ -25,7 +25,7 @@ from tenfold.ensembles import (EnsembleSpec, class_constraints,
 from tenfold.focklab import (build_fock, covering_check, lift_one_body,
                              lift_unitary, particle_hole)
 from tenfold.grouprep import close_group, fs_indicator, isotypic_decompose
-from tenfold.linalg import RngStream, haar_unitary
+from tenfold.linalg import RngStream, haar_orthogonal, haar_unitary
 
 GROUP_NAMES = ("trivial", "Z3", "S3", "D4", "Q8")
 T_CHOICES = (None, 1, -1)
@@ -165,6 +165,7 @@ def test_criterion_4_fock_oracle():
     worst_ct = 0.0
     worst_cg = 0.0
     worst_cover = 0.0
+    least_mutant = np.inf
     sign_law_exact = True
     two_to_one = True
     rng = RngStream(4)
@@ -179,8 +180,17 @@ def test_criterion_4_fock_oracle():
         if not np.array_equal(square, expected):
             sign_law_exact = False
 
-        # CT = TC for conjugation-type T with T-invariant reference state
-        worst_ct = max(worst_ct, linalg.frob(c.u - np.conj(c.u)))
+        # CT = TC for conjugation-type T with T-invariant reference state:
+        # T = K, and T = Lift(O) K for O in SO(n), where Lift(O) is real
+        lift_rng = rng.child(n)
+        lift = lift_unitary(fock, haar_orthogonal(n, lift_rng, True))
+        worst_ct = max(worst_ct, linalg.frob(c.u - np.conj(c.u)),
+                       linalg.frob(c.u @ lift - lift @ np.conj(c.u)))
+        # a C with non-real row phases must fail that check
+        theta = lift_rng.generator.uniform(np.pi / 4, 3 * np.pi / 4, fock.dim)
+        mutant = np.exp(1j * theta)[:, None] * c.u
+        least_mutant = min(least_mutant, linalg.frob(
+            mutant @ lift - lift @ np.conj(mutant)))
         # Cg = gC for determinant-one unitaries
         from scipy.linalg import expm
         h = sample_gaussian(EnsembleSpec(label("A", n)), rng)
@@ -199,10 +209,12 @@ def test_criterion_4_fock_oracle():
     elapsed = time.time() - start
     _report("4-fock-oracle",
             worst_car <= 1e-12 and sign_law_exact and worst_ct <= 1e-12
+            and least_mutant >= 1.0
             and worst_cg <= 1e-12 and worst_cover <= 1e-9 and two_to_one
             and elapsed < 120.0,
             f"CAR {worst_car:.1e}, sign law exact, CT/Cg residuals "
-            f"{worst_ct:.1e}/{worst_cg:.1e}, covering {worst_cover:.1e}, "
+            f"{worst_ct:.1e}/{worst_cg:.1e}, phase-mutated C CT residual "
+            f"{least_mutant:.1e}, covering {worst_cover:.1e}, "
             f"two-to-one exact, {elapsed:.1f} s")
 
 

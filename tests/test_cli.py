@@ -1,11 +1,14 @@
 """Tests for the command-line surface and its exit-code contract."""
 
 import json
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from tenfold.cli import main
+from tenfold.cli import build_parser, main
 from tenfold.specfile import matrix_to_pairs
 
 
@@ -171,6 +174,33 @@ class TestRejectedEnsembleInputs:
         assert captured.out == ""
         assert "limited to" in captured.err
 
+    @pytest.mark.parametrize("modes", ["12", "15"])
+    def test_fock_verify_advertises_the_dense_range(self, modes, capsys):
+        assert main(["fock-verify", "--modes", modes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mode count must be in 1..11" in captured.err
+
+    @pytest.mark.parametrize("command", ["sample", "stats"])
+    def test_oversized_draw_exits_two_before_allocating(self, command,
+                                                        capsys):
+        tracemalloc.start()
+        try:
+            code = main([command, "--class", "A", "--dims", "100000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "above the limit" in captured.err
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("levels", ["-5", "1000000000"])
+    def test_bad_poisson_level_count_exits_two(self, levels, capsys):
+        assert main(["stats", "--poisson", levels]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestStatsCommand:
     def test_poisson_control(self, capsys):
@@ -285,11 +315,36 @@ class TestFockVerifyCommand:
         assert "FAIL" not in out
 
 
+class TestParserReuse:
+    def test_one_process_matches_fresh_processes(self, tmp_path, capsys):
+        path = write_spec(tmp_path, trivial_spec())
+        calls = (["classify", path, "--json"],
+                 ["sample", "--class", "D", "--dims", "3", "--count", "2",
+                  "--seed", "5"],
+                 ["stats", "--class", "AI", "--dims", "6", "--count", "20",
+                  "--bins", "3"],
+                 ["sample", "--class", "ZZ", "--dims", "2"],
+                 ["classify", path, "--json"])
+        codes = []
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as stop:
+                code = stop.code
+            got = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "tenfold.cli", *argv],
+                capture_output=True, text=True)
+            assert (code, got.out, got.err) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr)
+            codes.append(code)
+        assert codes == [0, 0, 0, 2, 0]
+        assert build_parser() is build_parser()
+
+
 class TestToleranceEnv:
     def test_env_override(self, tmp_path):
         import os
-        import subprocess
-        import sys
         spec = trivial_spec()
         # generator off from anti-Hermitian by 1e-6: rejected at the
         # default tolerance, accepted when TENFOLD_TOLERANCE is loosened
@@ -309,8 +364,6 @@ class TestToleranceEnv:
     @pytest.mark.parametrize("value", ["abc", "nan", "0", "2"])
     def test_malformed_value_exits_two(self, tmp_path, value):
         import os
-        import subprocess
-        import sys
         path = write_spec(tmp_path, trivial_spec())
         env = dict(os.environ, TENFOLD_TOLERANCE=value)
         run = subprocess.run(
@@ -324,8 +377,6 @@ class TestToleranceEnv:
         # the package imports, but reading the tolerance must not fall
         # back to the default without a word
         import os
-        import subprocess
-        import sys
         code = ("import numpy as np\n"
                 "from tenfold import linalg\n"
                 "from tenfold.errors import InputShapeError\n"

@@ -151,12 +151,21 @@ class TestParticleHole:
             assert np.linalg.norm(lhs - rhs) < 1e-10 * \
                 max(1.0, np.linalg.norm(psi) * np.linalg.norm(phi))
 
-    def test_commutes_with_conjugation_type_t(self):
+    def test_commutes_with_conjugation_type_t(self, rng):
         # T = plain conjugation leaves the reference state fixed
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             fock = build_fock(n)
             c = particle_hole(fock)
             assert linalg.frob(c.u - np.conj(c.u)) == 0.0  # CT = TC exactly
+            # T = Lift(O) K for O in SO(N): Lift(O) is real, so CT = TC
+            # reads C.u Lift(O) = Lift(O) conj(C.u)
+            lift = lift_unitary(fock, linalg.haar_orthogonal(n, rng, True))
+            assert np.all(lift.imag == 0.0)
+            assert linalg.frob(c.u @ lift - lift @ np.conj(c.u)) <= 1e-12
+            # a C with non-real row phases must fail the same check
+            theta = rng.generator.uniform(np.pi / 4, 3 * np.pi / 4, fock.dim)
+            mutant = np.exp(1j * theta)[:, None] * c.u
+            assert linalg.frob(mutant @ lift - lift @ np.conj(mutant)) >= 1.0
 
     def test_commutes_with_determinant_one_lifts(self, rng):
         fock = build_fock(3)

@@ -7,12 +7,13 @@ import oracles
 from tenfold import linalg
 from tenfold.errors import (GroupTooLargeError, InputShapeError,
                             UnsupportedModeError)
-from tenfold.grouprep import (PAULI_X, PAULI_Y, PAULI_Z, close_group,
-                              commutant_basis, fs_indicator,
-                              isotypic_decompose, lie_algebra_action,
-                              self_duality_type, spin_half_action,
-                              transfer_hermitian, trivial_action,
-                              u1_charge_action)
+from tenfold.grouprep import (MODE_FINITE, PAULI_X, PAULI_Y, PAULI_Z,
+                              GroupAction, _eigen_split, _hom_space,
+                              _slice_hom, close_group, commutant_basis,
+                              fs_indicator, isotypic_decompose,
+                              lie_algebra_action, self_duality_type,
+                              spin_half_action, transfer_hermitian,
+                              trivial_action, u1_charge_action)
 
 Z3_SHIFT = np.roll(np.eye(3), 1, axis=0).astype(complex)
 S3_CYCLE = Z3_SHIFT
@@ -394,3 +395,51 @@ class TestLieAlgebraMode:
         blocks = isotypic_decompose(action, rng)
         assert sorted((b.irrep_dim, b.multiplicity) for b in blocks) == \
             [(1, 1), (1, 2)]
+
+
+class TestSliceIntertwiners:
+    """Hom spaces read from the commutant against the Kronecker solve."""
+
+    @staticmethod
+    def _action(name, seed, tol):
+        rng = linalg.RngStream(seed)
+        gens, finite = _random_setting(name, rng)
+        if tol is not None:
+            noisy = []
+            for g in gens:
+                z = rng.complex_normal(g.shape)
+                z = z - z.conj().T
+                noisy.append(g + 0.1 * tol * z / linalg.frob(z))
+            gens = noisy
+        if finite:
+            # only the generators enter the commutant and the split
+            return GroupAction(dim=gens[0].shape[0], mode=MODE_FINITE,
+                               generators=tuple(gens))
+        return lie_algebra_action(gens, tol)
+
+    @pytest.mark.parametrize("name", ["Z3", "S3", "D4", "Q8", "su2"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("tol", [None, 1e-4])
+    def test_dim_hom_matches_kronecker_oracle(self, name, seed, tol):
+        action = self._action(name, seed, tol)
+        tol = linalg.TOL_INPUT if tol is None else tol
+        comm = commutant_basis(action, tol)
+        evecs, bounds, cut = _eigen_split(action, comm,
+                                          linalg.RngStream(seed).child(9))
+        reps = [[evecs[:, lo:hi].conj().T @ g @ evecs[:, lo:hi]
+                 for g in action.generators] for lo, hi in bounds]
+        nonzero = 0
+        for b, (lo, hi) in enumerate(bounds):
+            row = (evecs[:, lo:hi].conj().T @ comm) @ evecs
+            for a, cols in enumerate(bounds):
+                got = len(_slice_hom(row, slice(*cols), cut))
+                assert got == len(_hom_space(reps[a], reps[b], tol))
+                nonzero += got > 0
+        assert nonzero > len(bounds)  # some pair of copies is isomorphic
+
+    def test_spin_15_twice_in_a_random_basis(self):
+        gens = [np.kron(np.eye(2), g) for g in _spin(30)]
+        w = linalg.haar_unitary(62, linalg.RngStream(15))
+        action = lie_algebra_action([w @ g @ w.conj().T for g in gens])
+        blocks = isotypic_decompose(action, linalg.RngStream(16))
+        assert [(b.irrep_dim, b.multiplicity) for b in blocks] == [(31, 2)]
