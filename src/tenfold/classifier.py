@@ -16,7 +16,6 @@ basis of the input leaves the labels unchanged.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import grouprep, linalg
 from .antiunitary import AntiUnitaryOp, parity, sector_action, transfer_T
@@ -147,8 +146,9 @@ _TWISTS = {
     "swap": lambda n, p, q: nambu_form(n // 2),
     "Jspin": lambda n, p, q: np.kron(np.eye(n // 2), 1j * grouprep.PAULI_Y),
     "S": lambda n, p, q: np.diag(np.concatenate([np.ones(p), -np.ones(q)])),
-    "Jpq": lambda n, p, q: block_diag(linalg.symplectic_form(p // 2),
-                                      linalg.symplectic_form(q // 2)),
+    "Jpq": lambda n, p, q: np.block(
+        [[linalg.symplectic_form(p // 2), np.zeros((p, q))],
+         [np.zeros((q, p)), linalg.symplectic_form(q // 2)]]),
 }
 
 

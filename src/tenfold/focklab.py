@@ -10,16 +10,28 @@ covering onto the orthogonal group of the Majorana span.
 a_k^dag, a_k, the Majoranas and C are signed permutations b -> b ^ mask
 (``SignedPerm``): a Fock space costs O(N 2^N) memory up to N = 14
 modes, and a product of two operators O(2^N) gathers.  What is dense by
-nature (a quadratic Hamiltonian, exp(-iH), the lift of a general
-unitary, the matrix of C) is a 2^N x 2^N array, built only up to
+nature (a quadratic Hamiltonian, the lift of a general unitary, the
+matrix of C) is a 2^N x 2^N array, built only up to
 ``MAX_DENSE_MODES``; above it those entry points raise InputShapeError
 before allocating.  Scaling is a non-goal, exactness is the point.
+
+The two checks never multiply 2^N x 2^N matrices; they work on the
+blocks that fermion parity and particle number leave.  A quadratic H is
+parity-even and every Majorana parity-odd, so exp(-iH) splits into two
+2^(N-1) blocks, one on each half-spinor module of Spin(2N) (Lawson and
+Michelsohn, Spin Geometry, ch. I), and U c_i U^dag into the two blocks
+between them.  ``covering_check`` exponentiates each block through its
+eigendecomposition and forms only those off-parity blocks, two
+2^(N-1)-sized products per Majorana: a quarter of the flops of the
+dense conjugation, and half its memory.  Lift(S) keeps the particle
+number and C maps n particles to N - n, so
+``twisted_ph_transfer_check`` works on the C(N, n)-sized sector blocks
+of both, O(N sum_n C(N, n)^3) flops in place of N + 1 dense products.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import linalg
 from .antiunitary import AntiUnitaryOp
@@ -27,9 +39,15 @@ from .errors import InputShapeError, NotQuadraticError
 
 MAX_MODES = 14
 # A 2^N x 2^N complex array takes 64 MB at N = 11 and 256 MB at N = 12.
-# fock-verify --modes 11 peaks at 710 MB resident (one BLAS thread), so
-# N = 12 would need about 3 GB.
+# With one BLAS thread, fock-verify --modes 10 takes 4.6 s and peaks at
+# 147 MB resident, --modes 11 30 s and 466 MB, so N = 12 would need
+# about 1.5 GB and 3 minutes.
 MAX_DENSE_MODES = 11
+# covering_check forms the images of the Majoranas of as many modes at
+# once as fit in this many entries (1 MB), and of at least one mode;
+# wedge takes this many pairs of basis states at a time (about 30 MB)
+_BATCH_ENTRIES = 1 << 16
+_WEDGE_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,13 +56,11 @@ class SignedPerm:
 
     A zero sign marks an empty row, so partial permutations such as
     a_k^dag fit as well as full ones.  ``A @ B`` composes, and ``A @ x``
-    and ``x @ A`` act on dense arrays by gathering rows or columns.
+    acts on a dense array by gathering its rows.
     """
 
     mask: int
     sign: np.ndarray
-
-    __array_ufunc__ = None  # let ndarray @ SignedPerm reach __rmatmul__
 
     def _sources(self):
         return np.arange(len(self.sign)) ^ self.mask
@@ -57,10 +73,6 @@ class SignedPerm:
         other = np.asarray(other)
         return self.sign.reshape((-1,) + (1,) * (other.ndim - 1)) * \
             other[src]
-
-    def __rmatmul__(self, other):
-        src = self._sources()
-        return np.asarray(other)[..., src] * self.sign[src]
 
     def adjoint(self):
         return SignedPerm(self.mask, np.conj(self.sign[self._sources()]))
@@ -140,38 +152,53 @@ def majorana_basis(fock):
     return out
 
 
-def _merge_sign(s_bits, t_bits):
-    """Sign of reordering e_S ^ e_T into ascending order (disjoint S, T)."""
-    sign = 1
-    t = t_bits
-    while t:
-        mode = (t & -t).bit_length() - 1
-        if int(s_bits >> (mode + 1)).bit_count() % 2:
-            sign = -sign
-        t &= t - 1
-    return sign
-
-
 def wedge(fock, psi, phi):
-    """Wedge product of two Fock vectors in the occupation basis."""
+    """Wedge product of two Fock vectors in the occupation basis.
+
+    Sums the terms e_S ^ e_T over the disjoint pairs of the supports,
+    S-major, a block of pairs at a time, in the order of a loop over the
+    pairs.  Reordering e_S ^ e_T costs the parity of the pairs
+    (m in T, m' in S) with m' > m, that is of T & odd(S), where bit m of
+    odd(S) is the parity of the modes of S above m.
+    """
     psi = np.asarray(psi, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
     out = np.zeros(fock.dim, dtype=complex)
-    psi_nz = np.nonzero(psi)[0]
-    phi_nz = np.nonzero(phi)[0]
-    for s in psi_nz:
-        for t in phi_nz:
-            if int(s) & int(t):
-                continue
-            out[s | t] += _merge_sign(int(s), int(t)) * psi[s] * phi[t]
+    support, phi_nz = np.nonzero(psi)[0], np.nonzero(phi)[0]
+    odd = support >> 1  # suffix parities by doubling
+    shift = 1
+    while shift < fock.n_modes:
+        odd ^= odd >> shift
+        shift *= 2
+    step = max(1, _WEDGE_PAIRS // max(1, len(phi_nz)))
+    for i in range(0, len(support), step):
+        rows, cols = np.nonzero((support[i:i + step, None] & phi_nz) == 0)
+        s, t = support[i + rows], phi_nz[cols]
+        terms = _unfused_product(psi[s], phi[t])
+        flip = np.bitwise_count(t & odd[i + rows]) % 2 == 1
+        # add.at adds repeated targets one by one, in the pairs' order
+        np.add.at(out, s | t, np.where(flip, -terms, terms))
+    return out
+
+
+def _unfused_product(x, y):
+    """Entrywise complex x * y with each real product rounded on its own.
+
+    numpy's loops over complex arrays may fuse a multiply and an add
+    where its scalar product does not; this way every entry equals the
+    scalar product x[i] * y[i] bit for bit.
+    """
+    out = np.empty(len(x), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
     return out
 
 
 def _conjugation(fock):
     """The unitary part of C as a signed permutation with mask Omega.
 
-    Row S holds the sign of e_S ^ e_(S^c), as ``_merge_sign`` computes
-    it: the parity of the pairs (m not in S, m' in S) with m' > m.
+    Row S holds the sign of e_S ^ e_(S^c), as ``wedge`` computes it:
+    the parity of the pairs (m not in S, m' in S) with m' > m.
     """
     states = np.arange(fock.dim)
     pairs = sum(np.where(states & (1 << m), 0,
@@ -273,9 +300,30 @@ def nambu_generator(w, z):
     return a.real
 
 
+def _exp_i(h):
+    """exp(-i h) for Hermitian ``h`` from its eigendecomposition; the
+    result is unitary by construction."""
+    evals, evecs = np.linalg.eigh(h)
+    return (evecs * np.exp(-1j * evals)) @ evecs.conj().T
+
+
+def _sectors(labels):
+    """Index arrays of the basis states with each label value, ascending,
+    and every state's position within its own sector."""
+    sectors = [np.nonzero(labels == v)[0] for v in range(labels.max() + 1)]
+    pos = np.empty(len(labels), dtype=np.int64)
+    for idx in sectors:
+        pos[idx] = np.arange(len(idx))
+    return sectors, pos
+
+
 @dataclass(frozen=True, eq=False)
 class CoveringRecord:
-    """Result of projecting a Fock evolution onto the Majorana rotation."""
+    """Result of projecting a Fock evolution onto the Majorana rotation.
+
+    ``sign_residual`` is max|M(U) - M(-U)|; the covering is two-to-one
+    (``sign_invariant``) only when it is exactly 0.
+    """
 
     rotation: np.ndarray
     span_residual: float
@@ -283,6 +331,7 @@ class CoveringRecord:
     determinant: float
     generator_residual: float
     sign_invariant: bool
+    sign_residual: float
 
 
 def covering_check(fock, h_fock, w, z, tol=1e-9):
@@ -292,30 +341,70 @@ def covering_check(fock, h_fock, w, z, tol=1e-9):
     that M is special orthogonal, that it equals the exponential of the
     Majorana generator built from (w, z), and that -U induces exactly
     the same rotation (the covering is two-to-one).
+
+    H must be Hermitian (else InputShapeError) and parity-even (else
+    NotQuadraticError).  Then U = U_e + U_o on the even and odd states,
+    each block exp(-i H) of size 2^(N-1), and every Majorana maps one
+    parity to the other, so U c_i U^{-1} has only the two blocks
+    U_e c_i U_o^{-1} and U_o c_i U_e^{-1}.  Only those are formed, for
+    both Majoranas of several modes in one batched product, and M and
+    the span residual ||U c_i U^{-1} - sum_j M_ji c_j|| are read from
+    them.
     """
     _require_dense(fock)
-    c_ops = majorana_basis(fock)
-    u = expm(-1j * np.asarray(h_fock, dtype=complex))
+    h_fock = np.asarray(h_fock, dtype=complex)
+    if not linalg.is_hermitian(h_fock):
+        raise InputShapeError("H must be Hermitian")
+    states, pos = _sectors(fock.occupation % 2)
+    even, odd = states
+    mixing = linalg.frob(h_fock[even[:, None], odd])
+    if mixing > tol * max(1.0, linalg.frob(h_fock)):
+        raise NotQuadraticError("H mixes even and odd fermion parity "
+                                f"(residual {mixing:.3e})")
+    u = [_exp_i(h_fock[idx[:, None], idx]) for idx in states]
     n = fock.n_modes
-    rows = np.arange(fock.dim)
-    # c_2k and c_2k+1 share the mask 2^k, so the entries (b, b ^ 2^k) of
-    # an operator hold its whole part along both: one gather per mode
-    # reads the coordinates, one scatter removes that part
-    cols = rows ^ np.array([c.mask for c in c_ops[::2]])[:, None]
+    c_ops = majorana_basis(fock)
+    masks = np.array([c.mask for c in c_ops[::2]])
     signs = np.array([c.sign for c in c_ops]).reshape(n, 2, fock.dim)
+    # c_2k and c_2k+1 share the mask 2^k: on row r of parity p they hold
+    # row_signs[p][k, :, r] in column partners[p][k, r] of parity 1 - p
+    half = len(even)
+    rows = np.arange(half)
+    partners = [pos[idx ^ masks[:, None]] for idx in states]
+    row_signs = [signs[..., idx] for idx in states]
+    conj_signs = [sign.conj() for sign in row_signs]
+    # the images of the Majoranas of ``per`` modes at a time, in two
+    # buffers reused by every batch and by -U: at N = 7, fresh arrays
+    # per batch took longer to fault in than the products took
+    per = min(n, max(1, _BATCH_ENTRIES // (4 * half * half)))
+    images = np.empty((2, per, 2, half, half), dtype=complex)
+    factors = np.empty((per, 2, half, half), dtype=complex)
 
-    def rotation_of(ev):
-        ev_inv = ev.conj().T
+    def rotation_of(blocks):
+        adjoints = [np.ascontiguousarray(block.conj().T) for block in blocks]
         m = np.zeros((2 * n, 2 * n), dtype=complex)
         residual = 0.0
-        for i, c in enumerate(c_ops):
-            image = (ev @ c) @ ev_inv
+        for k in range(0, n, per):
+            ks, count = slice(k, k + per), min(per, n - k)
+            image = images[:, :count]
+            for p in (0, 1):
+                # U c U^dag on rows p: c U^dag gathers rows of U_(1-p)^dag
+                np.multiply(adjoints[1 - p][partners[p][ks]][:, None],
+                            row_signs[p][ks, :, :, None], out=factors[:count])
+                np.matmul(blocks[p], factors[:count], out=image[p])
             # M_ji = tr(c_j image) / 2^N, gathered for all j at once
-            coeff = (signs.conj() * image[rows, cols][:, None]).sum(-1) / \
-                fock.dim
-            m[:, i] = coeff.ravel()
-            image[rows, cols] -= (coeff[..., None] * signs).sum(1)
-            residual = max(residual, linalg.frob(image))
+            on_span = [image[p][:, :, rows, partners[p]] for p in (0, 1)]
+            coeff = (np.einsum("kajr,jbr->kajb", on_span[0], conj_signs[0]) +
+                     np.einsum("kajr,jbr->kajb", on_span[1], conj_signs[1])
+                     ) / fock.dim
+            m[:, 2 * k:2 * (k + count)] = coeff.reshape(-1, 2 * n).T
+            for p in (0, 1):
+                image[p][:, :, rows, partners[p]] = on_span[p] - np.einsum(
+                    "kajb,jbr->kajr", coeff, row_signs[p])
+            # squared norms summed over both parities without a temporary
+            parts = image.view(float)
+            residual = max(residual, np.sqrt(np.einsum(
+                "pkaij,pkaij->ka", parts, parts)).max())
         return m, residual
 
     m, span_residual = rotation_of(u)
@@ -329,13 +418,13 @@ def covering_check(fock, h_fock, w, z, tol=1e-9):
     orth = linalg.frob(m.T @ m - np.eye(n2))
     det = float(np.linalg.det(m))
     gen = nambu_generator(w, z)
-    gen_residual = linalg.frob(m - expm(gen))
-    m_neg, _ = rotation_of(-u)
-    sign_invariant = bool(np.array_equal(m, m_neg.real))
+    gen_residual = linalg.frob(m - _exp_i(1j * gen).real)
+    m_neg = rotation_of([-block for block in u])[0].real
     return CoveringRecord(rotation=m, span_residual=span_residual,
                           orthogonality_residual=orth, determinant=det,
                           generator_residual=gen_residual,
-                          sign_invariant=sign_invariant)
+                          sign_invariant=bool(np.array_equal(m, m_neg)),
+                          sign_residual=float(np.max(np.abs(m - m_neg))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,8 +445,15 @@ def twisted_ph_transfer_check(fock, s, tol=1e-10):
     For C-tilde = C Lift(S) and every particle number n, checks the
     operator identity C-tilde a_k^dag = (-1)^(N - n + 1)
     (S a_k S^{-1}) C-tilde on the n-particle subspace, where S on the
-    right acts through its Fock-space lift.  Both sides are formed once
-    per k and compared on the columns of each particle number.
+    right acts through its Fock-space lift.
+
+    Lift(S) keeps the particle number and C maps n particles to N - n
+    holes, so on the n-particle columns both sides live in the rows of
+    sector N - n - 1 (and vanish for n = N).  Per n and for all k at
+    once, the left side is a gather of C-tilde's block on sector n + 1;
+    the right side is a gather of Lift(S)^{-1} C-tilde on sector n (one
+    product of sector blocks) and one product with Lift(S)'s block on
+    sector N - n - 1.
     """
     _require_dense(fock)
     s = np.asarray(s, dtype=complex)
@@ -367,16 +463,32 @@ def twisted_ph_transfer_check(fock, s, tol=1e-10):
     if linalg.frob(s @ s - np.eye(n_modes)) > linalg.TOL_INPUT * n_modes:
         raise InputShapeError("twist S must be an involution")
     s_fock = lift_unitary(fock, s)
-    u_ct = _conjugation(fock) @ np.conj(s_fock)
-    s_inv_u_ct = s_fock.conj().T @ u_ct
-    columns = [fock.occupation == n for n in range(n_modes + 1)]
+    u_ct = _conjugation(fock) @ np.conj(s_fock)  # a gather, no product
+    sectors, pos = _sectors(fock.occupation)
+    # a_k^dag and a_k couple b and b ^ 2^k: conj(a_k^dag) has column b
+    # at row b ^ 2^k, and a_k row b at column b ^ 2^k, which lies in the
+    # next sector up where bit k of b is clear (elsewhere the sign is 0)
+    states = np.arange(fock.dim)
+    masks = np.array([a.mask for a in fock.create])[:, None]
+    raise_signs = np.take_along_axis(
+        np.array([a.sign for a in fock.create]), states ^ masks, 1).conj()
+    lower_signs = np.array([a.sign for a in fock.annihilate])
+    upper = np.where((states & masks) == 0, pos[states ^ masks], 0)
     residuals = np.zeros((n_modes + 1, n_modes))
-    for k, (a_dag, a) in enumerate(zip(fock.create, fock.annihilate)):
-        lhs = u_ct @ SignedPerm(a_dag.mask, np.conj(a_dag.sign))
-        rhs = s_fock @ (a @ s_inv_u_ct)
-        for n, cols in enumerate(columns):
-            sign = -1.0 if (n_modes - n + 1) % 2 else 1.0
-            residuals[n, k] = linalg.frob(lhs[:, cols] - sign * rhs[:, cols])
+    for n in range(n_modes):
+        cols, rows = sectors[n], sectors[n_modes - n - 1]
+        holes = sectors[n_modes - n]
+        sign = -1.0 if (n_modes - n + 1) % 2 else 1.0
+        # C-tilde a_k^dag, indexed (row, k, column)
+        lhs = u_ct[rows[:, None, None], cols ^ masks] * raise_signs[:, cols]
+        # S a_k S^-1 C-tilde: a_k gathers rows of S^-1 C-tilde
+        s_inv_u_ct = s_fock[holes[:, None], holes].conj().T @ \
+            u_ct[holes[:, None], cols]
+        gathered = s_inv_u_ct[upper[:, rows].T] * \
+            lower_signs[:, rows].T[..., None]
+        rhs = (s_fock[rows[:, None], rows] @
+               gathered.reshape(len(rows), -1)).reshape(gathered.shape)
+        residuals[n] = np.linalg.norm(lhs - sign * rhs, axis=(0, 2))
     failures = tuple((n, k, float(r)) for (n, k), r in
                      np.ndenumerate(residuals) if r > tol)
     return TwistedTransferRecord(max_residual=float(residuals.max()),

@@ -275,10 +275,11 @@ def c2_sign_residual(fock, c):
 
 
 def covering_residual(fock, rng, trials):
-    """Worst covering residual over random quadratic Hamiltonians, and
-    whether every rotation was invariant under U -> -U."""
+    """Worst covering residual over random quadratic Hamiltonians,
+    whether every rotation was invariant under U -> -U, and the largest
+    max|M(U) - M(-U)|."""
     n = fock.n_modes
-    worst, two_to_one = 0.0, True
+    worst, two_to_one, sign_gap = 0.0, True, 0.0
     for _ in range(trials):
         w = ensembles.sample_gaussian(
             ensembles.EnsembleSpec(label("A", n)), rng)
@@ -290,7 +291,8 @@ def covering_residual(fock, rng, trials):
                     record.orthogonality_residual,
                     abs(record.determinant - 1.0))
         two_to_one = two_to_one and record.sign_invariant
-    return worst, two_to_one
+        sign_gap = max(sign_gap, record.sign_residual)
+    return worst, two_to_one, sign_gap
 
 
 def twisted_transfer(fock):
@@ -331,14 +333,16 @@ def _check_c2_sign_law(max_modes=6):
 
 def _check_covering(max_modes=6, trials=2):
     rng = linalg.RngStream(25)
-    worst = 0.0
+    worst, worst_gap = 0.0, 0.0
     for n in range(1, max_modes + 1):
-        resid, two_to_one = covering_residual(focklab.build_fock(n), rng,
-                                              trials)
+        resid, two_to_one, sign_gap = covering_residual(
+            focklab.build_fock(n), rng, trials)
         if not two_to_one:
-            return False, f"two-to-one property broken at N={n}"
-        worst = max(worst, resid)
-    return worst <= 1e-9, f"worst covering residual {worst:.2e}"
+            return False, (f"two-to-one property broken at N={n}, "
+                           f"max|M(U) - M(-U)| {sign_gap:.2e}")
+        worst, worst_gap = max(worst, resid), max(worst_gap, sign_gap)
+    return worst <= 1e-9, (f"worst covering residual {worst:.2e}, "
+                           f"max|M(U) - M(-U)| {worst_gap:.2e}")
 
 
 def ct_residual(c, t_u, factor):
@@ -430,7 +434,7 @@ def run_fock_checks(n_modes, trials, seed):
     car = car_residual(fock)
     c2 = c2_sign_residual(fock, c)
     defining = _defining_property_residual(fock, c, rng, trials)
-    cov, two_to_one = covering_residual(fock, rng, trials)
+    cov, two_to_one, sign_gap = covering_residual(fock, rng, trials)
     record = twisted_transfer(fock)
     return [
         ("fock.car", car <= 1e-12, f"residual {car:.2e}"),
@@ -438,7 +442,8 @@ def run_fock_checks(n_modes, trials, seed):
         ("fock.defining-property", defining <= 1e-10,
          f"residual {defining:.2e}"),
         ("fock.covering-generator", cov <= 1e-9, f"residual {cov:.2e}"),
-        ("fock.covering-two-to-one", two_to_one, "rotation of -U identical"),
+        ("fock.covering-two-to-one", two_to_one,
+         f"max|M(U) - M(-U)| {sign_gap:.2e}"),
         ("fock.twisted-transfer", record.passed,
          f"max residual {record.max_residual:.2e}"),
     ]

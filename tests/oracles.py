@@ -467,7 +467,8 @@ def covering_oracle(fock, h_fock):
         residual = 0.0
         for i, c in enumerate(c_ops):
             image = ev @ c @ ev.conj().T
-            m[:, i] = [np.trace(cj @ image) / fock.dim for cj in c_ops]
+            # tr(c_j image) as an entrywise sum, no product needed
+            m[:, i] = [np.sum(cj.T * image) / fock.dim for cj in c_ops]
             recon = sum(cf * cj for cf, cj in zip(m[:, i], c_ops))
             residual = max(residual, np.linalg.norm(image - recon))
         return m, residual

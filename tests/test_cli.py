@@ -292,7 +292,9 @@ class TestVerifyCommand:
         assert main(["verify", "--all-classes", "--level", "full"]) == 0
         out = capsys.readouterr().out
         assert "fock.C2-sign-law" in out
-        assert "fock.covering-two-to-one" in out
+        assert "PASS fock.covering-two-to-one: worst covering residual " \
+            in out
+        assert "max|M(U) - M(-U)| 0.00e+00" in out
 
     def test_spec_verify(self, tmp_path, capsys):
         path = write_spec(tmp_path, trivial_spec())
@@ -312,7 +314,19 @@ class TestFockVerifyCommand:
         out = capsys.readouterr().out
         assert "fock.car" in out
         assert "fock.C2-sign-law" in out
+        assert "PASS fock.covering-two-to-one: max|M(U) - M(-U)| " \
+            "0.00e+00" in out
         assert "FAIL" not in out
+
+
+def test_cli_import_leaves_scipy_out():
+    code = ("import sys\n"
+            "import tenfold.cli\n"
+            "assert 'scipy' not in sys.modules, sorted(\n"
+            "    m for m in sys.modules if m.startswith('scipy'))[:5]\n")
+    run = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 class TestParserReuse:

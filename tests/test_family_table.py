@@ -6,9 +6,12 @@ The labels are derived from the rows themselves, so a row added to
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
+from tenfold import linalg
 from tenfold.classifier import (FAMILIES, FAMILY, canonical_setting,
-                                classify_tenfold, compatible_space, label)
+                                classify_tenfold, compatible_space, label,
+                                twist)
 from tenfold.ensembles import (EnsembleSpec, class_constraints,
                                max_constraint_residual, sample_gaussian)
 from tenfold.errors import InputShapeError
@@ -82,3 +85,12 @@ def test_haar_draw_is_in_the_group_and_embeds_into_the_space(lab):
     assert pair.in_group(u)
     assert max(r for r, _ in pair.ambient_defects(u)) <= 1e-10
     assert in_space(cartan_embed(u, pair), pair, 1e-10)
+
+
+@pytest.mark.parametrize("p, q", [(0, 2), (2, 0), (2, 2), (2, 4), (6, 4)])
+def test_jpq_twist_matches_block_diag(p, q):
+    got = twist(label("CII", p, q), "Jpq")
+    expected = block_diag(linalg.symplectic_form(p // 2),
+                          linalg.symplectic_form(q // 2))
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)

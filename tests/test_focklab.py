@@ -1,6 +1,7 @@
 """Tests for the Fock-space oracle against dense references."""
 
 import itertools
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import pytest
 from scipy.linalg import expm
 
 import oracles
-from tenfold import linalg
+from tenfold import focklab, linalg
 from tenfold.classifier import label
 from tenfold.ensembles import EnsembleSpec, sample_gaussian
 from tenfold.errors import InputShapeError, NotQuadraticError
@@ -76,6 +77,41 @@ class TestWedge:
             ours = wedge(fock, psi, phi)
             theirs = oracles.wedge_vectors(4, psi, phi)
             assert np.allclose(ours, theirs, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bit_identical_to_the_oracle(self, n, rng):
+        # one addition per term, in the oracle's order: equal bit for bit
+        fock = build_fock(n)
+        pairs = [(rng.complex_normal(fock.dim), rng.complex_normal(fock.dim))]
+        for deg in range(n + 1):
+            psi, phi = (np.where(fock.occupation == d,
+                                 rng.complex_normal(fock.dim), 0.0)
+                        for d in (deg, int(rng.generator.integers(0, n + 1))))
+            pairs.append((psi, phi))
+        for psi, phi in pairs:
+            assert np.array_equal(wedge(fock, psi, phi),
+                                  oracles.wedge_vectors(n, psi, phi))
+
+    def test_blocks_of_pairs_change_nothing(self, rng, monkeypatch):
+        fock = build_fock(5)
+        psi = rng.complex_normal(fock.dim)
+        phi = rng.complex_normal(fock.dim)
+        whole = wedge(fock, psi, phi)
+        monkeypatch.setattr(focklab, "_WEDGE_PAIRS", 7)
+        assert np.array_equal(wedge(fock, psi, phi), whole)
+
+    @pytest.mark.parametrize("n", [9, 10, 12])
+    def test_sparse_vectors_reaching_the_high_modes(self, n, rng):
+        fock = build_fock(n)
+        for _ in range(3):
+            psi, phi = np.zeros((2, fock.dim), dtype=complex)
+            for vec in (psi, phi):
+                idx = rng.generator.choice(fock.dim, 6, replace=False)
+                vec[idx] = rng.complex_normal(6)
+            psi[fock.top_index >> 2] = 1.0  # every mode but the lowest two
+            phi[2] = 1.0
+            assert np.array_equal(wedge(fock, psi, phi),
+                                  oracles.wedge_vectors(n, psi, phi))
 
     def test_wedge_ordering_sign(self):
         fock = build_fock(2)
@@ -318,6 +354,24 @@ class TestCoveringCheck:
         with pytest.raises(NotQuadraticError):
             covering_check(fock, quartic, np.zeros((2, 2)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_parity_mixing_rejected(self, n, rng):
+        fock = build_fock(n)
+        w = sample_gaussian(EnsembleSpec(label("A", n)), rng)
+        z = random_skew(n, rng)
+        h = lift_one_body(fock, w, z) + 0.3 * majorana_basis(fock)[0].dense()
+        with pytest.raises(NotQuadraticError, match="parity"):
+            covering_check(fock, h, w, z)
+
+    def test_non_hermitian_rejected(self, rng):
+        fock = build_fock(3)
+        w = sample_gaussian(EnsembleSpec(label("A", 3)), rng)
+        z = random_skew(3, rng)
+        h = lift_one_body(fock, w, z)
+        h[1, 2] += 0.5  # parity-even, but no longer Hermitian
+        with pytest.raises(InputShapeError, match="Hermitian"):
+            covering_check(fock, h, w, z)
+
 
 class TestTwistedTransfer:
     def test_identity_twist_single_mode(self):
@@ -372,7 +426,6 @@ class TestSignedPermutations:
         for a, b in itertools.product(ops[::3], ops[1::3]):
             assert np.array_equal((a @ b).dense(), a.dense() @ b.dense())
             assert np.allclose(a @ x, a.dense() @ x, rtol=0, atol=1e-15)
-            assert np.allclose(x @ b, x @ b.dense(), rtol=0, atol=1e-15)
             assert np.array_equal(a.adjoint().dense(), a.dense().conj().T)
 
 
@@ -391,7 +444,7 @@ class TestDenseReferences:
         got = lift_unitary(build_fock(n), s)
         assert linalg.frob(got - oracles.lift_minors_oracle(s)) <= 1e-12
 
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_covering_matches_dense_oracle(self, n, rng):
         fock = build_fock(n)
         for _ in range(2):
@@ -402,8 +455,30 @@ class TestDenseReferences:
             m, span_residual, m_neg = oracles.covering_oracle(
                 oracles.dense_fock_oracle(n), h)
             assert linalg.frob(record.rotation - m) <= 1e-12
+            assert linalg.frob(record.rotation - m_neg) <= 1e-12
             assert max(record.span_residual, span_residual) <= 1e-12
             assert record.sign_invariant == np.array_equal(m, m_neg)
+            assert record.sign_invariant and record.sign_residual == 0.0
+
+    def test_eight_modes_match_the_dense_oracles(self, rng):
+        n = 8
+        fock, dense = build_fock(n), oracles.dense_fock_oracle(n)
+        w = sample_gaussian(EnsembleSpec(label("A", n)), rng)
+        z = random_skew(n, rng)
+        h = lift_one_body(fock, w, z)
+        record = covering_check(fock, h, w, z)
+        m, span_residual, m_neg = oracles.covering_oracle(dense, h)
+        assert linalg.frob(record.rotation - m) <= 1e-12
+        assert linalg.frob(record.rotation - m_neg) <= 1e-12
+        assert max(record.span_residual, span_residual) <= 1e-11
+        assert record.generator_residual <= 1e-12
+        assert record.sign_invariant and record.sign_residual == 0.0
+        v = linalg.haar_unitary(n, rng)
+        s = v @ np.diag([(-1.0) ** k for k in range(n)]) @ v.conj().T
+        got = twisted_ph_transfer_check(fock, s)
+        expected = oracles.twisted_transfer_oracle(dense, s)
+        assert abs(got.max_residual - expected.max()) <= 1e-12
+        assert got.passed and expected.max() <= 1e-10
 
     def test_non_quadratic_leaves_the_span_in_both(self):
         fock = build_fock(3)
@@ -411,7 +486,9 @@ class TestDenseReferences:
         _, span_residual, _ = oracles.covering_oracle(
             oracles.dense_fock_oracle(3), num @ num)
         assert span_residual > 1e-9
-        with pytest.raises(NotQuadraticError):
+        # the same residual, read from the two parity blocks
+        with pytest.raises(NotQuadraticError,
+                           match=re.escape(f"residual {span_residual:.3e}")):
             covering_check(fock, num @ num, np.zeros((3, 3)),
                            np.zeros((3, 3)))
 
@@ -427,7 +504,7 @@ class TestDenseReferences:
             assert abs(record.max_residual - expected.max()) <= 1e-12
             assert record.passed and expected.max() <= 1e-10
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_wrong_sign_operators_fail_the_transfer(self, n):
         # hard-core bosons: a_k^dag without the Jordan-Wigner string
         fock = build_fock(n)
@@ -442,6 +519,8 @@ class TestDenseReferences:
         assert not record.passed
         assert [(n_, k) for n_, k, _ in record.failures] == \
             [tuple(ix) for ix in np.argwhere(expected > 1e-10)]
+        for n_, k, residual in record.failures:
+            assert abs(residual - expected[n_, k]) <= 1e-12 * expected.max()
 
 
 class TestDenseModeCap:
