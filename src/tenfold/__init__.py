@@ -8,8 +8,7 @@ classification numerically at desk scale.
 """
 
 from .antiunitary import (AntiUnitaryOp, SectorPairing, TransferredT,
-                          bilinear_form_type, parity, sector_action,
-                          transfer_T)
+                          parity, sector_action, transfer_T)
 from .classifier import (BlockEntry, ClassificationReport, ClassLabel,
                          CompatibleSpace, SymmetrySetting, build_nambu,
                          canonical_setting, classify_tenfold,
@@ -25,8 +24,7 @@ from .focklab import (FockSpace, build_fock, covering_check, lift_one_body,
 from .grouprep import (GroupAction, IsotypicBlock, close_group,
                        commutant_basis, fs_indicator, isotypic_decompose,
                        lie_algebra_action, self_duality_type,
-                       spin_half_action, transfer_hermitian, trivial_action,
-                       u1_charge_action)
+                       spin_half_action, trivial_action, u1_charge_action)
 from .linalg import (HermitianEigenSystem, RngStream, eig_hermitian,
                      haar_orthogonal, haar_symplectic_unitary, haar_unitary)
 from .symspace import (CartanPair, ClosureResult, TangentDecomposition,

@@ -11,29 +11,30 @@ multiplicity and irreducible factors, with the parity relation
 eps_alpha * eps_beta = eps_T.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import (InconsistentSymmetryError, InputShapeError,
-                     NotDefiniteTypeError, NotInvolutiveError,
-                     NotPureTensorError)
+                     NotInvolutiveError, NotPureTensorError)
 
 
 @dataclass(frozen=True)
 class AntiUnitaryOp:
-    """Anti-unitary operator v -> u @ conj(v)."""
+    """Anti-unitary operator v -> u @ conj(v), with ``u`` unitary to
+    ``tol``, the tolerance of its setting (default ``TOL_INPUT``)."""
 
     u: np.ndarray
+    tol: InitVar[float] = None
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
+        tol = linalg.TOL_INPUT if tol is None else tol
         u = np.asarray(self.u, dtype=complex)
         object.__setattr__(self, "u", u)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise InputShapeError("anti-unitary part must be square")
-        if not linalg.is_unitary(u, max(linalg.TOL_INPUT,
-                                        linalg.tol_unitary(u.shape[0]))):
+        if not linalg.is_unitary(u, max(tol, linalg.tol_unitary(u.shape[0]))):
             raise InputShapeError("anti-unitary part must be unitary")
 
     @property
@@ -42,10 +43,6 @@ class AntiUnitaryOp:
 
     def apply(self, v):
         return self.u @ np.conj(v)
-
-    def inverse(self):
-        """The inverse anti-unitary, v -> conj(u^{-1} v)."""
-        return AntiUnitaryOp(self.u.T)
 
     def conjugate_linear(self, a):
         """Conjugation T a T^{-1} of a linear operator ``a``."""
@@ -81,14 +78,6 @@ class SectorPairing:
 
     fixed: tuple
     swapped: tuple
-
-    def partner(self, label):
-        for a, b in self.swapped:
-            if label == a:
-                return b
-            if label == b:
-                return a
-        return label
 
 
 def sector_action(op, blocks, tol=None):
@@ -143,7 +132,7 @@ def transfer_T(block, op, tol=None):
     largest-modulus entry (the first in row-major order among entries
     within a relative 1e-8 of the largest modulus) real positive, which
     makes the output deterministic.  A second singular value above
-    tolerance signals an inconsistent input and raises
+    ``tol`` times the first signals an inconsistent input and raises
     ``NotPureTensorError``.
     """
     tol = linalg.TOL_INPUT if tol is None else tol
@@ -157,7 +146,7 @@ def transfer_T(block, op, tol=None):
 
     r = ub.reshape(m, d, m, d).transpose(0, 2, 1, 3).reshape(m * m, d * d)
     uu, s, vh = np.linalg.svd(r)
-    if len(s) > 1 and s[1] > 1e-8 * s[0]:
+    if len(s) > 1 and s[1] > tol * s[0]:
         raise NotPureTensorError(
             f"second singular value {s[1]:.3e} of the reshaped transfer "
             f"operator exceeds tolerance")
@@ -178,8 +167,8 @@ def transfer_T(block, op, tol=None):
     if linalg.frob(ub - np.kron(u_alpha, u_beta)) > tol * np.sqrt(m * d):
         raise NotPureTensorError("pure-tensor reconstruction residual "
                                  "exceeds tolerance")
-    alpha = AntiUnitaryOp(u_alpha)
-    beta = AntiUnitaryOp(u_beta)
+    alpha = AntiUnitaryOp(u_alpha, tol)
+    beta = AntiUnitaryOp(u_beta, tol)
     eps_a = parity(alpha, tol)
     eps_b = parity(beta, tol)
     eps_t = parity(op, tol)
@@ -189,18 +178,3 @@ def transfer_T(block, op, tol=None):
     return TransferredT(alpha=alpha, beta=beta, eps_alpha=eps_a,
                         eps_beta=eps_b)
 
-
-def bilinear_form_type(phi, tol=None):
-    """Classify an invertible bilinear form matrix as symmetric or skew."""
-    tol = linalg.TOL_INPUT if tol is None else tol
-    phi = np.asarray(phi, dtype=complex)
-    if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
-        raise InputShapeError("form matrix must be square")
-    if np.linalg.matrix_rank(phi, tol=tol) < phi.shape[0]:
-        raise InputShapeError("form must be non-degenerate")
-    scale = max(1.0, linalg.frob(phi))
-    if linalg.frob(phi - phi.T) <= tol * scale:
-        return "symmetric"
-    if linalg.frob(phi + phi.T) <= tol * scale:
-        return "skew"
-    raise NotDefiniteTypeError("form is neither symmetric nor skew")

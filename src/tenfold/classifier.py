@@ -21,7 +21,7 @@ from . import grouprep, linalg
 from .antiunitary import AntiUnitaryOp, parity, sector_action, transfer_T
 from .errors import (InputShapeError, SymmetryConsistencyError,
                      UnsupportedConfigurationError)
-from .grouprep import (GroupAction, MODE_FINITE, MODE_LIE, MODE_NONE,
+from .grouprep import (GroupAction, MODE_FINITE, MODE_LIE, dual_sum,
                        isotypic_decompose, self_duality_type,
                        spin_half_action, trivial_action, u1_charge_action)
 
@@ -237,38 +237,22 @@ def hilbert_setting(g0, time_reversal=None, particle_hole=None, tol=None):
     return setting
 
 
-def _real_span_residual(mats, target):
-    """Distance of ``target`` from the real span of ``mats``."""
-    a = np.stack([np.concatenate([m.real.ravel(), m.imag.ravel()])
-                  for m in mats], axis=1)
-    b = np.concatenate([target.real.ravel(), target.imag.ravel()])
-    coeff, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return float(np.linalg.norm(a @ coeff - b))
-
-
-def _closest_element(action, candidate, tol):
-    for el in action.elements:
-        if linalg.frob(el - candidate) <= tol * action.dim:
-            return True
-    return False
-
-
 def _check_conjugation_symmetry(action, conjugate, what, tol):
     """Conjugation must map the G0 action into itself."""
-    if action.mode in (MODE_NONE,):
-        return
     if action.mode == MODE_FINITE:
         for g in action.generators:
-            if not _closest_element(action, conjugate(g), tol):
+            image = conjugate(g)
+            if not any(linalg.frob(el - image) <= tol * action.dim
+                       for el in action.elements):
                 raise SymmetryConsistencyError(
                     f"{what} does not normalize the symmetry group")
     else:
         gens = list(action.generators)
         scale = max(linalg.frob(g) for g in gens)
-        for g in gens:
-            if _real_span_residual(gens, conjugate(g)) > tol * max(1.0, scale):
-                raise SymmetryConsistencyError(
-                    f"{what} does not normalize the symmetry algebra")
+        off = linalg.off_span(gens, [conjugate(g) for g in gens])
+        if np.linalg.norm(off, axis=-1).max() > tol * max(1.0, scale):
+            raise SymmetryConsistencyError(
+                f"{what} does not normalize the symmetry algebra")
 
 
 def validate_setting(setting):
@@ -313,15 +297,6 @@ def nambu_form(n):
     return q
 
 
-def _induced_unitary(g):
-    """Action v + f -> g v + (g^{-1})^t f as a block matrix on W."""
-    n = g.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = g
-    out[n:, n:] = np.conj(g)
-    return out
-
-
 def _induced_algebra(x):
     n = x.shape[0]
     out = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -345,28 +320,26 @@ def build_nambu(setting):
     act = setting.g0
     if act.mode == MODE_FINITE:
         g0 = GroupAction(dim=2 * n, mode=MODE_FINITE,
-                         generators=tuple(_induced_unitary(g)
+                         generators=tuple(dual_sum(g)
                                           for g in act.generators),
-                         elements=tuple(_induced_unitary(g)
-                                        for g in act.elements))
-    elif act.mode == MODE_NONE:
-        g0 = trivial_action(2 * n)
+                         elements=tuple(dual_sum(g) for g in act.elements))
     else:
         g0 = GroupAction(dim=2 * n, mode=MODE_LIE,
                          generators=tuple(_induced_algebra(x)
                                           for x in act.generators))
+    tol = setting.tolerance
     t_w = None
     if setting.time_reversal is not None:
-        t_w = AntiUnitaryOp(_induced_unitary(setting.time_reversal.u))
+        t_w = AntiUnitaryOp(dual_sum(setting.time_reversal.u), tol)
     c_w = None
     if setting.particle_hole is not None:
         s = np.asarray(setting.particle_hole, dtype=complex)
-        if linalg.frob(s @ s - np.eye(n)) > setting.tolerance * n:
+        if linalg.frob(s @ s - np.eye(n)) > tol * n:
             raise InputShapeError("S must be an involution")
         u = np.zeros((2 * n, 2 * n), dtype=complex)
         u[:n, n:] = s
         u[n:, :n] = np.conj(s)
-        c_w = AntiUnitaryOp(u)
+        c_w = AntiUnitaryOp(u, tol)
     return SymmetrySetting(kind="nambu", dim=2 * n, g0=g0,
                            time_reversal=t_w,
                            particle_hole=setting.particle_hole,

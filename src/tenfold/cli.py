@@ -18,8 +18,8 @@ from .classifier import (FAMILIES, ClassLabel, classify_tenfold,
                          classify_threefold)
 from .errors import (DegenerateDecompositionError, GroupTooLargeError,
                      InconsistentSymmetryError, InputShapeError,
-                     NotDefiniteTypeError, NotInManifoldError,
-                     NotInvolutiveError, NotPureTensorError,
+                     NotInManifoldError, NotInvolutiveError,
+                     NotPureTensorError,
                      NotQuadraticError, SpecFileError,
                      SymmetryConsistencyError, TenfoldError,
                      UnsupportedConfigurationError, UnsupportedModeError)
@@ -42,13 +42,17 @@ def _parse_dims(text):
     return dims
 
 
+def _tenfold_mode(args, parsed):
+    """Tenfold when asked for, declared, or implied by a twist S."""
+    return (args.tenfold or parsed.declared_kind == "nambu" or
+            parsed.setting.particle_hole is not None)
+
+
 def cmd_classify(args):
     parsed = parse_spec(args.spec)
     rng = linalg.RngStream(args.seed if args.seed is not None
                            else parsed.seed)
-    tenfold_mode = (args.tenfold or parsed.declared_kind == "nambu" or
-                    parsed.setting.particle_hole is not None)
-    if tenfold_mode:
+    if _tenfold_mode(args, parsed):
         report = classify_tenfold(parsed.setting, rng)
     else:
         report = classify_threefold(parsed.setting, rng)
@@ -103,10 +107,10 @@ def cmd_stats(args):
     elif args.poisson:
         if args.poisson < 0:
             raise InputShapeError("--poisson must not be negative")
-        if args.count * args.poisson * 8 > ensembles.MAX_SAMPLE_BYTES:
+        if args.count * args.poisson * 8 > linalg.MAX_ARRAY_BYTES:
             raise InputShapeError(
                 f"{args.count} Poisson spectra of {args.poisson} levels "
-                f"exceed the limit of {ensembles.MAX_SAMPLE_BYTES} bytes")
+                f"exceed the limit of {linalg.MAX_ARRAY_BYTES} bytes")
         spectra = np.sort(rng.generator.uniform(
             size=(args.count, args.poisson)), axis=1)
     elif args.family and args.dims:
@@ -140,9 +144,8 @@ def _report(results):
 def cmd_verify(args):
     if args.spec:
         parsed = parse_spec(args.spec)
-        tenfold_mode = (args.tenfold or parsed.declared_kind == "nambu" or
-                        parsed.setting.particle_hole is not None)
-        return _report(verify.run_setting_checks(parsed, tenfold_mode))
+        return _report(verify.run_setting_checks(parsed,
+                                                 _tenfold_mode(args, parsed)))
     if args.all_classes:
         return _report(verify.run_checks(args.level))
     raise InputShapeError("need a spec path or --all-classes")
@@ -234,7 +237,7 @@ def main(argv=None):
         print(f"unsupported configuration: {err}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (InputShapeError, GroupTooLargeError, UnsupportedModeError,
-            NotDefiniteTypeError, NotInManifoldError) as err:
+            NotInManifoldError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (DegenerateDecompositionError, NotQuadraticError,

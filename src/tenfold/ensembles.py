@@ -26,15 +26,6 @@ from . import linalg, symspace
 from .classifier import FAMILY, ClassLabel, twist
 from .errors import InputShapeError
 
-# Largest draw, in bytes of complex128 matrices (size * n^2 * 16), that
-# the samplers accept.  Measured peaks (one BLAS thread) of
-# ``stats --class`` at 1.05e9 bytes of samples: 2.1 GB for A(256) and
-# circular AIII(128,128), 2.8 GB for D(128), about 2.7 times the draw.
-# So a draw at the cap fits an 8 GB machine; a larger one is refused
-# before anything is allocated.
-MAX_SAMPLE_BYTES = 1 << 30
-
-
 @dataclass(frozen=True, eq=False)
 class EnsembleSpec:
     """Class label, variance and ensemble kind driving the samplers."""
@@ -128,10 +119,10 @@ def _check_draw(spec, kind, size):
     count = 1 if size is None else size
     n = spec.label.matrix_dim
     need = count * n * n * 16
-    if need > MAX_SAMPLE_BYTES:
+    if need > linalg.MAX_ARRAY_BYTES:
         raise InputShapeError(
             f"{count} samples of {n} x {n} matrices need {need} bytes, "
-            f"above the limit of {MAX_SAMPLE_BYTES} bytes")
+            f"above the limit of {linalg.MAX_ARRAY_BYTES} bytes")
 
 
 def sample_gaussian(spec, rng, size=None):

@@ -33,10 +33,6 @@ class NotPureTensorError(TenfoldError):
     """Operator restricted to a sector failed the rank-one factor test."""
 
 
-class NotDefiniteTypeError(TenfoldError):
-    """Bilinear form is neither symmetric nor skew."""
-
-
 class UnsupportedConfigurationError(TenfoldError):
     """Symmetry configuration outside the supported decision table."""
 

@@ -107,10 +107,6 @@ class FockSpace:
         """Index of the fully occupied state Omega = e_1 ^ ... ^ e_N."""
         return self.dim - 1
 
-    def number_operator(self):
-        _require_dense(self)
-        return np.diag(self.occupation.astype(float)).astype(complex)
-
 
 def _require_dense(fock):
     if fock.n_modes > MAX_DENSE_MODES:

@@ -1,8 +1,9 @@
 """Unitary symmetry groups on V: closure, commutants, isotypic decomposition.
 
-A ``GroupAction`` represents the unitary symmetry group in one of four
-modes: an explicit finite group, a Lie algebra of anti-Hermitian
-generators, the trivial group, or the built-in spin-1/2 tensor factor.
+A ``GroupAction`` represents the unitary symmetry group in one of three
+modes: an explicit finite group (the trivial group is the one of order
+one), a Lie algebra of anti-Hermitian generators, or the built-in
+spin-1/2 tensor factor.
 ``isotypic_decompose`` splits V into sectors V_lambda ~ E_lambda (x)
 R_lambda, one per isomorphism class of irreducible subrepresentation,
 with the multiplicity factor E slow and the irreducible factor R fast
@@ -15,7 +16,9 @@ Q_a, Q_b of two lines, and the commutant basis, rotated into x's
 eigenbasis, already holds every intertwiner: a slice of it decides
 which lines are isomorphic (the space of equivariant maps between two
 irreducibles has dimension zero or one) and supplies the map that
-aligns them.
+aligns them.  Self-duality is read from the same solver: R is
+self-dual exactly when the commutant of R + R* is a full 2 x 2 matrix
+algebra, and its off-diagonal block is the pairing R -> R*.
 
 Cost.  ``commutant_basis`` solves the commutation constraints only on
 the eigenspaces (dimensions m_i) of one fixed generic Hermitian element
@@ -42,7 +45,6 @@ from .errors import (DegenerateDecompositionError, GroupTooLargeError,
 
 MODE_FINITE = "finite-group"
 MODE_LIE = "lie-algebra"
-MODE_NONE = "none"
 MODE_SPIN_HALF = "spin-half"
 
 MAX_ORDER = 10_000
@@ -68,8 +70,6 @@ class GroupAction:
     def is_trivial(self, tol=None):
         """True when the action fixes every Hamiltonian (trivial group)."""
         tol = linalg.TOL_INPUT if tol is None else tol
-        if self.mode == MODE_NONE:
-            return True
         if self.mode == MODE_SPIN_HALF:
             return False
         eye = np.eye(self.dim)
@@ -108,17 +108,12 @@ class IsotypicBlock:
         r = self.rep_basis()
         return r.conj().T @ g @ r
 
-    def maps(self):
-        """The E-basis as a list of isometries R -> V."""
-        d = self.irrep_dim
-        return [self.factor_basis[:, j * d:(j + 1) * d]
-                for j in range(self.multiplicity)]
-
 
 def trivial_action(dim):
+    """The trivial group on C^dim, as the finite group of order one."""
     if dim < 1:
         raise InputShapeError("dimension must be at least 1")
-    return GroupAction(dim=dim, mode=MODE_NONE, generators=())
+    return close_group([], dim=dim)
 
 
 def lie_algebra_action(generators, tol=None):
@@ -234,11 +229,16 @@ def commutant_basis(action, tol=None):
     unknowns drop from n^2 to sum m_i^2, and the cost from O(k n^6) to
     O(k n^2 (sum m_i^2)^2 + k n^3).  A non-generic h only merges
     eigenspaces, which is slower but still exact.
+
+    A k n^2 x (sum m_i^2) constraint system (n^4 entries without
+    generators) above ``linalg.MAX_ARRAY_BYTES`` raises
+    ``InputShapeError`` before it is allocated.
     """
     tol = linalg.TOL_INPUT if tol is None else tol
     n = action.dim
     gens = list(action.generators)
     if not gens:
+        _check_system_size(1, n, n * n)
         return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
     coeff = linalg.RngStream(_PROBE_SEED).complex_normal(len(gens))
     h = sum(c * g for c, g in zip(coeff, gens))
@@ -249,6 +249,7 @@ def commutant_basis(action, tol=None):
                for lo, hi in _eigen_clusters(evals, tol)]
     rows, cols = np.hstack(entries)
     m = len(rows)
+    _check_system_size(len(gens), n, m)
     unknown = np.arange(m)
     # a[k, :, :, t] = [g_k, E_t] for the unit matrix E_t at (rows[t], cols[t])
     a = np.zeros((len(gens), n, n, m), dtype=complex)
@@ -264,6 +265,15 @@ def commutant_basis(action, tol=None):
     return q @ blocks @ q.conj().T
 
 
+def _check_system_size(k, n, m):
+    need = k * n * n * m * 16
+    if need > linalg.MAX_ARRAY_BYTES:
+        raise InputShapeError(
+            f"the commutant of {k} generators on C^{n} has {m} unknowns; "
+            f"its constraint system needs {need} bytes, above the limit "
+            f"of {linalg.MAX_ARRAY_BYTES} bytes")
+
+
 def _eigen_clusters(evals, noise):
     """Index ranges [lo, hi) of the clusters of an ascending spectrum.
 
@@ -275,29 +285,6 @@ def _eigen_clusters(evals, noise):
     cuts = (np.flatnonzero(np.diff(evals) > gap) + 1).tolist()
     bounds = [0] + cuts + [len(evals)]
     return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _hom_space(rep_a, rep_b, tol):
-    """Orthonormal basis of {M : rep_b(g) M = M rep_a(g) for all g}.
-
-    A full SVD of the (k d_a d_b x d_a d_b) Kronecker system.  Only
-    ``self_duality_type`` needs it: the dual of a sector is not inside
-    the commutant that ``_slice_hom`` reads.  The singular-value cutoff
-    is scaled by the generator norms, not by the stacked difference
-    operator, which can be numerically zero when the two
-    representations coincide exactly.
-    """
-    da = rep_a[0].shape[0]
-    db = rep_b[0].shape[0]
-    rows = [np.kron(gb, np.eye(da)) - np.kron(np.eye(db), ga.T)
-            for ga, gb in zip(rep_a, rep_b)]
-    a = np.vstack(rows)
-    scale = max(1.0, max(linalg.frob(g) for g in rep_a + rep_b))
-    _, s, vh = np.linalg.svd(a)
-    keep = np.ones(da * db, dtype=bool)
-    keep[: len(s)] = s <= tol * scale
-    ns = vh[keep].conj().T
-    return [ns[:, j].reshape(db, da) for j in range(ns.shape[1])]
 
 
 def _single_block(dim, d, m):
@@ -320,7 +307,7 @@ def isotypic_decompose(action, rng, tol=None, retries=5):
     """
     tol = linalg.TOL_INPUT if tol is None else tol
     n = action.dim
-    if action.mode == MODE_NONE or action.is_trivial(tol):
+    if action.is_trivial(tol):
         return _single_block(n, 1, n)
     if action.mode == MODE_SPIN_HALF:
         return _single_block(n, 2, n // 2)
@@ -444,29 +431,14 @@ def _decompose_once(action, comm, rng, tol):
     return blocks
 
 
-def transfer_hermitian(block, ambient=None, r=None):
-    """Hermitian scalar product transferred to the multiplicity space E.
-
-    ``gram[i, j] = <psi_i(r), psi_j(r)>_V / <r, r>_R`` evaluated on the
-    stored E-basis; the result is independent of the choice of the
-    nonzero vector ``r`` in R.
-    """
-    d = block.irrep_dim
-    if r is None:
-        r = np.zeros(d, dtype=complex)
-        r[0] = 1.0
-    r = np.asarray(r, dtype=complex)
-    if r.shape != (d,):
-        raise InputShapeError(f"r must be a vector of length {d}")
-    rr = float(np.real(np.vdot(r, r)))
-    if rr <= 0.0:
-        raise InputShapeError("r must be nonzero")
-    images = np.stack([psi @ r for psi in block.maps()], axis=1)
-    if ambient is None:
-        gram = images.conj().T @ images
-    else:
-        gram = images.conj().T @ np.asarray(ambient, dtype=complex) @ images
-    return gram / rr
+def dual_sum(g):
+    """g + conj(g) on V + V*: a unitary, or an anti-Hermitian generator,
+    acting on V and on its dual."""
+    n = g.shape[0]
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    out[:n, :n] = g
+    out[n:, n:] = np.conj(g)
+    return out
 
 
 def fs_indicator(action, block, tol=None):
@@ -479,7 +451,6 @@ def fs_indicator(action, block, tol=None):
     if action.mode != MODE_FINITE:
         raise UnsupportedModeError("Frobenius-Schur indicator needs an "
                                    "explicit finite group")
-    tol = linalg.TOL_INPUT if tol is None else tol
     r = block.rep_basis()
     total = 0.0 + 0.0j
     for g in action.elements:
@@ -500,21 +471,33 @@ def self_duality_type(action, block, tol=None):
     exists, -1 when it is skew, and 0 when R is not self-dual.  Works in
     every mode (the dual of a unitary or anti-Hermitian generator is its
     entrywise conjugate).
+
+    The commutant of R + R* (dimension 2d) is C + C when R is not
+    self-dual and the 2 x 2 matrices over C when it is; then the
+    lower-left d x d blocks of the commutant basis span Hom_G(R, R*),
+    and the largest of them is the pairing psi.  Any other commutant,
+    or one without a pairing block, means R is not irreducible and
+    raises ``DegenerateDecompositionError``.
     """
     tol = linalg.TOL_INPUT if tol is None else tol
-    rep = [block.irrep_matrix(g) for g in action.generators]
-    if not rep:
-        return 1
-    dual = [g.conj() for g in rep]
-    hom = _hom_space(rep, dual, tol)
-    if not hom:
+    d = block.irrep_dim
+    doubled = tuple(dual_sum(block.irrep_matrix(g))
+                    for g in action.generators)
+    comm = commutant_basis(GroupAction(dim=2 * d, mode=action.mode,
+                                       generators=doubled), tol)
+    if len(comm) == 2:
         return 0
-    psi = hom[0]
-    sym = linalg.frob(psi - psi.T)
-    skew = linalg.frob(psi + psi.T)
-    if sym <= tol * linalg.frob(psi):
-        return 1
-    if skew <= tol * linalg.frob(psi):
-        return -1
+    lower = comm[:, d:, :d]
+    psi = lower[np.argmax(np.linalg.norm(lower, axis=(1, 2)))]
+    # The unit pairing direction has squared weight >= 1/4 on one of the
+    # four orthonormal elements, so |psi| >= 1/2; the cut at 1/4 allows noise.
+    if len(comm) != 4 or linalg.frob(psi) < 0.25:
+        raise DegenerateDecompositionError(
+            f"commutant of R + R* has dimension {len(comm)} and pairs R "
+            f"with R* at weight {linalg.frob(psi):.2e}: the sector is not "
+            "irreducible")
+    for sign in (1, -1):
+        if linalg.frob(psi - sign * psi.T) <= tol * linalg.frob(psi):
+            return sign
     raise DegenerateDecompositionError("self-pairing is neither symmetric "
                                        "nor skew")

@@ -1,8 +1,9 @@
 """Dense complex linear algebra foundation.
 
 Provides the Hermitian eigensolver, Haar-distributed unitary sampling,
-matrix predicates, and the deterministic random-number streams used by
-every sampler in the package.
+matrix predicates, residuals off a real span of matrices, and the
+deterministic random-number streams used by every sampler in the
+package.
 
 All tolerances are centralized here: ``TOL_INPUT`` for input validation,
 ``TOL_EIG`` for eigendecomposition residuals, and ``tol_unitary(n)`` for
@@ -39,6 +40,16 @@ except InputShapeError as err:
     _TOL_ENV_ERROR = str(err)
 TOL_EIG = 1e-10
 TOL_DEDUP = 1e-8
+
+# Largest array, in bytes, that a sampler draw (size * n^2 * 16 for
+# complex128) or a commutant constraint system may ask for; larger
+# inputs are refused with InputShapeError before anything is allocated.
+# Measured peaks (one BLAS thread) of ``stats --class`` at 1.05e9 bytes
+# of samples: 2.1 GB for A(256) and circular AIII(128,128), 2.8 GB for
+# D(128), about 2.7 times the draw, so a draw at the cap fits an 8 GB
+# machine.  A commutant system peaked at 5-7 times its size (measured
+# up to 2.7e8 bytes), so one near the cap would not.
+MAX_ARRAY_BYTES = 1 << 30
 
 _MASK64 = (1 << 64) - 1
 
@@ -135,18 +146,46 @@ def is_unitary(a, tol=None):
     return frob(a.conj().T @ a - np.eye(n)) <= tol
 
 
-def is_symmetric(a, tol=None):
-    tol = input_tol() if tol is None else tol
-    a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and \
-        frob(a - a.T) <= tol * max(1.0, frob(a))
-
-
 def is_skew(a, tol=None):
     tol = input_tol() if tol is None else tol
     a = np.asarray(a)
     return a.ndim == 2 and a.shape[0] == a.shape[1] and \
         frob(a + a.T) <= tol * max(1.0, frob(a))
+
+
+def _vec_real(x):
+    """Real vector(s) [Re x, Im x] of a matrix or of a stack of matrices."""
+    flat = x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1])
+    return np.concatenate([flat.real, flat.imag], axis=-1)
+
+
+def _unvec_real(v, n):
+    half = n * n
+    return (v[..., :half] + 1j * v[..., half:]).reshape(*v.shape[:-1], n, n)
+
+
+def _rank_svd(a):
+    """Thin SVD (u, s) of ``a`` and its rank at numpy's ``matrix_rank``
+    threshold."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    cut = s.max(initial=0.0) * max(a.shape) * np.finfo(float).eps
+    return u, s, int(np.sum(s > cut))
+
+
+def off_span(basis, mats):
+    """Components of ``mats`` off the real span of ``basis``.
+
+    ``mats`` is a stack of matrices of any leading shape; the result has
+    that shape with the last two axes replaced by one axis of real
+    coordinates, so its norms along that axis are Frobenius residuals.
+    One thin SVD of the basis serves the whole stack; its singular
+    vectors are cut at the rank, so a repeated or dependent basis
+    element adds no direction.
+    """
+    q, _, rank = _rank_svd(_vec_real(np.asarray(basis, dtype=complex)).T)
+    q = q[:, :rank]
+    v = _vec_real(np.asarray(mats, dtype=complex))
+    return v - (v @ q) @ q.T
 
 
 def eig_hermitian(h, tol_input=None):

@@ -19,7 +19,8 @@ from .classifier import SymmetrySetting, hilbert_setting
 from .errors import InputShapeError, SpecFileError
 
 SCHEMA_VERSION = "1"
-_MODES = (grouprep.MODE_NONE, grouprep.MODE_FINITE, grouprep.MODE_LIE,
+# "none" is the trivial group, built as the finite group of order one.
+_MODES = ("none", grouprep.MODE_FINITE, grouprep.MODE_LIE,
           grouprep.MODE_SPIN_HALF)
 
 
@@ -105,7 +106,7 @@ def parse_spec_data(data):
     generators = [_parse_matrix(g, dim, f"g0.generators[{i}]")
                   for i, g in enumerate(raw_gens)]
 
-    if mode == grouprep.MODE_NONE:
+    if mode == "none":
         _require(not generators, "g0.generators",
                  "mode 'none' takes no generators")
         action = grouprep.trivial_action(dim)
@@ -121,7 +122,8 @@ def parse_spec_data(data):
             _require(linalg.is_unitary(g, max(tolerance,
                                               linalg.tol_unitary(dim))),
                      f"g0.generators[{i}]", "must be unitary")
-        action = grouprep.close_group(generators, dim=dim)
+        action = grouprep.close_group(generators, tol_dedup=tolerance,
+                                      dim=dim)
     else:
         _require(bool(generators), "g0.generators",
                  "lie-algebra mode needs at least one generator")
@@ -138,7 +140,7 @@ def parse_spec_data(data):
         u = _parse_matrix(raw["matrix"], dim, "time_reversal.matrix")
         _require(linalg.is_unitary(u, max(tolerance, linalg.tol_unitary(dim))),
                  "time_reversal.matrix", "must be unitary")
-        time_reversal = AntiUnitaryOp(u)
+        time_reversal = AntiUnitaryOp(u, tolerance)
 
     particle_hole = None
     if "particle_hole" in data and data["particle_hole"] is not None:

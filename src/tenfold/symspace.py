@@ -158,41 +158,6 @@ class TangentDecomposition:
         return len(self.p_basis)
 
 
-def _vec_real(x):
-    """Real vector(s) [Re x, Im x] of a matrix or of a stack of matrices."""
-    flat = x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1])
-    return np.concatenate([flat.real, flat.imag], axis=-1)
-
-
-def _unvec_real(v, n):
-    half = n * n
-    return (v[..., :half] + 1j * v[..., half:]).reshape(*v.shape[:-1], n, n)
-
-
-def off_span(basis, mats):
-    """Components of ``mats`` off the real span of ``basis``.
-
-    ``mats`` is a stack of matrices of any leading shape; the result has
-    that shape with the last two axes replaced by one axis of real
-    coordinates, so its norms along that axis are Frobenius residuals.
-    One thin SVD of the basis serves the whole stack; its singular
-    vectors are cut at the rank, so a repeated or dependent basis
-    element adds no direction.
-    """
-    q, _, rank = _rank_svd(_vec_real(np.asarray(basis, dtype=complex)).T)
-    q = q[:, :rank]
-    v = _vec_real(np.asarray(mats, dtype=complex))
-    return v - (v @ q) @ q.T
-
-
-def _rank_svd(a):
-    """Thin SVD (u, s) of ``a`` and its rank at numpy's ``matrix_rank``
-    threshold."""
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    cut = s.max(initial=0.0) * max(a.shape) * np.finfo(float).eps
-    return u, s, int(np.sum(s > cut))
-
-
 def ambient_algebra(pair):
     """Real-orthonormal basis of the Lie algebra of the ambient group.
 
@@ -217,12 +182,11 @@ def ambient_algebra(pair):
     return list(basis)
 
 
-def _orthonormal_span(mats, n, tol=1e-8):
+def _orthonormal_span(mats, n):
     if not mats:
         return []
-    u, s, _ = np.linalg.svd(_vec_real(np.array(mats)).T, full_matrices=False)
-    keep = int(np.sum(s > tol * max(1.0, s[0])))
-    return list(_unvec_real(u[:, :keep].T, n))
+    u, _, rank = linalg._rank_svd(linalg._vec_real(np.array(mats)).T)
+    return list(linalg._unvec_real(u[:, :rank].T, n))
 
 
 def tangent_split(lab):
@@ -283,11 +247,11 @@ def closure_check(p_basis, tol=1e-9):
     norms = np.linalg.norm(mats, axis=(1, 2))
     unit = mats / np.maximum(norms, 1e-300)[:, None, None]
     y, z = np.triu_indices(len(mats), 1)
-    brackets = _vec_real(unit[y] @ unit[z] - unit[z] @ unit[y]).T
-    u, s, rank = _rank_svd(brackets)
-    w = _unvec_real((u[:, :rank] * s[:rank]).T, n)
+    brackets = linalg._vec_real(unit[y] @ unit[z] - unit[z] @ unit[y]).T
+    u, s, rank = linalg._rank_svd(brackets)
+    w = linalg._unvec_real((u[:, :rank] * s[:rank]).T, n)
     x = unit[:, None]
-    off = off_span(mats, x @ w - w @ x)
+    off = linalg.off_span(mats, x @ w - w @ x)
     worst = float(np.linalg.norm(off, ord=2, axis=(1, 2)).max()) + \
         2.0 * float(s[rank:].max(initial=0.0))
     return ClosureResult(passed=worst <= tol, max_residual=worst)

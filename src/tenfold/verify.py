@@ -218,8 +218,8 @@ def _bracket_residual(split):
 
     k, p = split.k_basis, split.p_basis
     in_k = np.concatenate([brackets(k[:4], k[:4]), brackets(p[:4], p[:4])])
-    return max(np.linalg.norm(symspace.off_span(k, in_k), axis=-1).max(),
-               np.linalg.norm(symspace.off_span(p, brackets(k[:4], p[:4])),
+    return max(np.linalg.norm(linalg.off_span(k, in_k), axis=-1).max(),
+               np.linalg.norm(linalg.off_span(p, brackets(k[:4], p[:4])),
                               axis=-1).max())
 
 

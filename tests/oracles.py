@@ -3,13 +3,13 @@
 Everything here deliberately avoids the library's own algorithms:
 multiplicities come from explicit irreducible matrices and characters,
 self-duality types from character sums over squared elements,
-commutants from the full Kronecker constraint system, group closures
-from a linear duplicate scan, tangent dimensions from brute-force
-real-linear constraint solving, the double-commutator closure test
-from every triple of basis elements, wedge products from permutation
-sorting on index tuples, Fock operators and the Fock-space checks from
-dense 2^N x 2^N matrices with Fock lifts from minors, and spacing
-ratios from a plain loop.
+commutants and hom spaces from the full Kronecker constraint system,
+group closures from a linear duplicate scan, tangent dimensions from
+brute-force real-linear constraint solving, the double-commutator
+closure test from every triple of basis elements, wedge products from
+permutation sorting on index tuples, Fock operators and the Fock-space
+checks from dense 2^N x 2^N matrices with Fock lifts from minors, and
+spacing ratios from a plain loop.
 """
 
 from dataclasses import dataclass
@@ -184,6 +184,27 @@ def commutant_oracle(generators, tol=1e-8):
     keep = np.ones(n * n, dtype=bool)
     keep[: len(s)] = s <= tol * scale
     return [row.conj().reshape(n, n) for row in vh[keep]]
+
+
+def hom_space_oracle(rep_a, rep_b, tol):
+    """Orthonormal basis of {M : rep_b(g) M = M rep_a(g) for all g}.
+
+    A full SVD of the (k d_a d_b x d_a d_b) Kronecker system.  The
+    singular-value cutoff is scaled by the generator norms, not by the
+    stacked difference operator, which can be numerically zero when the
+    two representations coincide exactly.
+    """
+    da = rep_a[0].shape[0]
+    db = rep_b[0].shape[0]
+    rows = [np.kron(gb, np.eye(da)) - np.kron(np.eye(db), ga.T)
+            for ga, gb in zip(rep_a, rep_b)]
+    a = np.vstack(rows)
+    scale = max(1.0, max(np.linalg.norm(g) for g in rep_a + rep_b))
+    _, s, vh = np.linalg.svd(a)
+    keep = np.ones(da * db, dtype=bool)
+    keep[: len(s)] = s <= tol * scale
+    ns = vh[keep].conj().T
+    return [ns[:, j].reshape(db, da) for j in range(ns.shape[1])]
 
 
 def close_group_oracle(generators, tol_dedup=1e-8):

@@ -406,3 +406,141 @@ class TestToleranceEnv:
         run = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True, env=env)
         assert run.returncode == 0, run.stderr + run.stdout
+
+
+def _symplectic(m):
+    return np.block([[np.zeros((m, m)), np.eye(m)],
+                     [-np.eye(m), np.zeros((m, m))]])
+
+
+class TestTrivialGroupSpecs:
+    """Mode "none" is the finite group of order one; the answers are
+    pinned to the text they had when it was a mode of its own."""
+
+    @pytest.mark.parametrize("t, flags, line", [
+        (None, [], "class=A space=U_4"),
+        (None, ["--tenfold"], "class=D space=SO_8"),
+        ("1", [], "class=AI space=U_4/O_4"),
+        ("J", [], "class=AII space=U_4/USp_4"),
+        ("J", ["--tenfold"], "class=DIII space=SO_8/U_4"),
+        ("1", ["--tenfold"], None),
+    ])
+    def test_classify_and_verify(self, tmp_path, capsys, t, flags, line):
+        u = {None: None, "1": np.eye(4), "J": _symplectic(2)}[t]
+        spec = trivial_spec(dim=4)
+        if u is not None:
+            spec["time_reversal"] = {"matrix": pairs(u)}
+        path = write_spec(tmp_path, spec)
+        if line is None:  # T^2 = +1 on Nambu space: outside the table
+            assert main(["classify", path] + flags) == 4
+            assert capsys.readouterr().err.startswith(
+                "unsupported configuration: trivial G0 with positive-parity "
+                "T is outside the decision table; G0 trivial: True;")
+            assert main(["verify", path] + flags) == 5
+            assert capsys.readouterr().out.startswith(
+                "FAIL setting.classify: UnsupportedConfigurationError: "
+                "trivial G0 with positive-parity T")
+            return
+        line = f"lambda=0 d=1 m=4 {line}"
+        assert main(["classify", path] + flags) == 0
+        assert capsys.readouterr().out == line + "\n"
+        family = line.split("class=")[1].split()[0]
+        assert main(["verify", path] + flags) == 0
+        assert capsys.readouterr().out == (
+            f"PASS setting.classify: {line}\n"
+            "PASS setting.block-dimensions: sum 4, space 4\n"
+            f"PASS setting.sample-structure[{family}(4)]: residual 0.00e+00\n")
+
+    def test_json_pinned(self, tmp_path, capsys):
+        spec = trivial_spec(dim=4)
+        spec["time_reversal"] = {"matrix": pairs(_symplectic(2))}
+        path = write_spec(tmp_path, spec)
+        assert main(["classify", path, "--tenfold", "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"blocks": [{"class": "DIII", "d": 1, "dims": [4], '
+            '"eps_alpha": null, "eps_beta": null, "eps_t": -1, '
+            '"lambda": [0], "m": 4, "space": "SO_8/U_4"}], "dim": 8, '
+            '"mode": "tenfold", "seed": 0}\n')
+
+
+class TestSpecTolerance:
+    """A spec's ``tolerance`` reaches T, the group closure and transfer_T."""
+
+    @staticmethod
+    def _noisy_trivial(tolerance):
+        noise = np.random.default_rng(5).standard_normal((4, 4))
+        spec = trivial_spec(dim=4, time_reversal={
+            "matrix": pairs(np.eye(4) + 1e-5 * noise)})
+        if tolerance is not None:
+            spec["tolerance"] = tolerance
+        return spec
+
+    @staticmethod
+    def _noisy_q8(tolerance):
+        rng = np.random.default_rng(6)
+        sx = np.array([[0, 1], [1, 0]])
+        sz = np.diag([1, -1])
+        sy = np.array([[0, -1j], [1j, 0]])
+        gens = [np.kron(np.eye(2), 1j * s) + 1e-6 * rng.standard_normal((4, 4))
+                for s in (sx, sz)]
+        spec = trivial_spec(dim=4, time_reversal={
+            "matrix": pairs(np.kron(np.eye(2), 1j * sy))})
+        spec["g0"] = {"mode": "finite-group",
+                      "generators": [pairs(g) for g in gens]}
+        if tolerance is not None:
+            spec["tolerance"] = tolerance
+        return spec
+
+    @pytest.mark.parametrize("build, flags, line", [
+        ("_noisy_trivial", [], "lambda=0 d=1 m=4 class=AI space=U_4/O_4"),
+        ("_noisy_q8", [], "lambda=0 d=2 m=2 class=AI space=U_2/O_2"),
+        ("_noisy_q8", ["--tenfold"],
+         "lambda=0 d=2 m=2 class=CI space=USp_4/U_2"),
+    ])
+    def test_loose_tolerance_classifies(self, tmp_path, capsys, build, flags,
+                                        line):
+        path = write_spec(tmp_path, getattr(self, build)(1e-4))
+        assert main(["classify", path] + flags) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+    @pytest.mark.parametrize("build, field", [
+        ("_noisy_trivial", "time_reversal.matrix"),
+        ("_noisy_q8", "g0.generators[0]"),
+    ])
+    def test_default_tolerance_rejects(self, tmp_path, capsys, build, field):
+        path = write_spec(tmp_path, getattr(self, build)(None))
+        assert main(["classify", path]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {field}: must be unitary\n"
+
+    @pytest.mark.parametrize("tolerance, code", [(None, 3), (1e-2, 0)])
+    def test_lie_image_off_the_span(self, tmp_path, capsys, tolerance,
+                                    code):
+        # X = iA - eps B with A real symmetric, B real skew: T = complex
+        # conjugation maps X to -iA - eps B, at distance 2 eps |B| (to
+        # first order) from the real span of X, here 1e-3
+        a = np.diag([1.0, 2.0, 3.0])
+        b = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        x = 1j * a - 5e-4 / np.sqrt(2.0) * b
+        spec = trivial_spec(dim=3, time_reversal={"matrix": pairs(np.eye(3))})
+        spec["g0"] = {"mode": "lie-algebra", "generators": [pairs(x)]}
+        if tolerance is not None:
+            spec["tolerance"] = tolerance
+        path = write_spec(tmp_path, spec)
+        assert main(["classify", path]) == code
+        if code == 3:
+            assert capsys.readouterr().err == (
+                "symmetry-consistency error: time reversal does not "
+                "normalize the symmetry algebra\n")
+
+
+class TestCommutantCap:
+    def test_oversized_commutant_exits_two(self, tmp_path, capsys):
+        # one reflection on C^100 leaves 99^2 + 1 commutant unknowns
+        spec = trivial_spec(dim=100)
+        spec["g0"] = {"mode": "finite-group",
+                      "generators": [pairs(np.diag([1.0] * 99 + [-1.0]))]}
+        path = write_spec(tmp_path, spec)
+        assert main(["classify", path]) == 2
+        assert "above the limit of 1073741824 bytes" in \
+            capsys.readouterr().err

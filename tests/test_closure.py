@@ -19,7 +19,8 @@ import oracles
 from test_family_table import CASES, _two_dims
 from tenfold.classifier import FAMILIES, label
 from tenfold.errors import InputShapeError
-from tenfold.symspace import closure_check, off_span, tangent_split
+from tenfold.linalg import off_span
+from tenfold.symspace import closure_check, tangent_split
 
 TOL = 1e-9
 ROUNDOFF = 1e-13

@@ -1,0 +1,73 @@
+"""Every function, method and class in src/tenfold has a caller.
+
+A definition counts as used when its name appears as an ``ast.Name``,
+an ``ast.Attribute`` or an imported name somewhere in src/tenfold
+(outside its own definition and the package ``__init__.py``), in
+perfbench/*.py or in tests/test_acceptance.py.  Names are matched
+without regard to the module or class that defines them, so the scan
+can miss dead code whose name is also used elsewhere, but it never
+flags a live definition.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tenfold"
+
+# Public names kept without a caller in the scanned files, with why.
+ALLOWED = {
+    "ensembles.spacing_ratios": "documented single-spectrum form of "
+                                "pooled_spacing_ratios",
+}
+
+
+def _used_names(tree):
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rpartition(".")[2]] += 1
+    return names
+
+
+def _definitions(tree):
+    """(qualified name, node) of every function, method and class."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                found.append((prefix + child.name, child))
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def test_no_definition_without_a_caller():
+    sources = [p for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"]
+    scanned = sources + sorted((ROOT / "perfbench").glob("*.py")) + \
+        [ROOT / "tests" / "test_acceptance.py"]
+    used = Counter()
+    for path in scanned:
+        used.update(_used_names(ast.parse(path.read_text())))
+
+    unused = []
+    for path in sources:
+        for qualname, node in _definitions(ast.parse(path.read_text())):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if used[name] - _used_names(node)[name] > 0:
+                continue
+            unused.append(f"{path.stem}.{qualname}")
+    assert sorted(unused) == sorted(ALLOWED)

@@ -1,19 +1,22 @@
 """Tests for group closure, commutants and isotypic decomposition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from tenfold import linalg
-from tenfold.errors import (GroupTooLargeError, InputShapeError,
+from tenfold.errors import (DegenerateDecompositionError,
+                            GroupTooLargeError, InputShapeError,
                             UnsupportedModeError)
 from tenfold.grouprep import (MODE_FINITE, PAULI_X, PAULI_Y, PAULI_Z,
-                              GroupAction, _eigen_split, _hom_space,
+                              GroupAction, IsotypicBlock, _eigen_split,
                               _slice_hom, close_group, commutant_basis,
                               fs_indicator, isotypic_decompose,
                               lie_algebra_action, self_duality_type,
-                              spin_half_action, transfer_hermitian,
-                              trivial_action, u1_charge_action)
+                              spin_half_action, trivial_action,
+                              u1_charge_action)
 
 Z3_SHIFT = np.roll(np.eye(3), 1, axis=0).astype(complex)
 S3_CYCLE = Z3_SHIFT
@@ -37,6 +40,13 @@ class TestCloseGroup:
         group = close_group([], dim=3)
         assert len(group.elements) == 1
         assert group.dim == 3
+
+    def test_trivial_action_is_the_group_of_order_one(self):
+        action = trivial_action(4)
+        assert action.mode == MODE_FINITE and action.generators == ()
+        assert len(action.elements) == 1
+        assert np.array_equal(action.elements[0], np.eye(4))
+        assert action.is_trivial()
 
     def test_budget_enforced(self):
         theta = np.sqrt(2.0)
@@ -87,6 +97,22 @@ class TestCommutant:
         blocks = isotypic_decompose(group, rng)
         predicted = sum(b.multiplicity ** 2 for b in blocks)
         assert len(commutant_basis(group)) == predicted
+
+    def test_oversized_system_refused_before_allocating(self):
+        # diag(1, ..., 1, -1) on C^100 leaves 99^2 + 1 unknowns: 1.6e9
+        # bytes of constraints; the trivial group needs 100^4 entries
+        n = 100
+        flip = close_group([np.diag([1.0] * (n - 1) + [-1.0])])
+        trivial = trivial_action(n)
+        tracemalloc.start()
+        try:
+            for action in (flip, trivial):
+                with pytest.raises(InputShapeError, match="above the limit"):
+                    commutant_basis(action)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _spin(two_j):
@@ -260,10 +286,14 @@ class TestIsotypicDecompose:
             z = rng.complex_normal(g.shape)
             z = z - z.conj().T
             noisy.append(w @ g @ w.conj().T + 0.1 * tol * z / linalg.frob(z))
-        blocks = isotypic_decompose(lie_algebra_action(noisy, tol),
-                                    rng.child(1), tol)
+        action = lie_algebra_action(noisy, tol)
+        blocks = isotypic_decompose(action, rng.child(1), tol)
         assert sorted((b.irrep_dim, b.multiplicity) for b in blocks) == \
             [(1, 2), (2, 3), (3, 2)]
+        # half-integer spins are quaternionic, integer spins real
+        for b in blocks:
+            assert self_duality_type(action, b, tol) == \
+                (-1 if b.irrep_dim % 2 == 0 else 1)
 
     def test_block_kronecker_structure(self, rng):
         # generators act as identity (x) irrep in the factor basis
@@ -301,34 +331,6 @@ class TestIsotypicDecompose:
         assert got == expected
 
 
-class TestTransferHermitian:
-    def test_product_metric_gives_identity(self, rng):
-        blocks = isotypic_decompose(spin_half_action(8), rng)
-        gram = transfer_hermitian(blocks[0])
-        assert np.allclose(gram, np.eye(4), atol=1e-10)
-
-    def test_independent_of_r(self, rng):
-        group = close_group([np.kron(np.eye(2), 1j * PAULI_X),
-                             np.kron(np.eye(2), 1j * PAULI_Z)])
-        blocks = isotypic_decompose(group, rng)
-        b = blocks[0]
-        r1 = rng.complex_normal(b.irrep_dim)
-        r2 = rng.complex_normal(b.irrep_dim)
-        g1 = transfer_hermitian(b, r=r1)
-        g2 = transfer_hermitian(b, r=r2)
-        assert linalg.frob(g1 - g2) < 1e-10
-
-    def test_one_dimensional_r_restricts_ambient(self, rng):
-        blocks = isotypic_decompose(trivial_action(3), rng)
-        gram = transfer_hermitian(blocks[0])
-        assert np.allclose(gram, np.eye(3), atol=1e-12)
-
-    def test_zero_r_rejected(self, rng):
-        blocks = isotypic_decompose(trivial_action(2), rng)
-        with pytest.raises(InputShapeError):
-            transfer_hermitian(blocks[0], r=np.zeros(1))
-
-
 class TestFsIndicator:
     def test_trivial_irrep(self, rng):
         group = close_group([S3_CYCLE, S3_SWAP])
@@ -346,6 +348,11 @@ class TestFsIndicator:
         blocks = isotypic_decompose(group, rng)
         indicators = sorted(fs_indicator(group, b) for b in blocks)
         assert indicators == [0, 0, 1]
+
+    def test_trivial_group(self, rng):
+        action = trivial_action(3)
+        blocks = isotypic_decompose(action, rng)
+        assert fs_indicator(action, blocks[0]) == 1
 
     def test_unsupported_mode(self, rng):
         action = spin_half_action(4)
@@ -375,6 +382,61 @@ class TestFsIndicator:
             blocks = isotypic_decompose(group, rng)
             assert self_duality_type(group, blocks[0]) == \
                 fs_indicator(group, blocks[0])
+
+
+def _oracle_self_duality(action, block, tol):
+    """Self-duality type from the Kronecker solve of Hom_G(R, R*)."""
+    rep = [block.irrep_matrix(g) for g in action.generators]
+    hom = oracles.hom_space_oracle(rep, [g.conj() for g in rep], tol)
+    if not hom:
+        return 0
+    psi = hom[0]
+    return 1 if linalg.frob(psi - psi.T) <= tol * linalg.frob(psi) else -1
+
+
+class TestSelfDualityType:
+    """Self-duality read from the commutant of R + R*."""
+
+    @pytest.mark.parametrize("group_name", ["Z3", "S3", "D4", "Q8"])
+    def test_matches_hom_space_oracle_per_irrep(self, group_name, rng):
+        data = oracles.GROUPS[group_name]
+        for name, gens in data.irreps.items():
+            w = linalg.haar_unitary(2 * gens[0].shape[0], rng)
+            group = close_group([w @ np.kron(np.eye(2), g) @ w.conj().T
+                                 for g in gens])
+            (block,) = isotypic_decompose(group, rng)
+            assert self_duality_type(group, block) == \
+                _oracle_self_duality(group, block, linalg.TOL_INPUT) == \
+                oracles.fs_indicator_oracle(data, name)
+
+    @pytest.mark.parametrize("two_j", range(1, 31))
+    def test_su2_spin_ladder_alternates(self, two_j):
+        # spin j (x) C^2 in a random basis: quaternionic for half-integer
+        # j, real for integer j
+        d = two_j + 1
+        w = linalg.haar_unitary(2 * d, linalg.RngStream(two_j))
+        action = lie_algebra_action([w @ np.kron(np.eye(2), g) @ w.conj().T
+                                     for g in _spin(two_j)])
+        block = IsotypicBlock(label=0, irrep_dim=d, multiplicity=2,
+                              projector=np.eye(2 * d), factor_basis=w)
+        want = -1 if two_j % 2 else 1
+        assert self_duality_type(action, block) == want
+        if two_j <= 8:
+            assert _oracle_self_duality(action, block,
+                                        linalg.TOL_INPUT) == want
+
+    @pytest.mark.parametrize("charges", [(1.0, 2.0), (1.0, 1.0, 2.0)])
+    def test_reducible_sector_rejected(self, charges):
+        # U(1) characters passed off as one irreducible: the commutant of
+        # R + R* is 4-dimensional without a pairing block, or larger
+        d = len(charges)
+        action = lie_algebra_action([1j * np.diag(charges)])
+        block = IsotypicBlock(label=0, irrep_dim=d, multiplicity=1,
+                              projector=np.eye(d),
+                              factor_basis=np.eye(d, dtype=complex))
+        with pytest.raises(DegenerateDecompositionError,
+                           match="not irreducible"):
+            self_duality_type(action, block)
 
 
 class TestLieAlgebraMode:
@@ -433,7 +495,8 @@ class TestSliceIntertwiners:
             row = (evecs[:, lo:hi].conj().T @ comm) @ evecs
             for a, cols in enumerate(bounds):
                 got = len(_slice_hom(row, slice(*cols), cut))
-                assert got == len(_hom_space(reps[a], reps[b], tol))
+                assert got == len(oracles.hom_space_oracle(reps[a], reps[b],
+                                                           tol))
                 nonzero += got > 0
         assert nonzero > len(bounds)  # some pair of copies is isomorphic
 

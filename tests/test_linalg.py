@@ -125,7 +125,6 @@ class TestHaarOrthogonalSymplectic:
 class TestPredicates:
     def test_hermitian_and_symmetric(self):
         assert linalg.is_hermitian(SX)
-        assert linalg.is_symmetric(SX)
         assert not linalg.is_skew(SX)
         assert linalg.is_unitary(SX)
 
