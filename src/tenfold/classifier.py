@@ -169,6 +169,15 @@ def twist(lab, name, size=None):
     return None if name is None else _TWISTS[name](n, p, q)
 
 
+# The decision table of both classifiers: (G0 of the canonical setting,
+# eps_T of its exact T twist or None, twisted C present) -> family, where
+# ``spin-half`` stands for any G0 with a single quaternionic sector.
+SIGNATURE = {(g0, None if t is None else
+              parity(AntiUnitaryOp(_TWISTS[t](4, 2, 2), 0), 0),
+              fam.block == "chiral"): name
+             for name, fam in FAMILY.items() for g0, t in [fam.setting]}
+
+
 @dataclass(frozen=True)
 class CompatibleSpace:
     """Symmetric-space data of the compatible time evolutions."""
@@ -424,12 +433,13 @@ def classify_threefold(setting, rng=None):
     blocks = isotypic_decompose(setting.g0, rng, tol=setting.tolerance)
     by_label = {b.label: b for b in blocks}
     t = setting.time_reversal
+    unitary = SIGNATURE["u1", None, False]
     entries = []
     if t is None:
         for b in blocks:
             entries.append(BlockEntry((b.label,), b.irrep_dim,
                                       b.multiplicity,
-                                      label("A", b.multiplicity)))
+                                      label(unitary, b.multiplicity)))
         return ClassificationReport("threefold", setting.dim, tuple(entries))
 
     eps_t = parity(t, setting.tolerance)
@@ -437,7 +447,7 @@ def classify_threefold(setting, rng=None):
     for lam in pairing.fixed:
         b = by_label[lam]
         tt = transfer_T(b, t, setting.tolerance)
-        family = "AI" if tt.eps_alpha == 1 else "AII"
+        family = SIGNATURE["u1", tt.eps_alpha, False]
         entries.append(BlockEntry((lam,), b.irrep_dim, b.multiplicity,
                                   label(family, b.multiplicity),
                                   eps_t=eps_t, eps_alpha=tt.eps_alpha,
@@ -448,7 +458,8 @@ def classify_threefold(setting, rng=None):
             raise SymmetryConsistencyError("swapped sectors with unequal "
                                            "multiplicity")
         entries.append(BlockEntry((lam, mu), b.irrep_dim, b.multiplicity,
-                                  label("A", b.multiplicity), eps_t=eps_t))
+                                  label(unitary, b.multiplicity),
+                                  eps_t=eps_t))
     entries.sort(key=lambda e: e.sector_labels)
     return ClassificationReport("threefold", setting.dim, tuple(entries))
 
@@ -461,41 +472,32 @@ def _is_u1_charge(action, tol):
     """True when the action is generated by i times the identity."""
     if action.mode != MODE_LIE:
         return False
-    n = action.dim
-    eye = np.eye(n)
-    nontrivial = False
-    for x in action.generators:
-        z = np.trace(x) / n
-        if linalg.frob(x - z * eye) > tol * max(1.0, linalg.frob(x)):
-            return False
-        if abs(z.real) > tol:
-            return False
-        if abs(z) > tol:
-            nontrivial = True
-    return nontrivial
+    eye = np.eye(action.dim)
+    z = [np.trace(x) / action.dim for x in action.generators]
+    return all(linalg.frob(x - c * eye) <= tol * max(1.0, linalg.frob(x))
+               and abs(c.real) <= tol
+               for x, c in zip(action.generators, z)) and \
+        any(abs(c) > tol for c in z)
 
 
-def _diagnostics(trivial, u1, quaternionic, t, eps_t, has_c):
-    parts = [
-        f"G0 trivial: {trivial}",
-        f"G0 U(1) charge: {u1}",
-        f"G0 single quaternionic sector: {quaternionic}",
-        f"T present: {t is not None}" + (f" (eps_T = {eps_t:+d})"
-                                         if t is not None else ""),
-        f"charge conjugation present: {has_c}",
-    ]
-    return "; ".join(parts)
+def _unsupported(head, trivial, u1, quaternionic, eps_t, has_c):
+    """The exit-4 error: ``head`` and the patterns that were found."""
+    t = "False" if eps_t is None else f"True (eps_T = {eps_t:+d})"
+    return UnsupportedConfigurationError(
+        f"{head}; G0 trivial: {trivial}; G0 U(1) charge: {u1}; G0 single "
+        f"quaternionic sector: {quaternionic}; T present: {t}; charge "
+        f"conjugation present: {has_c}")
 
 
 def classify_tenfold(setting, rng=None):
     """Tenfold classification of a (promoted) Nambu-space setting.
 
-    Supported configurations after G0 reduction: no symmetries (D),
-    T with negative parity (DIII), a single quaternionic G0 sector
-    (C, or CI with T), and a conserved U(1) charge with twisted
-    particle-hole conjugation (AIII, or BDI / CII with T).  A conserved
-    charge without particle-hole conjugation falls back to the Dyson
-    classification.  Anything else raises
+    G0 is recognized as trivial, a U(1) charge or a single quaternionic
+    sector; with the parity of T and the presence of twisted
+    particle-hole conjugation that names a canonical setting, and
+    ``SIGNATURE`` its family: D, DIII, C, CI, AIII, BDI or CII.  A
+    conserved charge without particle-hole conjugation falls back to the
+    Dyson classification.  Anything else raises
     ``UnsupportedConfigurationError`` with a pattern diagnostic.
     """
     rng = linalg.RngStream(0) if rng is None else rng
@@ -503,10 +505,7 @@ def classify_tenfold(setting, rng=None):
     if base is None:
         raise InputShapeError("nambu setting lacks its originating "
                               "hilbert setting")
-    tol = base.tolerance
-    n = base.dim
-    g0 = base.g0
-    t = base.time_reversal
+    tol, n, g0, t = base.tolerance, base.dim, base.g0, base.time_reversal
     has_c = base.particle_hole is not None
 
     trivial = g0.is_trivial(tol)
@@ -514,66 +513,42 @@ def classify_tenfold(setting, rng=None):
     eps_t = parity(t, tol) if t is not None else None
 
     quaternionic = False
-    block = None
     if not trivial and not u1:
         blocks = isotypic_decompose(g0, rng, tol=tol)
-        if len(blocks) == 1:
-            block = blocks[0]
-            quaternionic = self_duality_type(g0, block, tol) == -1
+        block = blocks[0]
+        quaternionic = (len(blocks) == 1 and
+                        self_duality_type(g0, block, tol) == -1)
 
     if u1 and not has_c:
         fallback = classify_threefold(replace(base, particle_hole=None), rng)
         return ClassificationReport("tenfold", 2 * n, fallback.entries)
 
-    if trivial and not has_c:
-        if t is None:
-            entry = BlockEntry((0,), 1, n, label("D", n))
-        elif eps_t == -1:
-            entry = BlockEntry((0,), 1, n, label("DIII", n), eps_t=eps_t)
-        else:
-            raise UnsupportedConfigurationError(
-                "trivial G0 with positive-parity T is outside the decision "
-                "table; " + _diagnostics(trivial, u1, quaternionic, t,
-                                         eps_t, has_c))
-        return ClassificationReport("tenfold", 2 * n, (entry,))
+    g0_name = ("trivial" if trivial else "u1" if u1 else
+               "spin-half" if quaternionic else None)
+    found = (trivial, u1, quaternionic, eps_t, has_c)
+    family = SIGNATURE.get((g0_name, eps_t, has_c))
+    if family is None:
+        what = {"trivial": "trivial G0",
+                "spin-half": "quaternionic sector"}.get(g0_name)
+        raise _unsupported(
+            f"{what} with positive-parity T is outside the decision table"
+            if what and eps_t == 1 and not has_c else
+            "unrecognized symmetry configuration", *found)
 
-    if quaternionic and not has_c:
-        m = block.multiplicity
-        if t is None:
-            entry = BlockEntry((0,), block.irrep_dim, m, label("C", m))
-        elif eps_t == -1:
-            tt = transfer_T(block, t, tol)
-            if tt.eps_alpha != 1:
-                raise UnsupportedConfigurationError(
-                    "quaternionic sector with eps_alpha = -1 is outside the "
-                    "decision table; " + _diagnostics(
-                        trivial, u1, quaternionic, t, eps_t, has_c))
-            entry = BlockEntry((0,), block.irrep_dim, m, label("CI", m),
-                               eps_t=eps_t, eps_alpha=tt.eps_alpha,
-                               eps_beta=tt.eps_beta)
-        else:
-            raise UnsupportedConfigurationError(
-                "quaternionic sector with positive-parity T is outside the "
-                "decision table; " + _diagnostics(trivial, u1, quaternionic,
-                                                  t, eps_t, has_c))
-        return ClassificationReport("tenfold", 2 * n, (entry,))
-
-    if u1 and has_c:
+    d, m = (block.irrep_dim, block.multiplicity) if quaternionic else (1, n)
+    if has_c:
         s = np.asarray(base.particle_hole, dtype=complex)
-        eigs = np.linalg.eigvalsh(0.5 * (s + s.conj().T))
-        p = int(np.sum(eigs > 0))
-        q = n - p
-        if t is None:
-            entry = BlockEntry((0,), 1, n, label("AIII", p, q))
-        elif eps_t == 1:
-            entry = BlockEntry((0,), 1, n, label("BDI", p, q), eps_t=eps_t)
-        else:
-            entry = BlockEntry((0,), 1, n, label("CII", p, q), eps_t=eps_t)
-        return ClassificationReport("tenfold", 2 * n, (entry,))
-
-    raise UnsupportedConfigurationError(
-        "unrecognized symmetry configuration; " +
-        _diagnostics(trivial, u1, quaternionic, t, eps_t, has_c))
+        p = int(np.sum(np.linalg.eigvalsh(0.5 * (s + s.conj().T)) > 0))
+    dims = (p, n - p) if has_c else (m,)
+    eps = {}
+    if quaternionic and t is not None:
+        tt = transfer_T(block, t, tol)
+        if tt.eps_alpha != 1:
+            raise _unsupported("quaternionic sector with eps_alpha = -1 is "
+                               "outside the decision table", *found)
+        eps = {"eps_alpha": tt.eps_alpha, "eps_beta": tt.eps_beta}
+    entry = BlockEntry((0,), d, m, label(family, *dims), eps_t=eps_t, **eps)
+    return ClassificationReport("tenfold", 2 * n, (entry,))
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,14 @@ blocks that fermion parity and particle number leave.  A quadratic H is
 parity-even and every Majorana parity-odd, so exp(-iH) splits into two
 2^(N-1) blocks, one on each half-spinor module of Spin(2N) (Lawson and
 Michelsohn, Spin Geometry, ch. I), and U c_i U^dag into the two blocks
-between them.  ``covering_check`` exponentiates each block through its
-eigendecomposition and forms only those off-parity blocks, two
-2^(N-1)-sized products per Majorana: a quarter of the flops of the
-dense conjugation, and half its memory.  Lift(S) keeps the particle
-number and C maps n particles to N - n, so
-``twisted_ph_transfer_check`` works on the C(N, n)-sized sector blocks
-of both, O(N sum_n C(N, n)^3) flops in place of N + 1 dense products.
+between them, each the adjoint of the other.  ``covering_check``
+exponentiates each parity block through its eigendecomposition and
+forms only the even-to-odd one, one 2^(N-1)-sized product per Majorana:
+an eighth of the flops of the dense conjugation, a quarter of its
+memory.  Lift(S) keeps the particle number and C maps n particles to
+N - n, so ``twisted_ph_transfer_check`` works on the C(N, n)-sized
+sector blocks of both, O(N sum_n C(N, n)^3) flops in place of N + 1
+dense products.
 """
 
 from dataclasses import dataclass
@@ -39,9 +40,9 @@ from .errors import InputShapeError, NotQuadraticError
 
 MAX_MODES = 14
 # A 2^N x 2^N complex array takes 64 MB at N = 11 and 256 MB at N = 12.
-# With one BLAS thread, fock-verify --modes 10 takes 4.6 s and peaks at
-# 147 MB resident, --modes 11 30 s and 466 MB, so N = 12 would need
-# about 1.5 GB and 3 minutes.
+# With one BLAS thread on a 2-vCPU host, fock-verify --modes 10 takes
+# 9.5 s and peaks at 151 MB resident, --modes 11 73 s and 477 MB, so
+# N = 12 would need about 1.5 GB and 9 minutes.
 MAX_DENSE_MODES = 11
 # covering_check forms the images of the Majoranas of as many modes at
 # once as fit in this many entries (1 MB), and of at least one mode;
@@ -342,10 +343,10 @@ def covering_check(fock, h_fock, w, z, tol=1e-9):
     NotQuadraticError).  Then U = U_e + U_o on the even and odd states,
     each block exp(-i H) of size 2^(N-1), and every Majorana maps one
     parity to the other, so U c_i U^{-1} has only the two blocks
-    U_e c_i U_o^{-1} and U_o c_i U_e^{-1}.  Only those are formed, for
-    both Majoranas of several modes in one batched product, and M and
-    the span residual ||U c_i U^{-1} - sum_j M_ji c_j|| are read from
-    them.
+    X = U_e c_i U_o^{-1} and U_o c_i U_e^{-1} = X^dag.  Only X is
+    formed, for both Majoranas of several modes in one batched product:
+    M_ji = 2 Re tr(c_j X) / 2^N is real, and the span residual
+    ||U c_i U^{-1} - sum_j M_ji c_j|| is sqrt(2) times X's.
     """
     _require_dense(fock)
     h_fock = np.asarray(h_fock, dtype=complex)
@@ -357,65 +358,57 @@ def covering_check(fock, h_fock, w, z, tol=1e-9):
     if mixing > tol * max(1.0, linalg.frob(h_fock)):
         raise NotQuadraticError("H mixes even and odd fermion parity "
                                 f"(residual {mixing:.3e})")
-    u = [_exp_i(h_fock[idx[:, None], idx]) for idx in states]
+    u_even = _exp_i(h_fock[even[:, None], even])
+    u_odd = _exp_i(h_fock[odd[:, None], odd])
     n = fock.n_modes
     c_ops = majorana_basis(fock)
     masks = np.array([c.mask for c in c_ops[::2]])
-    signs = np.array([c.sign for c in c_ops]).reshape(n, 2, fock.dim)
-    # c_2k and c_2k+1 share the mask 2^k: on row r of parity p they hold
-    # row_signs[p][k, :, r] in column partners[p][k, r] of parity 1 - p
+    # c_2k and c_2k+1 share the mask 2^k: on even row r they hold
+    # signs[k, :, r] in column partners[k, r] of the odd states
+    signs = np.array([c.sign for c in c_ops]).reshape(n, 2, -1)[..., even]
+    partners = pos[even ^ masks[:, None]]
     half = len(even)
     rows = np.arange(half)
-    partners = [pos[idx ^ masks[:, None]] for idx in states]
-    row_signs = [signs[..., idx] for idx in states]
-    conj_signs = [sign.conj() for sign in row_signs]
     # the images of the Majoranas of ``per`` modes at a time, in two
     # buffers reused by every batch and by -U: at N = 7, fresh arrays
     # per batch took longer to fault in than the products took
-    per = min(n, max(1, _BATCH_ENTRIES // (4 * half * half)))
-    images = np.empty((2, per, 2, half, half), dtype=complex)
-    factors = np.empty((per, 2, half, half), dtype=complex)
+    per = min(n, max(1, _BATCH_ENTRIES // (2 * half * half)))
+    images = np.empty((per, 2, half, half), dtype=complex)
+    factors = np.empty_like(images)
 
-    def rotation_of(blocks):
-        adjoints = [np.ascontiguousarray(block.conj().T) for block in blocks]
-        m = np.zeros((2 * n, 2 * n), dtype=complex)
+    def rotation_of(u_e, u_o):
+        u_o_adj = np.ascontiguousarray(u_o.conj().T)
+        m = np.zeros((2 * n, 2 * n))
         residual = 0.0
         for k in range(0, n, per):
             ks, count = slice(k, k + per), min(per, n - k)
-            image = images[:, :count]
-            for p in (0, 1):
-                # U c U^dag on rows p: c U^dag gathers rows of U_(1-p)^dag
-                np.multiply(adjoints[1 - p][partners[p][ks]][:, None],
-                            row_signs[p][ks, :, :, None], out=factors[:count])
-                np.matmul(blocks[p], factors[:count], out=image[p])
-            # M_ji = tr(c_j image) / 2^N, gathered for all j at once
-            on_span = [image[p][:, :, rows, partners[p]] for p in (0, 1)]
-            coeff = (np.einsum("kajr,jbr->kajb", on_span[0], conj_signs[0]) +
-                     np.einsum("kajr,jbr->kajb", on_span[1], conj_signs[1])
-                     ) / fock.dim
+            image = images[:count]
+            # U_e c U_o^dag: c U_o^dag gathers signed rows of U_o^dag
+            np.multiply(u_o_adj[partners[ks]][:, None],
+                        signs[ks, :, :, None], out=factors[:count])
+            np.matmul(u_e, factors[:count], out=image)
+            # M_ji = 2 Re tr(c_j^oe image) / 2^N, gathered for all j
+            on_span = image[:, :, rows, partners]
+            coeff = 2 * np.einsum("kajr,jbr->kajb", on_span,
+                                  signs.conj()).real / fock.dim
             m[:, 2 * k:2 * (k + count)] = coeff.reshape(-1, 2 * n).T
-            for p in (0, 1):
-                image[p][:, :, rows, partners[p]] = on_span[p] - np.einsum(
-                    "kajb,jbr->kajr", coeff, row_signs[p])
-            # squared norms summed over both parities without a temporary
+            image[:, :, rows, partners] = on_span - np.einsum(
+                "kajb,jbr->kajr", coeff, signs)
+            # the odd-to-even block is the adjoint: twice the squared norm
             parts = image.view(float)
-            residual = max(residual, np.sqrt(np.einsum(
-                "pkaij,pkaij->ka", parts, parts)).max())
+            residual = max(residual, np.sqrt(2 * np.einsum(
+                "kaij,kaij->ka", parts, parts)).max())
         return m, residual
 
-    m, span_residual = rotation_of(u)
+    m, span_residual = rotation_of(u_even, u_odd)
     if span_residual > tol * max(1.0, linalg.frob(m)):
         raise NotQuadraticError("conjugated Majorana operators leave the "
                                 f"Majorana span (residual {span_residual:.3e})")
-    if linalg.frob(m.imag) > tol:
-        raise NotQuadraticError("induced rotation is not real")
-    m = m.real
-    n2 = m.shape[0]
-    orth = linalg.frob(m.T @ m - np.eye(n2))
+    orth = linalg.frob(m.T @ m - np.eye(2 * n))
     det = float(np.linalg.det(m))
     gen = nambu_generator(w, z)
     gen_residual = linalg.frob(m - _exp_i(1j * gen).real)
-    m_neg = rotation_of([-block for block in u])[0].real
+    m_neg = rotation_of(-u_even, -u_odd)[0]
     return CoveringRecord(rotation=m, span_residual=span_residual,
                           orthogonality_residual=orth, determinant=det,
                           generator_residual=gen_residual,

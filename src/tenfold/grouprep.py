@@ -155,7 +155,8 @@ def close_group(generators, max_order=MAX_ORDER, tol_dedup=linalg.TOL_DEDUP,
     at Frobenius distance ``tol_dedup`` and the identity is always
     included (an empty generator list with explicit ``dim`` gives the
     order-1 group).  Raises ``GroupTooLargeError`` when the closure
-    exceeds ``max_order`` elements.
+    exceeds ``max_order`` elements, or as many as fit in
+    ``linalg.MAX_ARRAY_BYTES``, before it holds one more.
 
     Duplicate lookup goes through a sorted list of keys Re(u^H g v) for
     fixed unit vectors u, v.  Since |u^H (a - b) v| <= ||a - b||_F, only
@@ -181,6 +182,7 @@ def close_group(generators, max_order=MAX_ORDER, tol_dedup=linalg.TOL_DEDUP,
     uh = u.conj()
     # The window is widened by 1e-12 to cover rounding in the keys.
     window = tol_dedup + 1e-12
+    held = min(max_order, linalg.MAX_ARRAY_BYTES // (16 * dim * dim))
 
     elements = []
     keys = []  # ascending
@@ -193,8 +195,12 @@ def close_group(generators, max_order=MAX_ORDER, tol_dedup=linalg.TOL_DEDUP,
         if any(linalg.frob(candidate - elements[by_key[p]]) <= tol_dedup
                for p in range(lo, hi)):
             return False
-        if len(elements) >= max_order:
-            raise GroupTooLargeError(f"closure exceeded {max_order} elements")
+        if len(elements) >= held:
+            raise GroupTooLargeError(
+                f"closure exceeded {held} elements" + (
+                    "" if held == max_order else
+                    f" of size {dim} x {dim}, the most that fit in "
+                    f"{linalg.MAX_ARRAY_BYTES} bytes"))
         pos = bisect.bisect_left(keys, key)
         keys.insert(pos, key)
         by_key.insert(pos, len(elements))
@@ -224,11 +230,12 @@ def commutant_basis(action, tol=None):
     Every commutant element commutes with the Hermitian algebra element
     h = sum_k c_k g_k + h.c. (fixed generic c_k), so it is block-diagonal
     in h's eigenbasis.  The generators are rotated into that basis and
-    the commutation constraints are solved, by a thin SVD, for the
-    block-diagonal entries only: with eigenspace dimensions m_i the
-    unknowns drop from n^2 to sum m_i^2, and the cost from O(k n^6) to
-    O(k n^2 (sum m_i^2)^2 + k n^3).  A non-generic h only merges
-    eigenspaces, which is slower but still exact.
+    the commutation constraints are solved, by a QR factorization and
+    the SVD of its R factor, for the block-diagonal entries only: with
+    eigenspace dimensions m_i the unknowns drop from n^2 to sum m_i^2,
+    and the cost from O(k n^6) to O(k n^2 (sum m_i^2)^2 + k n^3).  A
+    non-generic h only merges eigenspaces, which is slower but still
+    exact.
 
     A k n^2 x (sum m_i^2) constraint system (n^4 entries without
     generators) above ``linalg.MAX_ARRAY_BYTES`` raises
@@ -258,7 +265,11 @@ def commutant_basis(action, tol=None):
         a[k, :, cols, unknown] = gq[:, rows].T
         a[k, rows, :, unknown] -= gq[cols, :]
     scale = max(1.0, max(linalg.frob(g) for g in gens))
-    _, s, vh = np.linalg.svd(a.reshape(-1, m), full_matrices=False)
+    # the null space of its R factor; the thin SVD of the tall system
+    # would also build its left factor, which nothing reads
+    r = np.linalg.qr(a.reshape(-1, m), mode="r")
+    del a
+    _, s, vh = np.linalg.svd(r, full_matrices=False)
     null = vh[s <= tol * scale].conj()
     blocks = np.zeros((len(null), n, n), dtype=complex)
     blocks[:, rows, cols] = null

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from tenfold import linalg
 from tenfold.cli import build_parser, main
 from tenfold.specfile import matrix_to_pairs
 
@@ -544,3 +545,61 @@ class TestCommutantCap:
         assert main(["classify", path]) == 2
         assert "above the limit of 1073741824 bytes" in \
             capsys.readouterr().err
+
+
+class TestClosureCap:
+    def test_oversized_closure_exits_two(self, tmp_path, capsys,
+                                         monkeypatch):
+        spec = trivial_spec(dim=64)
+        spec["g0"] = {"mode": "finite-group", "generators": [pairs(
+            np.diag(np.exp(2j * np.pi * np.arange(64) / 1000)))]}
+        path = write_spec(tmp_path, spec)
+        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 1 << 20)
+        assert main(["classify", path]) == 2
+        assert capsys.readouterr().err == (
+            "input error: closure exceeded 16 elements of size 64 x 64, the "
+            "most that fit in 1048576 bytes\n")
+
+
+_J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _unsupported(head, trivial, quaternionic, t, c):
+    return (f"unsupported configuration: {head}; G0 trivial: {trivial}; "
+            "G0 U(1) charge: False; G0 single quaternionic sector: "
+            f"{quaternionic}; T present: {t}; charge conjugation present: "
+            f"{c}\n")
+
+
+_OUTSIDE = "is outside the decision table"
+_UNRECOGNIZED = "unrecognized symmetry configuration"
+
+
+class TestUnsupportedTenfoldBranches:
+    """Every way out of the tenfold decision table, its stderr pinned."""
+
+    @pytest.mark.parametrize("g0, t, s, err", [
+        ({"mode": "spin-half"}, np.kron(_J2, _J2), None, _unsupported(
+            f"quaternionic sector with positive-parity T {_OUTSIDE}",
+            False, True, "True (eps_T = +1)", False)),
+        ({"mode": "none"}, None, np.diag([1.0, -1.0, -1.0, -1.0]),
+         _unsupported(_UNRECOGNIZED, True, False, False, True)),
+        ({"mode": "finite-group", "generators": [
+            pairs(np.kron([[0, -1], [1, 0]], np.eye(2))),
+            pairs(np.kron(np.diag([1, -1]), np.eye(2)))]}, None, None,
+         _unsupported(_UNRECOGNIZED, False, False, False, False)),
+        ({"mode": "none"}, np.eye(4), None, _unsupported(
+            f"trivial G0 with positive-parity T {_OUTSIDE}",
+            True, False, "True (eps_T = +1)", False)),
+    ], ids=["spin-half-T-plus", "trivial-S", "real-D4-irrep-x2",
+            "trivial-T-identity"])
+    def test_exit_four(self, tmp_path, capsys, g0, t, s, err):
+        spec = trivial_spec(dim=4, g0=g0)
+        if t is not None:
+            spec["time_reversal"] = {"matrix": pairs(t)}
+        if s is not None:
+            spec["particle_hole"] = {"s_matrix": pairs(s)}
+        path = write_spec(tmp_path, spec)
+        assert main(["classify", path, "--tenfold"]) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)

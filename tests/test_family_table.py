@@ -9,9 +9,10 @@ import pytest
 from scipy.linalg import block_diag
 
 from tenfold import linalg
-from tenfold.classifier import (FAMILIES, FAMILY, canonical_setting,
-                                classify_tenfold, compatible_space, label,
-                                twist)
+from tenfold.antiunitary import parity
+from tenfold.classifier import (FAMILIES, FAMILY, SIGNATURE,
+                                canonical_setting, classify_tenfold,
+                                compatible_space, label, twist)
 from tenfold.ensembles import (EnsembleSpec, class_constraints,
                                max_constraint_residual, sample_gaussian)
 from tenfold.errors import InputShapeError
@@ -61,6 +62,22 @@ def test_canonical_setting_classifies_back(lab):
         return
     report = classify_tenfold(canonical_setting(lab), RngStream(3))
     assert [e.class_label for e in report.entries] == [lab]
+
+
+def test_signature_has_one_key_per_row():
+    assert len(SIGNATURE) == len(FAMILY) == 10
+    assert sorted(SIGNATURE.values()) == sorted(FAMILIES)
+
+
+def test_canonical_setting_reads_back_its_row(lab):
+    g0_name, t_name = FAMILY[lab.family].setting
+    if t_name == "J" and sum(lab.dims) % 2:
+        return  # no canonical setting (see above)
+    setting = canonical_setting(lab)
+    t = setting.time_reversal
+    key = (g0_name, None if t is None else parity(t),
+           setting.particle_hole is not None)
+    assert SIGNATURE[key] == lab.family
 
 
 def test_gaussian_sample_meets_the_constraints(lab):

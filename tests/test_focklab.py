@@ -373,6 +373,88 @@ class TestCoveringCheck:
         with pytest.raises(InputShapeError, match="Hermitian"):
             covering_check(fock, h, w, z)
 
+    def test_scaled_blocks_fail_the_residuals(self, monkeypatch, rng):
+        # s U for s != 1 is not unitary, but U c U^dag stays in the span:
+        # M = s^2 R is real by construction and shows only in its residuals
+        fock = build_fock(3)
+        w = sample_gaussian(EnsembleSpec(label("A", 3)), rng)
+        z = random_skew(3, rng)
+        h = lift_one_body(fock, w, z)
+        exact = focklab._exp_i
+        monkeypatch.setattr(focklab, "_exp_i", lambda x: 1.001 * exact(x))
+        record = covering_check(fock, h, w, z)
+        assert record.span_residual <= 1e-12
+        assert record.orthogonality_residual > 1e-3
+        assert record.generator_residual > 1e-3
+
+    def test_parity_dependent_phase_leaves_the_span(self, rng):
+        # a phase on the even states alone makes the even-to-odd block
+        # e^(i phi) X: its real part is cos(phi) M, the rest is off the span
+        fock = build_fock(3)
+        w = sample_gaussian(EnsembleSpec(label("A", 3)), rng)
+        z = random_skew(3, rng)
+        h = lift_one_body(fock, w, z) + \
+            0.3 * np.diag(fock.occupation % 2 == 0)
+        with pytest.raises(NotQuadraticError, match="Majorana span"):
+            covering_check(fock, h, w, z)
+
+
+def _majorana_plane_rotation(n, angle, rng):
+    """(W, Z) whose Majorana generator is ``angle`` times a rotation in
+    a Haar-random plane, solved by real least squares."""
+    o = linalg.haar_orthogonal(2 * n, rng)
+    target = angle * (np.outer(o[:, 1], o[:, 0]) - np.outer(o[:, 0], o[:, 1]))
+    basis = []
+    for k, l in itertools.product(range(n), repeat=2):
+        for c in (1.0, 1j):
+            unit = np.zeros((n, n), dtype=complex)
+            unit[k, l] = c
+            if k <= l and (k < l or c == 1.0):
+                basis.append((unit + unit.conj().T - np.diag(unit.diagonal()),
+                              np.zeros((n, n))))
+            if k < l:
+                basis.append((np.zeros((n, n)), unit - unit.T))
+    columns = np.array([nambu_generator(w, z).ravel() for w, z in basis]).T
+    x = np.linalg.lstsq(columns, target.ravel(), rcond=None)[0]
+    w = sum(c * b[0] for c, b in zip(x, basis))
+    z = sum(c * b[1] for c, b in zip(x, basis))
+    assert linalg.frob(nambu_generator(w, z) - target) <= 1e-12
+    return w, z
+
+
+class TestTwoToOneCovering:
+    """A 2 pi rotation of the Majorana span lifts to -1 on Fock space.
+
+    With the constant -tr W / 2 the quadratic Hamiltonian is the spin
+    generator (i/4) sum A_jk c_j c_k, so exp(-i(H - tr W / 2)) = -1
+    while its rotation is the identity.  Two mutants must fail: leaving
+    out the shift, and conjugating the pairing (Z for conj(Z), which
+    from N = 3 no phase change of the modes undoes; Z -> -Z is the
+    phase change a_k -> i a_k and passes).
+    """
+
+    @staticmethod
+    def lift_residual(fock, w, z, shift):
+        u = expm(-1j * (lift_one_body(fock, w, z) - shift * np.eye(fock.dim)))
+        return linalg.frob(u + np.eye(fock.dim))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_two_pi_rotation_lifts_to_minus_one(self, n, rng):
+        w, z = _majorana_plane_rotation(n, 2 * np.pi, rng)
+        assert n == 1 or linalg.frob(z) > 0.1
+        fock = build_fock(n)
+        shift = np.trace(w).real / 2
+        assert self.lift_residual(fock, w, z, shift) <= 1e-10
+        record = covering_check(fock, lift_one_body(fock, w, z), w, z)
+        assert linalg.frob(record.rotation - np.eye(2 * n)) <= 1e-10
+        # mutants
+        assert self.lift_residual(fock, w, z, 0.0) > 0.1
+        if n >= 3:
+            assert self.lift_residual(fock, w, z.conj(), shift) > 0.1
+            mutant = covering_check(fock, lift_one_body(fock, w, z.conj()),
+                                    w, z.conj())
+            assert linalg.frob(mutant.rotation - np.eye(2 * n)) > 0.1
+
 
 class TestTwistedTransfer:
     def test_identity_twist_single_mode(self):

@@ -59,6 +59,24 @@ class TestCloseGroup:
         with pytest.raises(InputShapeError):
             close_group([np.diag([1.0, 2.0]).astype(complex)])
 
+    def test_closure_refused_at_the_array_cap(self, monkeypatch):
+        # Z_1000 on C^64 would hold 1000 x 64 KB; the cap admits 16
+        cyclic = np.diag(np.exp(2j * np.pi * np.arange(64) / 1000))
+        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupTooLargeError) as err:
+                close_group([cyclic])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == ("closure exceeded 16 elements of size "
+                                  "64 x 64, the most that fit in 1048576 "
+                                  "bytes")
+        assert peak < 3 << 20
+        z16 = np.diag(np.exp(2j * np.pi * np.arange(64) / 16))
+        assert len(close_group([z16]).elements) == 16
+
 
 def _assert_group_axioms(group):
     els = group.elements
