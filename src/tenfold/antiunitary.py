@@ -20,7 +20,7 @@ from .errors import (InconsistentSymmetryError, InputShapeError,
                      NotInvolutiveError, NotPureTensorError)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AntiUnitaryOp:
     """Anti-unitary operator v -> u @ conj(v), with ``u`` unitary to
     ``tol``, the tolerance of its setting (default ``TOL_INPUT``)."""
@@ -113,7 +113,7 @@ def sector_action(op, blocks, tol=None):
     return SectorPairing(fixed=tuple(fixed), swapped=tuple(swapped))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferredT:
     """Pure-tensor factors of an anti-unitary restricted to a sector."""
 

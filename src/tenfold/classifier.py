@@ -250,9 +250,8 @@ def _check_conjugation_symmetry(action, conjugate, what, tol):
     """Conjugation must map the G0 action into itself."""
     if action.mode == MODE_FINITE:
         for g in action.generators:
-            image = conjugate(g)
-            if not any(linalg.frob(el - image) <= tol * action.dim
-                       for el in action.elements):
+            off = linalg.frob_each(action.elements - conjugate(g))
+            if off.min() > tol * action.dim:
                 raise SymmetryConsistencyError(
                     f"{what} does not normalize the symmetry group")
     else:
@@ -331,7 +330,7 @@ def build_nambu(setting):
         g0 = GroupAction(dim=2 * n, mode=MODE_FINITE,
                          generators=tuple(dual_sum(g)
                                           for g in act.generators),
-                         elements=tuple(dual_sum(g) for g in act.elements))
+                         elements=dual_sum(act.elements))
     else:
         g0 = GroupAction(dim=2 * n, mode=MODE_LIE,
                          generators=tuple(_induced_algebra(x)

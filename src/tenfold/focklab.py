@@ -244,6 +244,13 @@ def lift_one_body(fock, w, z, tol=None):
 
     ``w`` must be Hermitian and ``z`` skew-symmetric (the pairing term is
     only well defined up to its antisymmetric part).
+
+    The three terms of every mode pair (k, l) are signed permutations
+    with mask m_k ^ m_l, formed for all pairs at once by broadcasting.
+    Only (k, l) and (l, k) share a mask, so each entry of H is a sum
+    over one or two pairs, or over the k = l pairs on the diagonal;
+    these sums are taken from zero in the order of a loop over k, then
+    l, then the three terms, and equal that loop's bit for bit.
     """
     _require_dense(fock)
     tol = linalg.TOL_INPUT if tol is None else tol
@@ -256,13 +263,32 @@ def lift_one_body(fock, w, z, tol=None):
         raise InputShapeError("W must be Hermitian")
     if not linalg.is_skew(z, tol):
         raise InputShapeError("Z must be skew-symmetric")
+    rows = np.arange(fock.dim)
+    masks = np.array([op.mask for op in fock.create])
+    create = np.stack([op.sign for op in fock.create])
+    annihilate = np.stack([op.sign for op in fock.annihilate])
+    # [k, l, b]: row b of a_k^dag a_l and of a_k^dag a_l^dag sits in
+    # column b ^ m_k ^ m_l; the second factor's sign is read at b ^ m_k
+    src = (rows ^ masks[:, None])[:, None]
+    cols = src ^ masks[:, None]
+    modes = np.arange(n)[:, None]
+    hop = create[:, None] * annihilate[modes, src]
+    pair = create[:, None] * create[modes, src]
+    terms = (w[..., None] * hop, (0.5 * z)[..., None] * pair,
+             (0.5 * np.conj(z))[..., None] *
+             np.conj(np.take_along_axis(pair, cols, axis=2)))
     h = np.zeros((fock.dim, fock.dim), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            (fock.create[k] @ fock.annihilate[l]).add_to(h, w[k, l])
-            pair = fock.create[k] @ fock.create[l]
-            pair.add_to(h, 0.5 * z[k, l])
-            pair.adjoint().add_to(h, 0.5 * np.conj(z[k, l]))
+    k, l = np.triu_indices(n, 1)
+    off = np.zeros((len(k), fock.dim), dtype=complex)
+    for a, b in ((k, l), (l, k)):
+        for term in terms:
+            off += term[a, b]
+    h[rows, cols[k, l]] = off
+    diagonal = np.zeros(fock.dim, dtype=complex)
+    for a in range(n):
+        for term in terms:
+            diagonal += term[a, a]
+    h[rows, rows] = diagonal
     return h
 
 

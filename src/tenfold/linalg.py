@@ -120,7 +120,7 @@ class RngStream:
         return (re + 1j * im) / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianEigenSystem:
     """Ascending eigenvalues and orthonormal eigenvector columns."""
 
@@ -131,6 +131,14 @@ class HermitianEigenSystem:
 def frob(a):
     """Frobenius norm."""
     return float(np.linalg.norm(a))
+
+
+def frob_each(stack):
+    """Frobenius norm of each entry of a stack, such as the matrices of a
+    (count, n, n) array."""
+    flat = np.ascontiguousarray(stack, dtype=complex).reshape(len(stack), -1)
+    flat = flat.view(float)  # |z|^2 as the sum of two squared reals
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 def is_hermitian(a, tol=None):

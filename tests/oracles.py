@@ -474,6 +474,19 @@ def one_body_oracle(fock, w, z):
     return h
 
 
+def lift_one_body_loop(fock, w, z):
+    """Sum W a^dag a + (Z a^dag a^dag + h.c.)/2 by a loop over the mode
+    pairs, one scatter-add per signed-permutation term."""
+    h = np.zeros((fock.dim, fock.dim), dtype=complex)
+    for k in range(fock.n_modes):
+        for l in range(fock.n_modes):
+            (fock.create[k] @ fock.annihilate[l]).add_to(h, w[k, l])
+            pair = fock.create[k] @ fock.create[l]
+            pair.add_to(h, 0.5 * z[k, l])
+            pair.adjoint().add_to(h, 0.5 * np.conj(z[k, l]))
+    return h
+
+
 def covering_oracle(fock, h_fock):
     """Rotation M with U c_i U^dag = sum_j M_ji c_j for U = exp(-i H),
     the worst residual of U c_i U^dag off the Majorana span, and M for

@@ -276,6 +276,15 @@ class TestLiftOneBody:
         with pytest.raises(InputShapeError):
             lift_one_body(fock, np.eye(2), np.eye(2))
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_the_loop_over_mode_pairs(self, n):
+        rng = linalg.RngStream(300 + n)
+        fock = build_fock(n)
+        w = sample_gaussian(EnsembleSpec(label("A", n)), rng)
+        z = random_skew(n, rng)
+        assert np.array_equal(lift_one_body(fock, w, z),
+                              oracles.lift_one_body_loop(fock, w, z))
+
     def test_spectrum_half_filled_signed_sums(self, rng):
         # Fock spectrum = Tr(W)/2 + half the signed sums of the positive
         # Nambu eigenvalues

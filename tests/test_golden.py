@@ -3,8 +3,9 @@
 Pins stdout, stderr and exit code of ``classify`` (text, ``--json`` and
 ``--tenfold``) on a fixed set of spec files, four unsupported
 configurations among them, of ``sample --kind gaussian`` for all ten
-classes and of ``stats --poisson``, byte for byte, against
-``golden_outputs.txt``.  Outputs that rest on LAPACK rounding (circular
+classes, of ``stats --poisson`` and of ``classify`` (text and
+``--json``) on the permutation modules of S4, A5, S5 and S6 in a random
+basis, byte for byte, against ``golden_outputs.txt``.  Outputs that rest on LAPACK rounding (circular
 samples, eigenvalue statistics, residual digits) are left out.
 
 A change that alters one of these outputs on purpose regenerates the
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from tenfold import linalg
 from tenfold.cli import main
 from tenfold.specfile import matrix_to_pairs
 
@@ -74,6 +76,36 @@ SPECS = {
     "trivial-t1-4": _spec(4, t=np.eye(4)),
 }
 
+
+
+def _permutation_spec(k, cycles, mult, extra, t=None, seed=0):
+    """C^mult (x) C^k under the permutations ``cycles`` (images of
+    0..k-1), plus ``extra`` trivial lines, in a Haar-random basis W;
+    the unitary part t of T maps to W t W^t."""
+    n = mult * k + extra
+    gens = []
+    for images in cycles:
+        g = np.eye(n)
+        g[:mult * k, :mult * k] = np.kron(np.eye(mult), np.eye(k)[:, images])
+        gens.append(g)
+    w = linalg.haar_unitary(n, linalg.RngStream(seed))
+    return _spec(n, "finite-group", [w @ g @ w.conj().T for g in gens],
+                 t=None if t is None else w @ t @ w.T)
+
+
+# closures of order 24 to 720; the module is trivial + standard
+GROUP_SPECS = {
+    "s4-perm-6": _permutation_spec(4, [(1, 2, 3, 0), (1, 0, 2, 3)], 1, 2,
+                                   seed=41),
+    "a5-perm-t1-6": _permutation_spec(5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)],
+                                      1, 1, t=np.eye(6), seed=42),
+    "s5-perm-tj-10": _permutation_spec(5, [(1, 2, 3, 4, 0),
+                                           (1, 0, 2, 3, 4)], 2, 0,
+                                       t=np.kron(_J2, np.eye(5)), seed=43),
+    "s6-perm-6": _permutation_spec(6, [(1, 2, 3, 4, 5, 0),
+                                       (1, 0, 2, 3, 4, 5)], 1, 0, seed=44),
+}
+
 SAMPLE_DIMS = {"A": "3", "AI": "3", "AII": "4", "C": "2", "CI": "2",
                "D": "2", "DIII": "2", "AIII": "1,2", "BDI": "2,1",
                "CII": "2,2"}
@@ -84,6 +116,8 @@ COMMANDS += [["sample", "--class", family, "--dims", dims, "--kind",
               "gaussian", "--count", "2", "--seed", "5"]
              for family, dims in SAMPLE_DIMS.items()]
 COMMANDS.append(["stats", "--poisson", "8", "--count", "3"])
+COMMANDS += [["classify", f"{name}.json"] + flags
+             for name in GROUP_SPECS for flags in ([], ["--json"])]
 
 
 def run(argv, workdir):
@@ -98,7 +132,7 @@ def run(argv, workdir):
 
 
 def write_specs(workdir):
-    for name, data in SPECS.items():
+    for name, data in {**SPECS, **GROUP_SPECS}.items():
         (Path(workdir) / f"{name}.json").write_text(json.dumps(data))
 
 

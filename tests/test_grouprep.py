@@ -7,9 +7,11 @@ import pytest
 
 import oracles
 from tenfold import linalg
+from tenfold.antiunitary import AntiUnitaryOp, TransferredT
+from tenfold.classifier import hilbert_setting
 from tenfold.errors import (DegenerateDecompositionError,
                             GroupTooLargeError, InputShapeError,
-                            UnsupportedModeError)
+                            SymmetryConsistencyError, UnsupportedModeError)
 from tenfold.grouprep import (MODE_FINITE, PAULI_X, PAULI_Y, PAULI_Z,
                               GroupAction, IsotypicBlock, _eigen_split,
                               _slice_hom, close_group, commutant_basis,
@@ -76,6 +78,109 @@ class TestCloseGroup:
         assert peak < 3 << 20
         z16 = np.diag(np.exp(2j * np.pi * np.arange(64) / 16))
         assert len(close_group([z16]).elements) == 16
+
+
+# (k, images of 0..k-1 under a long cycle and under a short one)
+PERMUTATION_GROUPS = {
+    "S4": (4, (1, 2, 3, 0), (1, 0, 2, 3)),
+    "A5": (5, (1, 2, 3, 4, 0), (1, 2, 0, 3, 4)),
+    "S5": (5, (1, 2, 3, 4, 0), (1, 0, 2, 3, 4)),
+    "S6": (6, (1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)),
+}
+
+
+def _permutation_module(name, mult, extra, w=None):
+    """Generators on C^mult (x) C^k plus ``extra`` trivial lines, written
+    in the basis ``w``."""
+    k, *cycles = PERMUTATION_GROUPS[name]
+    n = mult * k + extra
+    w = np.eye(n) if w is None else w
+    gens = []
+    for images in cycles:
+        g = np.eye(n, dtype=complex)
+        g[:mult * k, :mult * k] = np.kron(np.eye(mult), np.eye(k)[:, images])
+        gens.append(w @ g @ w.conj().T)
+    return gens
+
+
+class TestLevelClosure:
+    """close_group against the linear-scan oracle and at its limits."""
+
+    @pytest.mark.parametrize("name, mult, extra", [
+        ("S4", 3, 0), ("A5", 2, 2), ("S5", 1, 1), ("S6", 1, 0)])
+    def test_permutation_modules_match_the_oracle(self, name, mult, extra):
+        n = mult * PERMUTATION_GROUPS[name][0] + extra
+        w = linalg.haar_unitary(n, linalg.RngStream(60 + n))
+        gens = _permutation_module(name, mult, extra, w)
+        expected = oracles.close_group_oracle(gens)
+        got = close_group(gens).elements
+        assert got.shape == (len(expected), n, n)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_near_duplicates_are_not_transitive(self):
+        # the first level holds g1, g2, g3 with g2 within tol of g1 and
+        # of g3, and g3 farther than tol from g1: g2 goes, g3 stays
+        tol = 0.1
+        phases = 2 * np.pi / 5 + np.array([0.0, 0.07, 0.14])
+        gens = [np.diag([np.exp(1j * p), 1.0]) for p in phases]
+        assert linalg.frob(gens[1] - gens[0]) <= tol
+        assert linalg.frob(gens[2] - gens[1]) <= tol
+        assert linalg.frob(gens[2] - gens[0]) > tol
+        expected = oracles.close_group_oracle(gens, tol_dedup=tol)
+        got = close_group(gens, tol_dedup=tol).elements
+        assert np.array_equal(got[1], gens[0])
+        assert np.array_equal(got[2], gens[2])
+        assert len(got) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_wide_level_refused_at_the_array_cap(self, monkeypatch):
+        # two generic unitaries of C^32 generate a free group, level j
+        # holds 2^j words, and the 1 MiB cap admits 64 elements of 16 KB:
+        # the sixth level, 64 candidates from 32, overflows.  Formed at
+        # once, its candidates would take the peak to 3 MiB.
+        rng = linalg.RngStream(8)
+        gens = [linalg.haar_unitary(32, rng) for _ in range(2)]
+        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupTooLargeError) as err:
+                close_group(gens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == ("closure exceeded 64 elements of size "
+                                  "32 x 32, the most that fit in 1048576 "
+                                  "bytes")
+        assert peak < 5 << 19
+
+    def test_time_reversal_must_normalize_s5(self):
+        w = linalg.haar_unitary(5, linalg.RngStream(9))
+        group = close_group(_permutation_module("S5", 1, 0, w))
+        assert len(group.elements) == 120
+        hilbert_setting(group, time_reversal=AntiUnitaryOp(w @ w.T))
+        # T = D K with D = diag(1, -1, 1, 1, 1) conjugates the 5-cycle to
+        # a signed permutation outside S5
+        flip = w @ np.diag([1.0, -1.0, 1.0, 1.0, 1.0]) @ w.T
+        with pytest.raises(SymmetryConsistencyError,
+                           match="does not normalize the symmetry group"):
+            hilbert_setting(group, time_reversal=AntiUnitaryOp(flip))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: close_group([PAULI_X]),
+    lambda: isotypic_decompose(close_group([PAULI_X]),
+                               linalg.RngStream(1))[0],
+    lambda: AntiUnitaryOp(np.eye(2)),
+    lambda: TransferredT(AntiUnitaryOp(np.eye(1)), AntiUnitaryOp(np.eye(2)),
+                         1, 1),
+    lambda: linalg.HermitianEigenSystem(np.zeros(2), np.eye(2)),
+], ids=["GroupAction", "IsotypicBlock", "AntiUnitaryOp", "TransferredT",
+        "HermitianEigenSystem"])
+def test_array_holding_records_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert {a: 1, b: 2}[a] == 1
 
 
 def _assert_group_axioms(group):

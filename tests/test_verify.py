@@ -3,6 +3,7 @@
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from tenfold import focklab, linalg, symspace, verify
 
@@ -39,6 +40,25 @@ def test_c2_sign_residual_sees_off_diagonal_entries():
     square = u @ np.conj(u)
     assert np.array_equal(np.diag(square), np.diag(c.u @ np.conj(c.u)))
     assert verify.c2_sign_residual(fock, SimpleNamespace(u=u)) >= 1e-3
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_c2_sign_residual_equals_the_dense_square(n):
+    fock = focklab.build_fock(n)
+    c = focklab.particle_hole(fock)
+    occ = fock.occupation
+    diag = np.diag((-1.0) ** (occ * (n - occ)))
+    assert verify.c2_sign_residual(fock, c) == \
+        linalg.frob(c.u @ np.conj(c.u) - diag)
+    # a sign flip breaks the law on two diagonal entries; a dense
+    # perturbation touches every entry
+    for u in (c.u * np.where(np.arange(fock.dim) == 0, -1.0, 1.0),
+              c.u + 1e-3 * linalg.haar_unitary(fock.dim,
+                                                linalg.RngStream(n))):
+        dense = linalg.frob(u @ np.conj(u) - diag)
+        assert dense > 1e-4
+        got = verify.c2_sign_residual(fock, SimpleNamespace(u=u))
+        assert abs(got - dense) <= 1e-12 * dense
 
 
 def test_fock_suite_at_one_mode_number():
