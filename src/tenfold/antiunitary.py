@@ -41,9 +41,6 @@ class AntiUnitaryOp:
     def dim(self):
         return self.u.shape[0]
 
-    def apply(self, v):
-        return self.u @ np.conj(v)
-
     def conjugate_linear(self, a):
         """Conjugation T a T^{-1} of a linear operator ``a``."""
         return self.u @ np.conj(a) @ self.u.conj().T

@@ -13,7 +13,7 @@ from commutant data and self-duality types, so any unitary change of
 basis of the input leaves the labels unchanged.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -305,14 +305,6 @@ def nambu_form(n):
     return q
 
 
-def _induced_algebra(x):
-    n = x.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = x
-    out[n:, n:] = -x.T
-    return out
-
-
 def build_nambu(setting):
     """Promote a Hilbert-space setting to Nambu space W = V + V*.
 
@@ -326,15 +318,11 @@ def build_nambu(setting):
         raise InputShapeError("build_nambu expects a hilbert-kind setting")
     n = setting.dim
     act = setting.g0
-    if act.mode == MODE_FINITE:
-        g0 = GroupAction(dim=2 * n, mode=MODE_FINITE,
-                         generators=tuple(dual_sum(g)
-                                          for g in act.generators),
-                         elements=dual_sum(act.elements))
-    else:
-        g0 = GroupAction(dim=2 * n, mode=MODE_LIE,
-                         generators=tuple(_induced_algebra(x)
-                                          for x in act.generators))
+    # an anti-Hermitian generator x acts on V* as conj(x) = -x^t
+    finite = act.mode == MODE_FINITE
+    g0 = GroupAction(dim=2 * n, mode=MODE_FINITE if finite else MODE_LIE,
+                     generators=tuple(dual_sum(g) for g in act.generators),
+                     elements=dual_sum(act.elements) if finite else None)
     tol = setting.tolerance
     t_w = None
     if setting.time_reversal is not None:
@@ -344,10 +332,7 @@ def build_nambu(setting):
         s = np.asarray(setting.particle_hole, dtype=complex)
         if linalg.frob(s @ s - np.eye(n)) > tol * n:
             raise InputShapeError("S must be an involution")
-        u = np.zeros((2 * n, 2 * n), dtype=complex)
-        u[:n, n:] = s
-        u[n:, :n] = np.conj(s)
-        c_w = AntiUnitaryOp(u, tol)
+        c_w = AntiUnitaryOp(dual_sum(s) @ nambu_form(n), tol)
     return SymmetrySetting(kind="nambu", dim=2 * n, g0=g0,
                            time_reversal=t_w,
                            particle_hole=setting.particle_hole,
@@ -519,7 +504,7 @@ def classify_tenfold(setting, rng=None):
                         self_duality_type(g0, block, tol) == -1)
 
     if u1 and not has_c:
-        fallback = classify_threefold(replace(base, particle_hole=None), rng)
+        fallback = classify_threefold(base, rng)
         return ClassificationReport("tenfold", 2 * n, fallback.entries)
 
     g0_name = ("trivial" if trivial else "u1" if u1 else

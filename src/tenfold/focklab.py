@@ -8,12 +8,13 @@ particle-hole conjugation, quadratic Hamiltonians and the two-to-one
 covering onto the orthogonal group of the Majorana span.
 
 a_k^dag, a_k, the Majoranas and C are signed permutations b -> b ^ mask
-(``SignedPerm``): a Fock space costs O(N 2^N) memory up to N = 14
-modes, and a product of two operators O(2^N) gathers.  What is dense by
-nature (a quadratic Hamiltonian, the lift of a general unitary, the
-matrix of C) is a 2^N x 2^N array, built only up to
-``MAX_DENSE_MODES``; above it those entry points raise InputShapeError
-before allocating.  Scaling is a non-goal, exactness is the point.
+(``SignedPerm``, C from ``conjugation``): a Fock space costs O(N 2^N)
+memory up to N = 14 modes, and a product of two operators O(2^N)
+gathers.  What is dense by nature (a quadratic Hamiltonian, the lift
+of a general unitary) and the matrix of C (``particle_hole``) are
+2^N x 2^N arrays, built only up to ``MAX_DENSE_MODES``; above it those
+entry points raise InputShapeError before allocating.  Scaling is a
+non-goal, exactness is the point.
 
 The two checks never multiply 2^N x 2^N matrices; they work on the
 blocks that fermion parity and particle number leave.  A quadratic H is
@@ -27,7 +28,7 @@ an eighth of the flops of the dense conjugation, a quarter of its
 memory.  Lift(S) keeps the particle number and C maps n particles to
 N - n, so ``twisted_ph_transfer_check`` works on the C(N, n)-sized
 sector blocks of both, O(N sum_n C(N, n)^3) flops in place of N + 1
-dense products.
+dense products, and reads C conj(Lift(S)) as signed rows of Lift(S).
 """
 
 from dataclasses import dataclass
@@ -40,9 +41,10 @@ from .errors import InputShapeError, NotQuadraticError
 
 MAX_MODES = 14
 # A 2^N x 2^N complex array takes 64 MB at N = 11 and 256 MB at N = 12.
-# With one BLAS thread on a 2-vCPU host, fock-verify --modes 10 takes
-# 9.5 s and peaks at 151 MB resident, --modes 11 73 s and 477 MB, so
-# N = 12 would need about 1.5 GB and 9 minutes.
+# fock-verify holds H, its exponentiated parity blocks and Lift(S)
+# dense.  With one BLAS thread on a 2-vCPU host, --modes 10 --trials 1
+# takes 2.1-2.6 s and peaks at 113 MB resident, --modes 11 16-20 s and
+# 328 MB, so N = 12 would need about 1.3 GB and 2 to 3 minutes.
 MAX_DENSE_MODES = 11
 # covering_check forms the images of the Majoranas of as many modes at
 # once as fit in this many entries (1 MB), and of at least one mode;
@@ -191,7 +193,7 @@ def _unfused_product(x, y):
     return out
 
 
-def _conjugation(fock):
+def conjugation(fock):
     """The unitary part of C as a signed permutation with mask Omega.
 
     Row S holds the sign of e_S ^ e_(S^c), as ``wedge`` computes it:
@@ -212,7 +214,7 @@ def particle_hole(fock):
     the all-ones bitstring.
     """
     _require_dense(fock)
-    return AntiUnitaryOp(_conjugation(fock).dense())
+    return AntiUnitaryOp(conjugation(fock).dense())
 
 
 def lift_unitary(fock, s):
@@ -478,7 +480,12 @@ def twisted_ph_transfer_check(fock, s, tol=1e-10):
     if linalg.frob(s @ s - np.eye(n_modes)) > linalg.TOL_INPUT * n_modes:
         raise InputShapeError("twist S must be an involution")
     s_fock = lift_unitary(fock, s)
-    u_ct = _conjugation(fock) @ np.conj(s_fock)  # a gather, no product
+    c_sign = conjugation(fock).sign
+
+    def c_tilde(rows, cols):
+        # entries of C-tilde = C conj(Lift(S)), never formed whole
+        return c_sign[rows] * np.conj(s_fock[rows ^ fock.top_index, cols])
+
     sectors, pos = _sectors(fock.occupation)
     # a_k^dag and a_k couple b and b ^ 2^k: conj(a_k^dag) has column b
     # at row b ^ 2^k, and a_k row b at column b ^ 2^k, which lies in the
@@ -495,10 +502,10 @@ def twisted_ph_transfer_check(fock, s, tol=1e-10):
         holes = sectors[n_modes - n]
         sign = -1.0 if (n_modes - n + 1) % 2 else 1.0
         # C-tilde a_k^dag, indexed (row, k, column)
-        lhs = u_ct[rows[:, None, None], cols ^ masks] * raise_signs[:, cols]
+        lhs = c_tilde(rows[:, None, None], cols ^ masks) * raise_signs[:, cols]
         # S a_k S^-1 C-tilde: a_k gathers rows of S^-1 C-tilde
         s_inv_u_ct = s_fock[holes[:, None], holes].conj().T @ \
-            u_ct[holes[:, None], cols]
+            c_tilde(holes[:, None], cols)
         gathered = s_inv_u_ct[upper[:, rows].T] * \
             lower_signs[:, rows].T[..., None]
         rhs = (s_fock[rows[:, None], rows] @

@@ -79,8 +79,6 @@ class GroupAction:
     def is_trivial(self, tol=None):
         """True when the action fixes every Hamiltonian (trivial group)."""
         tol = linalg.TOL_INPUT if tol is None else tol
-        if self.mode == MODE_SPIN_HALF:
-            return False
         if self.mode == MODE_FINITE:
             off = linalg.frob_each(self.elements - np.eye(self.dim))
             return bool(off.max() <= tol * self.dim)
@@ -421,9 +419,12 @@ def _eigen_split(action, comm, rng):
     clusters, and the singular-value cut that separates intertwiners
     from rounding in the commutant slices read by ``_slice_hom``.
     """
-    # Complex coefficients: the Hermitian part of a real span of the
-    # commutant basis can be degenerate (conjugate characters collide).
-    coeff = rng.complex_normal(len(comm))
+    # x projects a complex Gaussian r onto the commutant: the complex
+    # coefficients <C_k, r> (a real span can be degenerate: conjugate
+    # characters collide) are iid standard normal in every orthonormal
+    # basis, so x does not depend on the one the solver returned.
+    r = rng.complex_normal((action.dim,) * 2)
+    coeff = np.tensordot(comm, r.conj(), axes=2).conj()
     x = sum(c * b for c, b in zip(coeff, comm))
     x = 0.5 * (x + x.conj().T)
     evals, evecs = np.linalg.eigh(x)

@@ -268,30 +268,14 @@ def car_residual(fock):
 
 
 def c2_sign_residual(fock, c):
-    """||C^2 - diag((-1)^(n(N-n)))||_F, off-diagonal entries included.
+    """||C C-bar - diag((-1)^(n(N-n)))||_F for C a ``SignedPerm``.
 
-    C^2 = u conj(u) is summed over the pairs of nonzero entries u_ik,
-    u_kj: each nonzero (i, k) is paired with the run of row k's
-    nonzeros.  A signed permutation, as C is, has 2^N such pairs, one
-    per nonzero entry of C^2, so the sum is exact and replaces a dense
-    O(8^N) matmul.
+    C C-bar has mask c.mask ^ c.mask = 0, so it is diagonal by
+    construction and the residual is that of its sign vector.
     """
     occ = fock.occupation
-    expected = (-1.0) ** (occ * (fock.n_modes - occ))
-    dim = len(c.u)
-    rows, cols = np.nonzero(c.u)  # row-major
-    vals = c.u[rows, cols]
-    start = np.searchsorted(rows, np.arange(dim + 1))
-    count = np.diff(start)[cols]  # nonzeros in row k of each (i, k)
-    left = np.repeat(np.arange(len(rows)), count)
-    # the j-th partner of (i, k) is nonzero start[k] + j
-    right = np.arange(len(left)) + np.repeat(start[cols] - np.cumsum(count)
-                                             + count, count)
-    square = np.zeros(dim * dim, dtype=complex)
-    np.add.at(square, rows[left] * dim + cols[right],
-              vals[left] * np.conj(vals[right]))
-    square[::dim + 1] -= expected
-    return linalg.frob(square)
+    square = c @ focklab.SignedPerm(c.mask, np.conj(c.sign))
+    return linalg.frob(square.sign - (-1.0) ** (occ * (fock.n_modes - occ)))
 
 
 def covering_residual(fock, rng, trials):
@@ -336,7 +320,7 @@ def _defining_property_residual(fock, c, rng, trials):
         phi = np.zeros(fock.dim, dtype=complex)
         psi[idx] = rng.complex_normal(len(idx))
         phi[idx] = rng.complex_normal(len(idx))
-        lhs = focklab.wedge(fock, c.apply(psi), phi)
+        lhs = focklab.wedge(fock, c @ np.conj(psi), phi)
         rhs = np.vdot(psi, phi) * omega
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
@@ -345,7 +329,7 @@ def _defining_property_residual(fock, c, rng, trials):
 def _check_c2_sign_law(max_modes=6):
     for n in range(1, max_modes + 1):
         fock = focklab.build_fock(n)
-        resid = c2_sign_residual(fock, focklab.particle_hole(fock))
+        resid = c2_sign_residual(fock, focklab.conjugation(fock))
         if resid > 1e-12:
             return False, f"sign law broken at N={n}, residual {resid:.2e}"
     return True, f"C^2 = (-1)^(n(N-n)) exact for N <= {max_modes}"
@@ -450,7 +434,7 @@ def run_fock_checks(n_modes, trials, seed):
                               f"must be in 1..{cap} ({n_modes} requested)")
     rng = linalg.RngStream(seed)
     fock = focklab.build_fock(n_modes)
-    c = focklab.particle_hole(fock)
+    c = focklab.conjugation(fock)
     car = car_residual(fock)
     c2 = c2_sign_residual(fock, c)
     defining = _defining_property_residual(fock, c, rng, trials)

@@ -32,12 +32,6 @@ class TestParity:
             w = haar_unitary(4, rng)
             assert parity(op.conjugated_by(w)) == parity(op)
 
-    def test_apply_is_antilinear(self, rng):
-        op = AntiUnitaryOp(1j * PAULI_Y)
-        v = rng.complex_normal(2)
-        z = 0.3 - 1.7j
-        assert np.allclose(op.apply(z * v), np.conj(z) * op.apply(v))
-
 
 class TestSectorAction:
     def test_trivial_group_single_fixed_block(self, rng):

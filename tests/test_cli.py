@@ -1,10 +1,12 @@
 """Tests for the command-line surface and its exit-code contract."""
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,6 +330,42 @@ def test_cli_import_leaves_scipy_out():
     run = subprocess.run([sys.executable, "-c", code],
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+# Builds the classify benchmark specs of seeds 1-3 into argv[3] and prints
+# every classify output, with argv[1:3] the perfbench and src directories.
+_CLASSIFY_SPECS = """
+import sys
+from pathlib import Path
+sys.path[:0] = sys.argv[1:3]
+import workloads
+from tenfold.cli import main
+for name in ("classify-wide", "classify-big-group"):
+    for seed in (1, 2, 3):
+        workdir = Path(sys.argv[3]) / f"{name}-{seed}"
+        workloads.build(name, seed, workdir)
+        for path in sorted(workdir.glob("spec*.json")):
+            for flags in ([], ["--json"], ["--tenfold"],
+                          ["--json", "--tenfold"]):
+                print("$", name, seed, path.name, *flags, flush=True)
+                print("exit", main(["classify", str(path), *flags]),
+                      flush=True)
+"""
+
+
+def test_classify_does_not_depend_on_blas_threads(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-c", _CLASSIFY_SPECS, str(root / "perfbench"),
+             str(root / "src"), str(tmp_path / threads)],
+            capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestParserReuse:
