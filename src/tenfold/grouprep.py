@@ -20,11 +20,11 @@ aligns them.  Self-duality is read from the same solver: R is
 self-dual exactly when the commutant of R + R* is a full 2 x 2 matrix
 algebra, and its off-diagonal block is the pairing R -> R*.
 
-Cost.  ``commutant_basis`` solves the commutation constraints only on
-the eigenspaces (dimensions m_i) of one fixed generic Hermitian element
-of the algebra the k generators span, where every commutant element is
-block-diagonal: O(k n^2 M^2 + k n^3) with M = sum m_i^2 <= n^2, instead
-of O(k n^6) for the full Kronecker system on C^(n x n).
+Cost.  ``commutant_basis`` solves each connected component of the
+generator blocks, in the eigenbasis of one fixed generic Hermitian
+element of the algebra the k generators span, on its own: O(k n_c^2 M_c^2)
+on n_c dimensions with M_c unknowns, nothing for a cluster no block
+touches, and O(M n^2) for the basis (M = sum M_c), not O(k n^6).
 ``isotypic_decompose`` then rotates that basis into x's eigenbasis one
 line at a time, O(|comm| n^3) in all, and reads each hom space from a
 thin SVD of a |comm| x d_a d_b slice, instead of a full SVD of a
@@ -307,60 +307,88 @@ def commutant_basis(action, tol=None):
 
     Every commutant element commutes with the Hermitian algebra element
     h = sum_k c_k g_k + h.c. (fixed generic c_k), so it is block-diagonal
-    in h's eigenbasis.  The generators are rotated into that basis and
-    the commutation constraints are solved, by a QR factorization and
-    the SVD of its R factor, for the block-diagonal entries only: with
-    eigenspace dimensions m_i the unknowns drop from n^2 to sum m_i^2,
-    and the cost from O(k n^6) to O(k n^2 (sum m_i^2)^2 + k n^3).  A
-    non-generic h only merges eigenspaces, which is slower but still
-    exact.
-
-    A k n^2 x (sum m_i^2) constraint system (n^4 entries without
-    generators) above ``linalg.MAX_ARRAY_BYTES`` raises
-    ``InputShapeError`` before it is allocated.
+    on h's eigenspaces (clusters, of dimensions m_i).  Generator blocks
+    g_ij, and non-scalar g_ii, of norm above tol * scale / 2 link the
+    clusters.  An unlinked cluster is all of M_{m_i}; each other connected
+    component solves its unknowns against its linked rows (a QR, then the
+    SVD of R).  A basis of sum m_i^2 matrices, or a component's system,
+    above ``linalg.MAX_ARRAY_BYTES`` raises ``InputShapeError`` before it
+    is allocated.
     """
     tol = linalg.TOL_INPUT if tol is None else tol
     n = action.dim
-    gens = list(action.generators)
-    if not gens:
-        _check_system_size(1, n, n * n)
-        return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    gens = np.array(action.generators, dtype=complex).reshape(-1, n, n)
     coeff = linalg.RngStream(_PROBE_SEED).complex_normal(len(gens))
-    h = sum(c * g for c, g in zip(coeff, gens))
+    h = (coeff @ gens.reshape(len(gens), n * n)).reshape(n, n)
     evals, q = np.linalg.eigh(h + h.conj().T)
-    # (row, col) of every block-diagonal entry in h's eigenbasis; the
-    # generators are only known to tol, and merging is merely slower
-    entries = [np.mgrid[lo:hi, lo:hi].reshape(2, -1)
-               for lo, hi in _eigen_clusters(evals, tol)]
-    rows, cols = np.hstack(entries)
-    m = len(rows)
-    _check_system_size(len(gens), n, m)
-    unknown = np.arange(m)
-    # a[k, :, :, t] = [g_k, E_t] for the unit matrix E_t at (rows[t], cols[t])
-    a = np.zeros((len(gens), n, n, m), dtype=complex)
-    for k, g in enumerate(gens):
-        gq = q.conj().T @ g @ q
-        a[k, :, cols, unknown] = gq[:, rows].T
-        a[k, rows, :, unknown] -= gq[cols, :]
-    scale = max(1.0, max(linalg.frob(g) for g in gens))
+    # the generators are only known to tol, and merging is merely slower
+    starts = [lo for lo, _ in _eigen_clusters(evals, tol)]
+    sizes = np.diff(starts + [n])
+    _check_bytes(f"the commutant on C^{n} has up to {sizes @ sizes} "
+                 "dimensions; its basis", int(sizes @ sizes) * n * n)
+    label = np.repeat(np.arange(len(sizes)), sizes)  # cluster of each row
+    gq = q.conj().T @ gens @ q
+    # a diagonal block's scalar part commutes with every unknown: take it
+    # out of its entries, and sum the squared block norms over generators
+    diag = np.einsum("kii->ki", gq)
+    diag -= (np.add.reduceat(diag, starts, axis=1) / sizes)[:, label]
+    power = np.add.reduceat(np.add.reduceat((np.abs(gq) ** 2).sum(axis=0),
+                                            starts, axis=0), starts, axis=1)
+    scale = np.linalg.norm(gens, axis=(1, 2)).max(initial=1.0)
+    link = np.maximum(power, power.T) > (tol * scale / 2) ** 2
+    # reach[i]: the clusters joined to cluster i; one row per component
+    reach = link | np.eye(len(sizes), dtype=bool)
+    for _ in range(len(sizes).bit_length()):
+        reach = reach @ reach
+    parts = [_component_null(gq, label, inside, link, tol * scale) for inside
+             in reach[reach.argmax(axis=1) == np.arange(len(sizes))]]
+    ends = np.cumsum([len(r if v is None else v) for _, r, _, v in parts])
+    out = np.empty((ends[-1], n, n), dtype=complex)
+    for (at, rows, cols, null), end in zip(parts, ends):
+        dest, qs = out[end - len(rows if null is None else null):end], q[:, at]
+        if null is None:  # the unit matrices q E_t q^H
+            np.multiply(qs.T[rows, :, None], qs.T[cols, None, :].conj(),
+                        out=dest)
+        else:
+            blocks = np.zeros((len(null), len(at), len(at)), dtype=complex)
+            blocks[:, rows, cols] = null
+            np.matmul(qs @ blocks, qs.conj().T, out=dest)
+    return out
+
+
+def _component_null(gq, label, inside, link, cut):
+    """Columns ``at`` of h's eigenbasis in the component ``inside``, the
+    positions (rows, cols) in them of its unknowns E_t, and orthonormal
+    coefficient rows of its null space, or None for all of them when
+    nothing links its cluster."""
+    at = np.flatnonzero(inside[label])
+    rows, cols = np.nonzero(label[at, None] == label[at])
+    kept = link[label[at, None], label[at]]
+    if not kept.any():
+        return at, rows, cols, None
+    k, m, count = len(gq), len(rows), int(kept.sum())
+    _check_bytes(f"a commutant component of {k} generators has {m} "
+                 "unknowns; its constraint system", k * (count + 1) * m)
+    pos = np.full(kept.shape, count)  # a last row collects the rest
+    pos[kept] = np.arange(count)
+    # a[k, :, t]: [g_k, E_t] on the kept entries, E_t at (rows[t], cols[t])
+    a = np.zeros((k, count + 1, m), dtype=complex)
+    unknown, gs = np.arange(m), gq[:, at[:, None], at]
+    a[:, pos[:, cols], unknown] = gs[:, :, rows]
+    a[:, pos[rows, :], unknown[:, None]] -= gs[:, cols, :]
+    a[:, count] = 0
     # the null space of its R factor; the thin SVD of the tall system
     # would also build its left factor, which nothing reads
     r = np.linalg.qr(a.reshape(-1, m), mode="r")
     del a
     _, s, vh = np.linalg.svd(r, full_matrices=False)
-    null = vh[s <= tol * scale].conj()
-    blocks = np.zeros((len(null), n, n), dtype=complex)
-    blocks[:, rows, cols] = null
-    return q @ blocks @ q.conj().T
+    return at, rows, cols, vh[s <= cut].conj()
 
 
-def _check_system_size(k, n, m):
-    need = k * n * n * m * 16
-    if need > linalg.MAX_ARRAY_BYTES:
-        raise InputShapeError(
-            f"the commutant of {k} generators on C^{n} has {m} unknowns; "
-            f"its constraint system needs {need} bytes, above the limit "
-            f"of {linalg.MAX_ARRAY_BYTES} bytes")
+def _check_bytes(what, items):
+    if 16 * items > linalg.MAX_ARRAY_BYTES:
+        raise InputShapeError(f"{what} needs {16 * items} bytes, above "
+                              f"the limit of {linalg.MAX_ARRAY_BYTES} bytes")
 
 
 def _eigen_clusters(evals, noise):
@@ -425,7 +453,7 @@ def _eigen_split(action, comm, rng):
     # basis, so x does not depend on the one the solver returned.
     r = rng.complex_normal((action.dim,) * 2)
     coeff = np.tensordot(comm, r.conj(), axes=2).conj()
-    x = sum(c * b for c, b in zip(coeff, comm))
+    x = np.tensordot(coeff, comm, axes=1)
     x = 0.5 * (x + x.conj().T)
     evals, evecs = np.linalg.eigh(x)
     # Inside one irreducible line the eigenvalue is degenerate up to how

@@ -42,17 +42,14 @@ TOL_EIG = 1e-10
 TOL_DEDUP = 1e-8
 
 # Largest array, in bytes, that a sampler draw (size * n^2 * 16 for
-# complex128), a commutant constraint system or the elements of a group
-# closure may ask for; larger inputs are refused (InputShapeError, or
-# GroupTooLargeError for a closure) before they are allocated.
+# complex128), a commutant basis or component system or the elements of
+# a group closure may ask for; larger inputs are refused (InputShapeError,
+# or GroupTooLargeError for a closure) before they are allocated.
 # Measured peaks (one BLAS thread) of ``stats --class`` at 1.05e9 bytes
 # of samples: 2.1 GB for A(256) and circular AIII(128,128), 2.8 GB for
 # D(128), about 2.7 times the draw, so a draw at the cap fits an 8 GB
-# machine.  A tall commutant system peaks at about 3 times its size
-# (0.84 GB for 0.27 GB, a generic diagonal generator at n = 256), but a
-# nearly square one at 7 times (0.59 GB for 0.08 GB, diag(1, ..., 1, -1)
-# at n = 48: the SVD of its square R factor), so one near the cap would
-# not fit.
+# machine.  ``commutant_basis`` peaks at about 1.1 times a basis written
+# without a solve, and at 2.3 to 2.6 times a component's system.
 MAX_ARRAY_BYTES = 1 << 30
 
 _MASK64 = (1 << 64) - 1

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's own algorithms:
 multiplicities come from explicit irreducible matrices and characters,
 self-duality types from character sums over squared elements,
-commutants and hom spaces from the full Kronecker constraint system,
+commutants and hom spaces from the full Kronecker constraint system
+(and the span of the component-wise commutant solve from one
+block-diagonal system, which shares the library's generic element and
+clusters),
 group closures from a linear duplicate scan, tangent dimensions from
 brute-force real-linear constraint solving, the double-commutator
 closure test from every triple of basis elements, wedge products from
@@ -17,6 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import expm
+from tenfold import grouprep, linalg
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +188,44 @@ def commutant_oracle(generators, tol=1e-8):
     keep = np.ones(n * n, dtype=bool)
     keep[: len(s)] = s <= tol * scale
     return [row.conj().reshape(n, n) for row in vh[keep]]
+
+
+def commutant_span_oracle(generators, tol=1e-8):
+    """Commutant basis from one block-diagonal system, O(k n^2 M^2).
+
+    The one system that ``grouprep.commutant_basis`` splits into
+    connected block components: every block-diagonal entry in the
+    eigenbasis of the library's generic element h, with h's eigenvalue
+    clusters, goes into one k n^2 x M system (M = sum m_i^2), with no
+    block dropped, and the right singular vectors of its QR R
+    factor with singular value at most ``tol * max(1, max ||g||_F)``
+    give a Frobenius-orthonormal (|comm|, n, n) stack.  Sharing h and
+    its clusters with the library makes the span, not the cluster
+    choice, the thing compared.
+    """
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    n = gens[0].shape[0]
+    coeff = linalg.RngStream(grouprep._PROBE_SEED).complex_normal(len(gens))
+    h = sum(c * g for c, g in zip(coeff, gens))
+    evals, q = np.linalg.eigh(h + h.conj().T)
+    entries = [np.mgrid[lo:hi, lo:hi].reshape(2, -1)
+               for lo, hi in grouprep._eigen_clusters(evals, tol)]
+    rows, cols = np.hstack(entries)
+    m = len(rows)
+    unknown = np.arange(m)
+    # a[k, :, :, t] = [g_k, E_t] for the unit matrix E_t at (rows[t], cols[t])
+    a = np.zeros((len(gens), n, n, m), dtype=complex)
+    for k, g in enumerate(gens):
+        gq = q.conj().T @ g @ q
+        a[k, :, cols, unknown] = gq[:, rows].T
+        a[k, rows, :, unknown] -= gq[cols, :]
+    scale = max(1.0, max(np.linalg.norm(g) for g in gens))
+    r = np.linalg.qr(a.reshape(-1, m), mode="r")
+    _, s, vh = np.linalg.svd(r, full_matrices=False)
+    null = vh[s <= tol * scale].conj()
+    blocks = np.zeros((len(null), n, n), dtype=complex)
+    blocks[:, rows, cols] = null
+    return q @ blocks @ q.conj().T
 
 
 def hom_space_oracle(rep_a, rep_b, tol):

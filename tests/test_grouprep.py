@@ -1,12 +1,14 @@
 """Tests for group closure, commutants and isotypic decomposition."""
 
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from tenfold import linalg
+from tenfold import grouprep, linalg
 from tenfold.antiunitary import AntiUnitaryOp, TransferredT
 from tenfold.classifier import hilbert_setting
 from tenfold.errors import (DegenerateDecompositionError,
@@ -17,8 +19,12 @@ from tenfold.grouprep import (MODE_FINITE, PAULI_X, PAULI_Y, PAULI_Z,
                               _slice_hom, close_group, commutant_basis,
                               fs_indicator, isotypic_decompose,
                               lie_algebra_action, self_duality_type,
-                              spin_half_action, trivial_action,
+                              dual_sum, spin_half_action, trivial_action,
                               u1_charge_action)
+from tenfold.specfile import parse_spec
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 Z3_SHIFT = np.roll(np.eye(3), 1, axis=0).astype(complex)
 S3_CYCLE = Z3_SHIFT
@@ -337,6 +343,115 @@ class TestAgainstOracles:
         assert len(commutant_basis(action, tol)) == \
             len(oracles.commutant_oracle(noisy, tol)) == \
             len(oracles.commutant_oracle(gens, tol))
+
+
+def _in_random_basis(gens, seed):
+    w = linalg.haar_unitary(gens[0].shape[0], linalg.RngStream(seed))
+    return [w @ g @ w.conj().T for g in gens]
+
+
+def _reflection(n):
+    """diag(1, ..., 1, -1) on C^n in a Haar-random basis."""
+    return _in_random_basis([np.diag([1.0] * (n - 1) + [-1.0])], n)
+
+
+class TestComponentSolve:
+    """The component-wise commutant against the single-system oracle."""
+
+    @staticmethod
+    def _assert_oracle_span(gens, tol=linalg.TOL_INPUT, finite=True):
+        action = (GroupAction(dim=gens[0].shape[0], mode=MODE_FINITE,
+                              generators=tuple(gens)) if finite
+                  else lie_algebra_action(gens, tol))
+        basis = commutant_basis(action, tol)
+        p_new, b = _span_projector(basis)
+        p_oracle, _ = _span_projector(
+            oracles.commutant_span_oracle(gens, tol))
+        assert linalg.frob(p_new - p_oracle) <= 1e-10
+        assert linalg.frob(b @ b.conj().T - np.eye(len(basis))) <= 1e-10
+
+    @pytest.mark.parametrize("workload", ["classify-wide",
+                                          "classify-big-group"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_specs(self, workload, seed, tmp_path):
+        workloads.build(workload, seed, tmp_path)
+        paths = sorted(tmp_path.glob("spec*.json"))
+        assert paths
+        for path in paths:
+            parsed = parse_spec(path)
+            self._assert_oracle_span(list(parsed.setting.g0.generators),
+                                     parsed.tolerance)
+
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_reflection(self, n):
+        self._assert_oracle_span(_reflection(n))
+
+    def test_u1_charge_on_nambu_space(self):
+        self._assert_oracle_span(
+            _in_random_basis([dual_sum(1j * np.eye(16))], 17), finite=False)
+
+    def test_spin_7_twice(self):
+        gens = [np.kron(np.eye(2), g) for g in _spin(14)]
+        self._assert_oracle_span(_in_random_basis(gens, 7), finite=False)
+
+    @pytest.mark.parametrize("name", ["S3", "Q8", "su2", "u1", "S4"])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-4, 1e-2])
+    def test_noisy_dimension(self, name, tol):
+        rng = linalg.RngStream(23)
+        gens, finite = _random_setting(name, rng)
+        noisy = []
+        for g in gens:
+            z = rng.complex_normal(g.shape)
+            z = z - z.conj().T if not finite else z
+            noisy.append(g + 0.1 * tol * z / linalg.frob(z))
+        action = GroupAction(dim=gens[0].shape[0], mode=MODE_FINITE,
+                             generators=tuple(noisy))
+        basis = commutant_basis(action, tol)
+        assert len(basis) == len(oracles.commutant_span_oracle(noisy, tol))
+        b = basis.reshape(len(basis), -1)
+        assert linalg.frob(b @ b.conj().T - np.eye(len(basis))) <= 1e-10
+
+    def test_one_way_block_joins_its_clusters(self):
+        # h = c_1 g_1 + c_2 g_2 + h.c. is diag(1, 2, 3) up to a factor,
+        # and only the block from cluster 0 into cluster 1 is nonzero
+        c = linalg.RngStream(grouprep._PROBE_SEED).complex_normal(2)
+        e21 = np.zeros((3, 3), dtype=complex)
+        e21[1, 0] = 1
+        gens = [np.diag([1.0, 2.0, 3.0]) - (c[1] / c[0]) * e21, e21]
+        basis = commutant_basis(GroupAction(dim=3, mode=MODE_FINITE,
+                                            generators=tuple(gens)))
+        assert len(basis) == len(oracles.commutant_oracle(gens)) == 2
+
+    def test_reflection_forms_no_system(self, monkeypatch):
+        # every block of a reflection is scalar in the eigenbasis of a
+        # multiple of it: the basis is written without a solve, and the
+        # peak stays near the basis itself
+        flip = close_group(_reflection(32))
+
+        def no_system(*args, **kwargs):
+            raise AssertionError("a constraint system was factorized")
+
+        monkeypatch.setattr(np.linalg, "qr", no_system)
+        tracemalloc.start()
+        try:
+            basis = commutant_basis(flip)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(basis) == 31 ** 2 + 1
+        assert peak <= 2.5 * basis.nbytes
+
+    def test_oversized_component_refused(self, monkeypatch):
+        # spin 1 four times: its basis, 48 matrices of 12 x 12, fits in
+        # 120 kB; the system of its one component, rows of 4 linked 4 x 4
+        # blocks of 3 generators (and one cleared row) by 48 unknowns,
+        # does not
+        gens = [np.kron(np.eye(4), g) for g in _spin(2)]
+        action = lie_algebra_action(_in_random_basis(gens, 5))
+        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 120_000)
+        with pytest.raises(InputShapeError, match="constraint system needs "
+                           "149760 bytes, above the limit of 120000 bytes"):
+            commutant_basis(action)
 
 
 class TestIsotypicDecompose:
