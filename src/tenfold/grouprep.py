@@ -28,7 +28,9 @@ touches, and O(M n^2) for the basis (M = sum M_c), not O(k n^6).
 ``isotypic_decompose`` then rotates that basis into x's eigenbasis one
 line at a time, O(|comm| n^3) in all, and reads each hom space from a
 thin SVD of a |comm| x d_a d_b slice, instead of a full SVD of a
-(k d^2 x d^2) Kronecker system, O(k d^6), per pair of lines.
+(k d^2 x d^2) Kronecker system, O(k d^6), per pair of lines.  A norm
+screen keeps at most two slices per line, factorized in one stacked SVD
+per line size.
 ``close_group`` closes a group of order N breadth-first, a level at a
 time: O(k N) products of dim x dim matrices, one batched matmul per
 level, and duplicates found through a sorted scalar key, O(k N log N)
@@ -418,9 +420,11 @@ def isotypic_decompose(action, rng, tol=None, retries=5):
     commutant basis rotated into x's eigenbasis span the intertwiners
     between them (``_slice_hom``): a nonzero slice puts two copies in
     one isomorphism class, and its normalized top singular vector
-    assembles the factor basis.  Retries with fresh randomness when the
-    spectrum fails the health checks, and raises
-    ``DegenerateDecompositionError`` when the retry budget is exhausted.
+    assembles the factor basis.  Slices of norm at most half the cut
+    are skipped, and one stacked SVD per copy size factorizes the rest.
+    Retries with fresh randomness when the spectrum fails the health
+    checks, and raises ``DegenerateDecompositionError`` when the retry
+    budget is exhausted.
     """
     tol = linalg.TOL_INPUT if tol is None else tol
     n = action.dim
@@ -462,8 +466,8 @@ def _eigen_split(action, comm, rng):
     # gap of 1e2 * tol would merge them at loose tolerances.  The floor
     # covers rounding in eigh.
     scale = max(1.0, float(np.max(np.abs(evals))))
-    residual = max(linalg.frob(x @ g - g @ x)
-                   for g in action.generators) / scale
+    gens = np.reshape(action.generators, (-1, action.dim, action.dim))
+    residual = linalg.frob_each(x @ gens - gens @ x).max(initial=0.0) / scale
     bounds = _eigen_clusters(evals, max(residual, 1e-12))
     return evecs, bounds, max(1e2 * residual, 1e-10)
 
@@ -474,81 +478,86 @@ def _slice_hom(row, cols, cut):
     The clusters are G-invariant, so Hom_G(a, b) = Q_b^H End_G(V) Q_a.
     ``row`` is Q_b^H C evecs for the stacked commutant basis C, ``cols``
     selects cluster a's columns, and the right singular vectors of the
-    (|comm| x d_b d_a) slice above ``cut`` span the hom space.
+    (|comm| x d_b d_a) slice above ``cut`` span the hom space.  A stack
+    of rows gives one such array per row, from one stacked SVD.
     """
-    _, s, vh = np.linalg.svd(row[:, :, cols].reshape(len(row), -1),
+    _, s, vh = np.linalg.svd(row[..., cols].reshape(*row.shape[:-2], -1),
                              full_matrices=False)
-    return vh[s > cut]
+    return vh[s > cut] if s.ndim == 1 else [v[t > cut] for v, t in zip(vh, s)]
 
 
 def _decompose_once(action, comm, rng, tol):
-    n = action.dim
-    gens = list(action.generators)
+    gens = np.reshape(action.generators, (-1, action.dim, action.dim))
+    norms = np.maximum(1.0, linalg.frob_each(gens))
     evecs, bounds, cut = _eigen_split(action, comm, rng)
+    starts = [lo for lo, _ in bounds]
+    sizes = [hi - lo for lo, hi in bounds]
     clusters = [evecs[:, lo:hi] for lo, hi in bounds]
-    reps = [[q.conj().T @ g @ q for g in gens] for q in clusters]
 
-    # Invariance check: generators must not leak out of any cluster.
-    for q, rep in zip(clusters, reps):
-        for g, r in zip(gens, rep):
-            if linalg.frob(g @ q - q @ r) > 1e3 * tol * max(1.0, linalg.frob(g)):
-                raise DegenerateDecompositionError(
-                    "eigenspace of commutant element is not invariant")
+    # Invariance: no generator may move a cluster's columns off its block.
+    power = np.add.reduceat(np.add.reduceat(np.abs(
+        evecs.conj().T @ gens @ evecs) ** 2, starts, axis=1), starts, axis=2)
+    np.einsum("kaa->ka", power)[...] = 0
+    if (np.sqrt(power.sum(axis=1)) > 1e3 * tol * norms[:, None]).any():
+        raise DegenerateDecompositionError(
+            "eigenspace of commutant element is not invariant")
 
-    classes = []  # list of lists of cluster indices
+    # Rotate one row of the commutant at a time, never a second full
+    # stack.  A slice of norm <= cut / 2 has no singular value above cut:
+    # cluster b keeps its own slice and the one towards pair[b], the
+    # first earlier cluster of its size with no pair of its own that the
+    # screen leaves (else b).
+    stacks = {d: np.empty((2 * sizes.count(d) - 1, len(comm), d, d),
+                          dtype=complex) for d in set(sizes)}
+    taken = {d: [] for d in stacks}  # (b, a) of each slice of a stack
+    pair = []
+    for b, d in enumerate(sizes):
+        row = (clusters[b].conj().T @ comm) @ evecs
+        leaves = (a for a in range(b) if pair[a] == a and sizes[a] == d and
+                  linalg.frob(row[..., slice(*bounds[a])]) > cut / 2)
+        pair.append(next(leaves, b))
+        for a in {b, pair[b]}:
+            stacks[d][len(taken[d])] = row[..., slice(*bounds[a])]
+            taken[d].append((b, a))
+    homs = {key: hom for d, stack in stacks.items() for key, hom in
+            zip(taken[d], _slice_hom(stack[:len(taken[d])], slice(None), cut))}
+
+    first = []  # the first cluster of each cluster's class
     links = {}  # cluster index -> intertwiner from its class's first one
-    for idx, q in enumerate(clusters):
-        # One rotated row of the commutant at a time, never a second
-        # full |comm| x n x n stack.
-        row = (q.conj().T @ comm) @ evecs
+    for b, (a, d) in enumerate(zip(pair, sizes)):
         # Each cluster must be a single irreducible copy.
-        if len(_slice_hom(row, slice(*bounds[idx]), cut)) != 1:
+        if len(homs[b, b]) != 1:
             raise DegenerateDecompositionError(
                 "cluster is not irreducible (merged eigenvalues)")
-        d = q.shape[1]
-        for cls in classes:
-            if clusters[cls[0]].shape[1] != d:
-                continue
-            found = _slice_hom(row, slice(*bounds[cls[0]]), cut)
-            if len(found):
-                cls.append(idx)
-                links[idx] = found[0].reshape(d, d)
-                break
-        else:
-            classes.append([idx])
+        if a != b and len(homs[b, a]):
+            links[b] = homs[b, a][0].reshape(d, d)
+        first.append(a if b in links else b)
 
     blocks = []
-    for label, cls in enumerate(classes):
-        first = cls[0]
-        q0 = clusters[first]
-        d = q0.shape[1]
-        maps = [q0]
+    for label, top in enumerate(dict.fromkeys(first)):
+        cls = [b for b, f in enumerate(first) if f == top]
+        d, mult = sizes[top], len(cls)
+        maps = [clusters[top]]
         for idx in cls[1:]:
             m = links[idx]
-            scale = np.trace(m.conj().T @ m).real / d
-            m = m / np.sqrt(scale)
+            m = m / np.sqrt(np.trace(m.conj().T @ m).real / d)
             if linalg.frob(m.conj().T @ m - np.eye(d)) > 1e3 * tol:
                 raise DegenerateDecompositionError(
                     "intertwiner failed to normalize to an isometry")
             maps.append(clusters[idx] @ m)
         fb = np.hstack(maps)
-        mult = len(cls)
-        proj = fb @ fb.conj().T
-        for g in gens:
-            gb = fb.conj().T @ g @ fb
-            rho = gb[:d, :d]
-            if linalg.frob(gb - np.kron(np.eye(mult), rho)) > \
-                    1e3 * tol * max(1.0, linalg.frob(g)):
-                raise DegenerateDecompositionError(
-                    "factor basis failed the block-Kronecker test")
+        # Block-Kronecker test: fb^H g fb = 1_mult (x) rho(g) for every g.
+        gb = (fb.conj().T @ gens @ fb).reshape(-1, mult, d, mult, d)
+        diag = np.einsum("kaiaj->kaij", gb)
+        diag -= diag[:, :1].copy()
+        if (linalg.frob_each(gb) > 1e3 * tol * norms).any():
+            raise DegenerateDecompositionError(
+                "factor basis failed the block-Kronecker test")
         blocks.append(IsotypicBlock(label=label, irrep_dim=d,
-                                    multiplicity=mult, projector=proj,
+                                    multiplicity=mult,
+                                    projector=fb @ fb.conj().T,
                                     factor_basis=fb))
-
-    if sum(b.dim for b in blocks) != n:
-        raise DegenerateDecompositionError("sector dimensions do not sum to "
-                                           "the space dimension")
-    return blocks
+    return blocks  # every cluster is in one sector of its size: dims sum to n
 
 
 def dual_sum(g):

@@ -133,9 +133,10 @@ def frob(a):
 def frob_each(stack):
     """Frobenius norm of each entry of a stack, such as the matrices of a
     (count, n, n) array."""
-    flat = np.ascontiguousarray(stack, dtype=complex).reshape(len(stack), -1)
-    flat = flat.view(float)  # |z|^2 as the sum of two squared reals
-    return np.sqrt(np.vecdot(flat, flat))
+    stack = np.ascontiguousarray(stack, dtype=complex)
+    # a -1 width is ambiguous for an empty stack
+    flat = stack.reshape(len(stack), -1 if len(stack) else 0).view(float)
+    return np.sqrt(np.vecdot(flat, flat))  # |z|^2 = re^2 + im^2
 
 
 def is_hermitian(a, tol=None):

@@ -7,6 +7,7 @@ inconsistencies between declared operators surface as consistency
 errors from the setting validation.
 """
 
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -60,6 +61,14 @@ def _entry_problem(entry):
 def _parse_matrix(raw, dim, field):
     _require(isinstance(raw, list) and len(raw) == dim, field,
              f"expected a {dim} x {dim} matrix as nested [re, im] pairs")
+    # one np.array for lists of finite numbers; the loop diagnoses the rest
+    if all(type(row) is list and len(row) == dim and
+           all(type(e) is list and len(e) == 2 for e in row) for row in raw):
+        with contextlib.suppress(ValueError):  # a ragged entry
+            pairs = np.array(raw)
+            if pairs.dtype.kind in "biuf" and pairs.shape == (dim, dim, 2) \
+                    and np.isfinite(pairs).all():
+                return pairs.astype(float).view(complex).reshape(dim, dim)
     flat = []
     for i, row in enumerate(raw):
         _require(isinstance(row, list) and len(row) == dim, field,

@@ -6,7 +6,8 @@ self-duality types from character sums over squared elements,
 commutants and hom spaces from the full Kronecker constraint system
 (and the span of the component-wise commutant solve from one
 block-diagonal system, which shares the library's generic element and
-clusters),
+clusters), isotypic sectors from one SVD per commutant slice (sharing
+the library's random commutant element and its clusters),
 group closures from a linear duplicate scan, tangent dimensions from
 brute-force real-linear constraint solving, the double-commutator
 closure test from every triple of basis elements, wedge products from
@@ -21,6 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg import expm
 from tenfold import grouprep, linalg
+from tenfold.errors import DegenerateDecompositionError
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +249,76 @@ def hom_space_oracle(rep_a, rep_b, tol):
     keep[: len(s)] = s <= tol * scale
     ns = vh[keep].conj().T
     return [ns[:, j].reshape(db, da) for j in range(ns.shape[1])]
+
+
+def decompose_oracle(action, comm, rng, tol):
+    """Isotypic sectors from one SVD per slice, cluster by cluster.
+
+    The per-pair form of ``grouprep._decompose_once``: each cluster's
+    own slice, then its slice towards each earlier class's first cluster
+    of the same size, in class order, is factorized on its own, and the
+    invariance and block-Kronecker tests run one generator at a time
+    with ``np.kron``.  It shares ``_eigen_split`` with the library, so
+    the split, not the random element, is the thing compared.
+    """
+    n = action.dim
+    gens = list(action.generators)
+    evecs, bounds, cut = grouprep._eigen_split(action, comm, rng)
+    clusters = [evecs[:, lo:hi] for lo, hi in bounds]
+    reps = [[q.conj().T @ g @ q for g in gens] for q in clusters]
+    for q, rep in zip(clusters, reps):
+        for g, r in zip(gens, rep):
+            if linalg.frob(g @ q - q @ r) > \
+                    1e3 * tol * max(1.0, linalg.frob(g)):
+                raise DegenerateDecompositionError(
+                    "eigenspace of commutant element is not invariant")
+
+    classes = []  # list of lists of cluster indices
+    links = {}  # cluster index -> intertwiner from its class's first one
+    for idx, q in enumerate(clusters):
+        row = (q.conj().T @ comm) @ evecs
+        if len(grouprep._slice_hom(row, slice(*bounds[idx]), cut)) != 1:
+            raise DegenerateDecompositionError(
+                "cluster is not irreducible (merged eigenvalues)")
+        d = q.shape[1]
+        for cls in classes:
+            if clusters[cls[0]].shape[1] != d:
+                continue
+            found = grouprep._slice_hom(row, slice(*bounds[cls[0]]), cut)
+            if len(found):
+                cls.append(idx)
+                links[idx] = found[0].reshape(d, d)
+                break
+        else:
+            classes.append([idx])
+
+    blocks = []
+    for label, cls in enumerate(classes):
+        q0 = clusters[cls[0]]
+        d = q0.shape[1]
+        maps = [q0]
+        for idx in cls[1:]:
+            m = links[idx]
+            m = m / np.sqrt(np.trace(m.conj().T @ m).real / d)
+            if linalg.frob(m.conj().T @ m - np.eye(d)) > 1e3 * tol:
+                raise DegenerateDecompositionError(
+                    "intertwiner failed to normalize to an isometry")
+            maps.append(clusters[idx] @ m)
+        fb = np.hstack(maps)
+        mult = len(cls)
+        for g in gens:
+            gb = fb.conj().T @ g @ fb
+            if linalg.frob(gb - np.kron(np.eye(mult), gb[:d, :d])) > \
+                    1e3 * tol * max(1.0, linalg.frob(g)):
+                raise DegenerateDecompositionError(
+                    "factor basis failed the block-Kronecker test")
+        blocks.append(grouprep.IsotypicBlock(
+            label=label, irrep_dim=d, multiplicity=mult,
+            projector=fb @ fb.conj().T, factor_basis=fb))
+    if sum(b.dim for b in blocks) != n:
+        raise DegenerateDecompositionError("sector dimensions do not sum to "
+                                           "the space dimension")
+    return blocks
 
 
 def close_group_oracle(generators, tol_dedup=1e-8):

@@ -14,10 +14,11 @@ from tenfold.classifier import hilbert_setting
 from tenfold.errors import (DegenerateDecompositionError,
                             GroupTooLargeError, InputShapeError,
                             SymmetryConsistencyError, UnsupportedModeError)
-from tenfold.grouprep import (MODE_FINITE, PAULI_X, PAULI_Y, PAULI_Z,
-                              GroupAction, IsotypicBlock, _eigen_split,
-                              _slice_hom, close_group, commutant_basis,
-                              fs_indicator, isotypic_decompose,
+from tenfold.grouprep import (MODE_FINITE, MODE_SPIN_HALF, PAULI_X,
+                              PAULI_Y, PAULI_Z, GroupAction, IsotypicBlock,
+                              _eigen_split, _slice_hom, close_group,
+                              commutant_basis, fs_indicator,
+                              isotypic_decompose,
                               lie_algebra_action, self_duality_type,
                               dual_sum, spin_half_action, trivial_action,
                               u1_charge_action)
@@ -744,3 +745,103 @@ class TestSliceIntertwiners:
         action = lie_algebra_action([w @ g @ w.conj().T for g in gens])
         blocks = isotypic_decompose(action, linalg.RngStream(16))
         assert [(b.irrep_dim, b.multiplicity) for b in blocks] == [(31, 2)]
+
+
+def _noisy(gens, finite, tol, rng):
+    """Each generator plus noise of norm 0.1 tol (anti-Hermitian for an
+    algebra, so it stays one)."""
+    out = []
+    for g in gens:
+        z = rng.complex_normal(g.shape)
+        z = z - z.conj().T if not finite else z
+        out.append(g + 0.1 * tol * z / linalg.frob(z))
+    return out
+
+
+class TestBatchedDecompose:
+    """One batched pass against the per-slice decomposition oracle."""
+
+    @staticmethod
+    def _assert_oracle_sectors(action, tol, seed):
+        comm = commutant_basis(action, tol)
+        for attempt in range(5):
+            try:
+                want = oracles.decompose_oracle(
+                    action, comm, linalg.RngStream(seed).child(attempt), tol)
+            except DegenerateDecompositionError:
+                with pytest.raises(DegenerateDecompositionError):
+                    grouprep._decompose_once(
+                        action, comm, linalg.RngStream(seed).child(attempt),
+                        tol)
+                continue
+            got = grouprep._decompose_once(
+                action, comm, linalg.RngStream(seed).child(attempt), tol)
+            assert [(b.irrep_dim, b.multiplicity) for b in got] == \
+                [(b.irrep_dim, b.multiplicity) for b in want]
+            for b, w in zip(got, want):
+                assert linalg.frob(b.projector - w.projector) <= 1e-10
+            return got
+        raise AssertionError("no attempt split the space")
+
+    @pytest.mark.parametrize("workload", ["classify-wide",
+                                          "classify-big-group"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_specs(self, workload, seed, tmp_path):
+        workloads.build(workload, seed, tmp_path)
+        paths = sorted(tmp_path.glob("spec*.json"))
+        assert paths
+        split = 0
+        for path in paths:
+            parsed = parse_spec(path)
+            g0 = parsed.setting.g0
+            if g0.mode == MODE_SPIN_HALF or g0.is_trivial(parsed.tolerance):
+                continue  # decomposed without a split
+            split += 1
+            self._assert_oracle_sectors(g0, parsed.tolerance, seed)
+        assert split
+
+    @pytest.mark.parametrize("name", ["S3", "Q8", "su2", "u1", "S4"])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-4, 3e-3, 1e-2])
+    def test_noisy_generators(self, name, tol):
+        rng = linalg.RngStream(31)
+        gens, finite = _random_setting(name, rng)
+        noisy = _noisy(gens, finite, tol, rng)
+        action = (GroupAction(dim=gens[0].shape[0], mode=MODE_FINITE,
+                              generators=tuple(noisy)) if finite
+                  else lie_algebra_action(noisy, tol))
+        self._assert_oracle_sectors(action, tol, 37)
+
+    @pytest.mark.parametrize("name", ["S3", "Q8", "su2", "S4"])
+    def test_one_svd_per_cluster_size(self, name, monkeypatch):
+        gens, finite = _random_setting(name, linalg.RngStream(41))
+        action = close_group(gens) if finite else lie_algebra_action(gens)
+        comm = commutant_basis(action)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        blocks = grouprep._decompose_once(action, comm, linalg.RngStream(43),
+                                          linalg.TOL_INPUT)
+        assert sum(b.dim for b in blocks) == action.dim
+        assert 1 <= len(calls) <= len({b.irrep_dim for b in blocks})
+
+    def test_reflection_peak_stays_below_the_basis(self):
+        # 31 trivial lines and one sign line in a random basis: the
+        # commutant holds 962 matrices of 32 x 32 (15 MB)
+        action = close_group(_reflection(32))
+        comm = commutant_basis(action)
+        tracemalloc.start()
+        try:
+            blocks = grouprep._decompose_once(action, comm,
+                                              linalg.RngStream(47),
+                                              linalg.TOL_INPUT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted((b.irrep_dim, b.multiplicity) for b in blocks) == \
+            [(1, 1), (1, 31)]
+        assert peak < 0.25 * comm.nbytes

@@ -122,6 +122,17 @@ class TestHaarOrthogonalSymplectic:
         assert linalg.frob(u.T @ j @ u - j) < 1e-10
 
 
+class TestFrobEach:
+    def test_norm_of_each_matrix(self):
+        stack = np.arange(18, dtype=complex).reshape(2, 3, 3) * (1 + 1j)
+        assert np.allclose(linalg.frob_each(stack),
+                           [np.linalg.norm(m) for m in stack])
+
+    def test_empty_stack(self):
+        out = linalg.frob_each(np.zeros((0, 3, 3)))
+        assert out.shape == (0,)
+
+
 class TestPredicates:
     def test_hermitian_and_symmetric(self):
         assert linalg.is_hermitian(SX)
