@@ -142,7 +142,7 @@ def transfer_T(block, op, tol=None):
     ub = fb.conj().T @ restricted
 
     r = ub.reshape(m, d, m, d).transpose(0, 2, 1, 3).reshape(m * m, d * d)
-    uu, s, vh = np.linalg.svd(r)
+    _, s, vh = np.linalg.svd(r, full_matrices=False)
     if len(s) > 1 and s[1] > tol * s[0]:
         raise NotPureTensorError(
             f"second singular value {s[1]:.3e} of the reshaped transfer "

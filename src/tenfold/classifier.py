@@ -454,13 +454,8 @@ def classify_threefold(setting, rng=None):
 
 def _is_u1_charge(action, tol):
     """True when the action is generated by i times the identity."""
-    if action.mode != MODE_LIE:
-        return False
-    eye = np.eye(action.dim)
-    z = [np.trace(x) / action.dim for x in action.generators]
-    return all(linalg.frob(x - c * eye) <= tol * max(1.0, linalg.frob(x))
-               and abs(c.real) <= tol
-               for x, c in zip(action.generators, z)) and \
+    z = action.scalars(tol) if action.mode == MODE_LIE else None
+    return z is not None and all(abs(c.real) <= tol for c in z) and \
         any(abs(c) > tol for c in z)
 
 

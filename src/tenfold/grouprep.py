@@ -26,11 +26,10 @@ element of the algebra the k generators span, on its own: O(k n_c^2 M_c^2)
 on n_c dimensions with M_c unknowns, nothing for a cluster no block
 touches, and O(M n^2) for the basis (M = sum M_c), not O(k n^6).
 ``isotypic_decompose`` then rotates that basis into x's eigenbasis one
-line at a time, O(|comm| n^3) in all, and reads each hom space from a
-thin SVD of a |comm| x d_a d_b slice, instead of a full SVD of a
-(k d^2 x d^2) Kronecker system, O(k d^6), per pair of lines.  A norm
-screen keeps at most two slices per line, factorized in one stacked SVD
-per line size.
+line at a time, O(|comm| n^3) in all, and reads the dimension of each
+hom space it needs as the squared norm of a |comm| x d_a d_b slice,
+with no factorization, instead of a full SVD of a (k d^2 x d^2)
+Kronecker system, O(k d^6), per pair of lines.
 ``close_group`` closes a group of order N breadth-first, a level at a
 time: O(k N) products of dim x dim matrices, one batched matmul per
 level, and duplicates found through a sorted scalar key, O(k N log N)
@@ -85,6 +84,18 @@ class GroupAction:
             off = linalg.frob_each(self.elements - np.eye(self.dim))
             return bool(off.max() <= tol * self.dim)
         return all(linalg.frob(g) <= tol for g in self.generators)
+
+    def scalars(self, tol=None):
+        """The numbers c_k with generator k = c_k * identity, each to
+        ``tol`` relative to its norm (at least 1), or None when some
+        generator is not a multiple of the identity."""
+        tol = linalg.TOL_INPUT if tol is None else tol
+        eye = np.eye(self.dim)
+        z = [np.trace(g) / self.dim for g in self.generators]
+        if all(linalg.frob(g - c * eye) <= tol * max(1.0, linalg.frob(g))
+               for g, c in zip(self.generators, z)):
+            return z
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,17 +429,18 @@ def isotypic_decompose(action, rng, tol=None, retries=5):
     The eigenspaces of a random Hermitian element x of the commutant
     are generically single copies of an irreducible.  Slices of the
     commutant basis rotated into x's eigenbasis span the intertwiners
-    between them (``_slice_hom``): a nonzero slice puts two copies in
-    one isomorphism class, and its normalized top singular vector
-    assembles the factor basis.  Slices of norm at most half the cut
-    are skipped, and one stacked SVD per copy size factorizes the rest.
-    Retries with fresh randomness when the spectrum fails the health
-    checks, and raises ``DegenerateDecompositionError`` when the retry
-    budget is exhausted.
+    between them, and a slice's squared norm is the dimension of that
+    hom space: above 1/2 it puts two copies in one isomorphism class,
+    and one power step from its largest row gives the map that
+    assembles the factor basis.  A group whose generators are all
+    multiples of the identity is one sector of n copies of a character,
+    with no split.  Retries with fresh randomness when the spectrum
+    fails the health checks, and raises ``DegenerateDecompositionError``
+    when the retry budget is exhausted.
     """
     tol = linalg.TOL_INPUT if tol is None else tol
     n = action.dim
-    if action.is_trivial(tol):
+    if action.scalars(tol) is not None:
         return _single_block(n, 1, n)
     if action.mode == MODE_SPIN_HALF:
         return _single_block(n, 2, n // 2)
@@ -447,9 +459,8 @@ def isotypic_decompose(action, rng, tol=None, retries=5):
 def _eigen_split(action, comm, rng):
     """Eigenspaces of a random Hermitian element x of the commutant.
 
-    Returns x's eigenvectors, the index ranges [lo, hi) of its eigenvalue
-    clusters, and the singular-value cut that separates intertwiners
-    from rounding in the commutant slices read by ``_slice_hom``.
+    Returns x's eigenvectors and the index ranges [lo, hi) of its
+    eigenvalue clusters.
     """
     # x projects a complex Gaussian r onto the commutant: the complex
     # coefficients <C_k, r> (a real span can be degenerate: conjugate
@@ -468,28 +479,13 @@ def _eigen_split(action, comm, rng):
     scale = max(1.0, float(np.max(np.abs(evals))))
     gens = np.reshape(action.generators, (-1, action.dim, action.dim))
     residual = linalg.frob_each(x @ gens - gens @ x).max(initial=0.0) / scale
-    bounds = _eigen_clusters(evals, max(residual, 1e-12))
-    return evecs, bounds, max(1e2 * residual, 1e-10)
-
-
-def _slice_hom(row, cols, cut):
-    """Orthonormal rows (flattened d_b x d_a maps) spanning Hom_G(a, b).
-
-    The clusters are G-invariant, so Hom_G(a, b) = Q_b^H End_G(V) Q_a.
-    ``row`` is Q_b^H C evecs for the stacked commutant basis C, ``cols``
-    selects cluster a's columns, and the right singular vectors of the
-    (|comm| x d_b d_a) slice above ``cut`` span the hom space.  A stack
-    of rows gives one such array per row, from one stacked SVD.
-    """
-    _, s, vh = np.linalg.svd(row[..., cols].reshape(*row.shape[:-2], -1),
-                             full_matrices=False)
-    return vh[s > cut] if s.ndim == 1 else [v[t > cut] for v, t in zip(vh, s)]
+    return evecs, _eigen_clusters(evals, max(residual, 1e-12))
 
 
 def _decompose_once(action, comm, rng, tol):
     gens = np.reshape(action.generators, (-1, action.dim, action.dim))
     norms = np.maximum(1.0, linalg.frob_each(gens))
-    evecs, bounds, cut = _eigen_split(action, comm, rng)
+    evecs, bounds = _eigen_split(action, comm, rng)
     starts = [lo for lo, _ in bounds]
     sizes = [hi - lo for lo, hi in bounds]
     clusters = [evecs[:, lo:hi] for lo, hi in bounds]
@@ -502,36 +498,30 @@ def _decompose_once(action, comm, rng, tol):
         raise DegenerateDecompositionError(
             "eigenspace of commutant element is not invariant")
 
-    # Rotate one row of the commutant at a time, never a second full
-    # stack.  A slice of norm <= cut / 2 has no singular value above cut:
-    # cluster b keeps its own slice and the one towards pair[b], the
-    # first earlier cluster of its size with no pair of its own that the
-    # screen leaves (else b).
-    stacks = {d: np.empty((2 * sizes.count(d) - 1, len(comm), d, d),
-                          dtype=complex) for d in set(sizes)}
-    taken = {d: [] for d in stacks}  # (b, a) of each slice of a stack
-    pair = []
-    for b, d in enumerate(sizes):
-        row = (clusters[b].conj().T @ comm) @ evecs
-        leaves = (a for a in range(b) if pair[a] == a and sizes[a] == d and
-                  linalg.frob(row[..., slice(*bounds[a])]) > cut / 2)
-        pair.append(next(leaves, b))
-        for a in {b, pair[b]}:
-            stacks[d][len(taken[d])] = row[..., slice(*bounds[a])]
-            taken[d].append((b, a))
-    homs = {key: hom for d, stack in stacks.items() for key, hom in
-            zip(taken[d], _slice_hom(stack[:len(taken[d])], slice(None), cut))}
-
+    # x's spectral projectors lie in End_G(V), so the slice Q_b^H C Q_a of
+    # the orthonormal commutant basis C (one |comm| x d_b d_a matrix) has
+    # singular values 1 on Hom_G(a, b) and 0 elsewhere: its squared norm
+    # is dim Hom_G(a, b), 1 on a single irreducible copy (2 or 4 on a
+    # merged one) and 0 or 1 between two copies.  The commutant is rotated
+    # one cluster row Q_b^H C evecs at a time, never as a second stack.
     first = []  # the first cluster of each cluster's class
     links = {}  # cluster index -> intertwiner from its class's first one
-    for b, (a, d) in enumerate(zip(pair, sizes)):
-        # Each cluster must be a single irreducible copy.
-        if len(homs[b, b]) != 1:
+    for b, d in enumerate(sizes):
+        row = (clusters[b].conj().T @ comm) @ evecs
+        if linalg.frob(row[..., slice(*bounds[b])]) ** 2 >= 1.5:
             raise DegenerateDecompositionError(
                 "cluster is not irreducible (merged eigenvalues)")
-        if a != b and len(homs[b, a]):
-            links[b] = homs[b, a][0].reshape(d, d)
-        first.append(a if b in links else b)
+        first.append(b)
+        for a in range(b):
+            s = row[..., slice(*bounds[a])]
+            if first[a] == a and sizes[a] == d and linalg.frob(s) ** 2 > 0.5:
+                # one power step from the largest row: the top right
+                # singular vector to first order in the noise
+                s = s.reshape(len(comm), d * d)
+                r = s[np.argmax(linalg.frob_each(s))]
+                links[b] = (s.T @ (s.conj() @ r)).reshape(d, d)
+                first[b] = a
+                break
 
     blocks = []
     for label, top in enumerate(dict.fromkeys(first)):

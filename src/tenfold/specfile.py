@@ -40,7 +40,8 @@ def _require(condition, field, message):
         raise SpecFileError(field, message)
 
 
-_NUMBER = (int, float)
+# numpy's real scalars too, which the np.array fast path already takes
+_NUMBER = (int, float, np.integer, np.floating, np.bool_)
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -51,8 +52,10 @@ def _entry_problem(entry):
     re, im = entry
     if not (isinstance(re, _NUMBER) and isinstance(im, _NUMBER)):
         return "must hold two numbers"
-    # Exact for ints of any size: they compare with the float limit
-    # without conversion, and NaN fails the comparison.
+    # A numpy scalar compares as its Python number: a float32 would take
+    # the float limit as inf.  Exact for ints of any size: they compare
+    # with the float limit without conversion, and NaN fails the comparison.
+    re, im = (x.item() if isinstance(x, np.generic) else x for x in entry)
     if not (abs(re) <= _FLOAT_MAX and abs(im) <= _FLOAT_MAX):
         return "must be finite"
     return None
@@ -66,9 +69,12 @@ def _parse_matrix(raw, dim, field):
            all(type(e) is list and len(e) == 2 for e in row) for row in raw):
         with contextlib.suppress(ValueError):  # a ragged entry
             pairs = np.array(raw)
-            if pairs.dtype.kind in "biuf" and pairs.shape == (dim, dim, 2) \
-                    and np.isfinite(pairs).all():
-                return pairs.astype(float).view(complex).reshape(dim, dim)
+            if pairs.dtype.kind in "biuf" and pairs.shape == (dim, dim, 2):
+                # finite after the cast: a longdouble can overflow a float
+                with np.errstate(over="ignore"):
+                    pairs = pairs.astype(float)
+                if np.isfinite(pairs).all():
+                    return pairs.view(complex).reshape(dim, dim)
     flat = []
     for i, row in enumerate(raw):
         _require(isinstance(row, list) and len(row) == dim, field,

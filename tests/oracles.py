@@ -251,19 +251,54 @@ def hom_space_oracle(rep_a, rep_b, tol):
     return [ns[:, j].reshape(db, da) for j in range(ns.shape[1])]
 
 
+def eigen_split_oracle(action, comm, rng):
+    """Eigenspaces of a random Hermitian element x of the commutant.
+
+    Returns x's eigenvectors, the index ranges [lo, hi) of its eigenvalue
+    clusters, and the singular-value cut that separates intertwiners
+    from rounding in the commutant slices read by ``slice_hom_oracle``.
+    The same x and clusters as ``grouprep._eigen_split`` for the same
+    ``rng``.
+    """
+    r = rng.complex_normal((action.dim,) * 2)
+    coeff = np.tensordot(comm, r.conj(), axes=2).conj()
+    x = np.tensordot(coeff, comm, axes=1)
+    x = 0.5 * (x + x.conj().T)
+    evals, evecs = np.linalg.eigh(x)
+    scale = max(1.0, float(np.max(np.abs(evals))))
+    gens = np.reshape(action.generators, (-1, action.dim, action.dim))
+    residual = linalg.frob_each(x @ gens - gens @ x).max(initial=0.0) / scale
+    bounds = grouprep._eigen_clusters(evals, max(residual, 1e-12))
+    return evecs, bounds, max(1e2 * residual, 1e-10)
+
+
+def slice_hom_oracle(row, cols, cut):
+    """Orthonormal rows (flattened d_b x d_a maps) spanning Hom_G(a, b).
+
+    ``row`` is Q_b^H C evecs for the stacked commutant basis C, ``cols``
+    selects cluster a's columns, and the right singular vectors of the
+    (|comm| x d_b d_a) slice above ``cut`` span the hom space.
+    """
+    _, s, vh = np.linalg.svd(row[..., cols].reshape(len(row), -1),
+                             full_matrices=False)
+    return vh[s > cut]
+
+
 def decompose_oracle(action, comm, rng, tol):
     """Isotypic sectors from one SVD per slice, cluster by cluster.
 
-    The per-pair form of ``grouprep._decompose_once``: each cluster's
-    own slice, then its slice towards each earlier class's first cluster
-    of the same size, in class order, is factorized on its own, and the
-    invariance and block-Kronecker tests run one generator at a time
-    with ``np.kron``.  It shares ``_eigen_split`` with the library, so
-    the split, not the random element, is the thing compared.
+    The per-pair form of ``grouprep._decompose_once``, counting hom
+    spaces by singular values above a cut rather than by slice norms:
+    each cluster's own slice, then its slice towards each earlier
+    class's first cluster of the same size, in class order, is
+    factorized on its own, and the invariance and block-Kronecker tests
+    run one generator at a time with ``np.kron``.  Its x is the
+    library's for the same ``rng``, so the split, not the random
+    element, is the thing compared.
     """
     n = action.dim
     gens = list(action.generators)
-    evecs, bounds, cut = grouprep._eigen_split(action, comm, rng)
+    evecs, bounds, cut = eigen_split_oracle(action, comm, rng)
     clusters = [evecs[:, lo:hi] for lo, hi in bounds]
     reps = [[q.conj().T @ g @ q for g in gens] for q in clusters]
     for q, rep in zip(clusters, reps):
@@ -277,14 +312,14 @@ def decompose_oracle(action, comm, rng, tol):
     links = {}  # cluster index -> intertwiner from its class's first one
     for idx, q in enumerate(clusters):
         row = (q.conj().T @ comm) @ evecs
-        if len(grouprep._slice_hom(row, slice(*bounds[idx]), cut)) != 1:
+        if len(slice_hom_oracle(row, slice(*bounds[idx]), cut)) != 1:
             raise DegenerateDecompositionError(
                 "cluster is not irreducible (merged eigenvalues)")
         d = q.shape[1]
         for cls in classes:
             if clusters[cls[0]].shape[1] != d:
                 continue
-            found = grouprep._slice_hom(row, slice(*bounds[cls[0]]), cut)
+            found = slice_hom_oracle(row, slice(*bounds[cls[0]]), cut)
             if len(found):
                 cls.append(idx)
                 links[idx] = found[0].reshape(d, d)

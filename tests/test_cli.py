@@ -584,6 +584,27 @@ class TestCommutantCap:
         assert "above the limit of 1073741824 bytes" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("t, line", [
+        (None, "class=A space=U_96"), ("1", "class=AI space=U_96/O_96")])
+    def test_scalar_charge_is_one_sector(self, tmp_path, capsys, t, line):
+        # a commutant basis on C^96 would need 1.36 GB: a G0 of multiples
+        # of the identity is one sector of 96 copies, with no basis
+        spec = trivial_spec(dim=96)
+        spec["g0"] = {"mode": "lie-algebra",
+                      "generators": [pairs(1j * np.eye(96))]}
+        if t is not None:
+            spec["time_reversal"] = {"matrix": pairs(np.eye(96))}
+        path = write_spec(tmp_path, spec)
+        tracemalloc.start()
+        try:
+            code = main(["classify", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out == f"lambda=0 d=1 m=96 {line}\n"
+        assert peak < 10e6
+
 
 class TestClosureCap:
     def test_oversized_closure_exits_two(self, tmp_path, capsys,

@@ -122,6 +122,20 @@ class TestMatrixEntries:
         assert out[1, 0] == value
         assert np.array_equal(out[[0, 0, 1], [0, 1, 1]], [0.5 - 1j] * 3)
 
+    @pytest.mark.parametrize("entry, value", [
+        ([np.int64(1), np.float32(1.5)], 1 + 1.5j),
+        ([np.bool_(True), np.float64(-2.0)], 1 - 2j),
+    ])
+    @pytest.mark.parametrize("big", [False, True])
+    def test_numpy_scalars_on_both_paths(self, entry, value, big):
+        # an int beyond int64 sends the whole grid through the entry loop
+        raw = _grid(entry)
+        if big:
+            raw[0][1] = [2 ** 70, 0]
+        out = _parse_matrix(raw, 2, "m")
+        assert out[1, 0] == value
+        assert out[0, 1] == (2.0 ** 70 if big else 0.5 - 1j)
+
     @pytest.mark.parametrize("entry, message", [
         ([float("nan"), 0], "entry (1, 0) must be finite"),
         ([0, float("inf")], "entry (1, 0) must be finite"),
@@ -135,6 +149,8 @@ class TestMatrixEntries:
         ((1.0, 2.0), "entry (1, 0) must be an [re, im] pair"),
         (1.0, "entry (1, 0) must be an [re, im] pair"),
         ("1+2j", "entry (1, 0) must be an [re, im] pair"),
+        ([np.float32("inf"), 0], "entry (1, 0) must be finite"),
+        ([np.longdouble("1e400"), 0], "entry (1, 0) must be finite"),
     ])
     def test_rejected(self, entry, message):
         with pytest.raises(SpecFileError) as err:
