@@ -7,9 +7,9 @@ recognizes the canonical post-Dyson configurations, yielding one of the
 ten Cartan families together with the compact symmetric space of
 compatible time evolutions.
 
-Pattern recognition is structural, not name-based: the trivial group,
-the U(1) charge action, and "single quaternionic sector" are detected
-from commutant data and self-duality types, so any unitary change of
+Pattern recognition is structural, not name-based: G0's pattern is the
+real, complex or quaternionic type of its single isotypic sector (Dyson's
+one invariant), read from the matrices alone, so any unitary change of
 basis of the input leaves the labels unchanged.
 """
 
@@ -21,9 +21,9 @@ from . import grouprep, linalg
 from .antiunitary import AntiUnitaryOp, parity, sector_action, transfer_T
 from .errors import (InputShapeError, SymmetryConsistencyError,
                      UnsupportedConfigurationError)
-from .grouprep import (GroupAction, MODE_FINITE, MODE_LIE, dual_sum,
-                       isotypic_decompose, self_duality_type,
-                       spin_half_action, trivial_action, u1_charge_action)
+from .grouprep import (GroupAction, dual_sum, isotypic_decompose,
+                       self_duality_type, spin_half_action, trivial_action,
+                       u1_charge_action)
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,9 @@ def twist(lab, name, size=None):
 
 
 # The decision table of both classifiers: (G0 of the canonical setting,
-# eps_T of its exact T twist or None, twisted C present) -> family, where
-# ``spin-half`` stands for any G0 with a single quaternionic sector.
+# eps_T of its exact T twist or None, twisted C present) -> family.  G0 is
+# one sector: ``trivial`` a real character, ``u1`` a complex one, and
+# ``spin-half`` a quaternionic irreducible.
 SIGNATURE = {(g0, None if t is None else
               parity(AntiUnitaryOp(_TWISTS[t](4, 2, 2), 0), 0),
               fam.block == "chiral"): name
@@ -248,7 +249,7 @@ def hilbert_setting(g0, time_reversal=None, particle_hole=None, tol=None):
 
 def _check_conjugation_symmetry(action, conjugate, what, tol):
     """Conjugation must map the G0 action into itself."""
-    if action.mode == MODE_FINITE:
+    if action.elements is not None:
         for g in action.generators:
             off = linalg.frob_each(action.elements - conjugate(g))
             if off.min() > tol * action.dim:
@@ -319,10 +320,10 @@ def build_nambu(setting):
     n = setting.dim
     act = setting.g0
     # an anti-Hermitian generator x acts on V* as conj(x) = -x^t
-    finite = act.mode == MODE_FINITE
-    g0 = GroupAction(dim=2 * n, mode=MODE_FINITE if finite else MODE_LIE,
+    g0 = GroupAction(dim=2 * n,
                      generators=tuple(dual_sum(g) for g in act.generators),
-                     elements=dual_sum(act.elements) if finite else None)
+                     elements=None if act.elements is None else
+                     dual_sum(act.elements))
     tol = setting.tolerance
     t_w = None
     if setting.time_reversal is not None:
@@ -452,31 +453,25 @@ def classify_threefold(setting, rng=None):
 # Tenfold classification
 
 
-def _is_u1_charge(action, tol):
-    """True when the action is generated by i times the identity."""
-    z = action.scalars(tol) if action.mode == MODE_LIE else None
-    return z is not None and all(abs(c.real) <= tol for c in z) and \
-        any(abs(c) > tol for c in z)
-
-
-def _unsupported(head, trivial, u1, quaternionic, eps_t, has_c):
+def _unsupported(head, g0_name, eps_t, has_c):
     """The exit-4 error: ``head`` and the patterns that were found."""
     t = "False" if eps_t is None else f"True (eps_T = {eps_t:+d})"
     return UnsupportedConfigurationError(
-        f"{head}; G0 trivial: {trivial}; G0 U(1) charge: {u1}; G0 single "
-        f"quaternionic sector: {quaternionic}; T present: {t}; charge "
-        f"conjugation present: {has_c}")
+        f"{head}; G0 trivial: {g0_name == 'trivial'}; G0 U(1) charge: "
+        f"{g0_name == 'u1'}; G0 single quaternionic sector: "
+        f"{g0_name == 'spin-half'}; T present: {t}; charge conjugation "
+        f"present: {has_c}")
 
 
 def classify_tenfold(setting, rng=None):
     """Tenfold classification of a (promoted) Nambu-space setting.
 
-    G0 is recognized as trivial, a U(1) charge or a single quaternionic
-    sector; with the parity of T and the presence of twisted
-    particle-hole conjugation that names a canonical setting, and
-    ``SIGNATURE`` its family: D, DIII, C, CI, AIII, BDI or CII.  A
-    conserved charge without particle-hole conjugation falls back to the
-    Dyson classification.  Anything else raises
+    A single sector of G0 is trivial, a U(1) charge or quaternionic by
+    its ``self_duality_type``; with the parity of T and the presence of
+    twisted particle-hole conjugation that names a canonical setting, and
+    ``SIGNATURE`` its family: D, DIII, C, CI, AIII, BDI or CII, or for a
+    charge without particle-hole conjugation the Dyson class A, AI or AII
+    of its one sector, with T's transferred parities.  Anything else raises
     ``UnsupportedConfigurationError`` with a pattern diagnostic.
     """
     rng = linalg.RngStream(0) if rng is None else rng
@@ -487,24 +482,13 @@ def classify_tenfold(setting, rng=None):
     tol, n, g0, t = base.tolerance, base.dim, base.g0, base.time_reversal
     has_c = base.particle_hole is not None
 
-    trivial = g0.is_trivial(tol)
-    u1 = _is_u1_charge(g0, tol)
     eps_t = parity(t, tol) if t is not None else None
-
-    quaternionic = False
-    if not trivial and not u1:
-        blocks = isotypic_decompose(g0, rng, tol=tol)
-        block = blocks[0]
-        quaternionic = (len(blocks) == 1 and
-                        self_duality_type(g0, block, tol) == -1)
-
-    if u1 and not has_c:
-        fallback = classify_threefold(base, rng)
-        return ClassificationReport("tenfold", 2 * n, fallback.entries)
-
-    g0_name = ("trivial" if trivial else "u1" if u1 else
-               "spin-half" if quaternionic else None)
-    found = (trivial, u1, quaternionic, eps_t, has_c)
+    blocks = isotypic_decompose(g0, rng, tol=tol)
+    block, d, m = blocks[0], blocks[0].irrep_dim, blocks[0].multiplicity
+    fs = self_duality_type(g0, block, tol) if len(blocks) == 1 else None
+    g0_name = {(1, 1): "trivial", (0, 1): "u1"}.get(
+        (fs, d), "spin-half" if fs == -1 else None)
+    found = (g0_name, eps_t, has_c)
     family = SIGNATURE.get((g0_name, eps_t, has_c))
     if family is None:
         what = {"trivial": "trivial G0",
@@ -514,15 +498,15 @@ def classify_tenfold(setting, rng=None):
             if what and eps_t == 1 and not has_c else
             "unrecognized symmetry configuration", *found)
 
-    d, m = (block.irrep_dim, block.multiplicity) if quaternionic else (1, n)
     if has_c:
         s = np.asarray(base.particle_hole, dtype=complex)
         p = int(np.sum(np.linalg.eigvalsh(0.5 * (s + s.conj().T)) > 0))
     dims = (p, n - p) if has_c else (m,)
     eps = {}
-    if quaternionic and t is not None:
+    if t is not None and (g0_name == "spin-half" or
+                          FAMILY[family].block == "plain"):
         tt = transfer_T(block, t, tol)
-        if tt.eps_alpha != 1:
+        if g0_name == "spin-half" and tt.eps_alpha != 1:
             raise _unsupported("quaternionic sector with eps_alpha = -1 is "
                                "outside the decision table", *found)
         eps = {"eps_alpha": tt.eps_alpha, "eps_beta": tt.eps_beta}

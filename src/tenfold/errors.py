@@ -18,7 +18,7 @@ class DegenerateDecompositionError(TenfoldError):
 
 
 class UnsupportedModeError(TenfoldError):
-    """Operation not defined for this group-action mode."""
+    """Operation needs the elements of a finite group."""
 
 
 class NotInvolutiveError(TenfoldError):

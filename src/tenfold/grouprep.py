@@ -1,9 +1,8 @@
 """Unitary symmetry groups on V: closure, commutants, isotypic decomposition.
 
-A ``GroupAction`` represents the unitary symmetry group in one of three
-modes: an explicit finite group (the trivial group is the one of order
-one), a Lie algebra of anti-Hermitian generators, or the built-in
-spin-1/2 tensor factor.
+A ``GroupAction`` is G0 given by its matrices alone: generators, and for
+a finite group (the trivial group is the one of order one) its closed
+elements; a Lie algebra of anti-Hermitian generators has none.
 ``isotypic_decompose`` splits V into sectors V_lambda ~ E_lambda (x)
 R_lambda, one per isomorphism class of irreducible subrepresentation,
 with the multiplicity factor E slow and the irreducible factor R fast
@@ -18,7 +17,8 @@ which lines are isomorphic (the space of equivariant maps between two
 irreducibles has dimension zero or one) and supplies the map that
 aligns them.  Self-duality is read from the same solver: R is
 self-dual exactly when the commutant of R + R* is a full 2 x 2 matrix
-algebra, and its off-diagonal block is the pairing R -> R*.
+algebra (a character: when it is real), and its off-diagonal block is
+the pairing R -> R*.
 
 Cost.  ``commutant_basis`` solves each connected component of the
 generator blocks, in the eigenbasis of one fixed generic Hermitian
@@ -29,15 +29,15 @@ touches, and O(M n^2) for the basis (M = sum M_c), not O(k n^6).
 line at a time, O(|comm| n^3) in all, and reads the dimension of each
 hom space it needs as the squared norm of a |comm| x d_a d_b slice,
 with no factorization, instead of a full SVD of a (k d^2 x d^2)
-Kronecker system, O(k d^6), per pair of lines.
+Kronecker system, O(k d^6), per pair of lines; 1_m (x) r is O(k n^2).
 ``close_group`` closes a group of order N breadth-first, a level at a
 time: O(k N) products of dim x dim matrices, one batched matmul per
 level, and duplicates found through a sorted scalar key, O(k N log N)
 lookups and one batched distance per pair of near keys rather than
 O(k N^2) Frobenius distances.  Its Python work is the per-candidate
 key bookkeeping; the elements are one (N, dim, dim) array that the
-readers (``is_trivial``, ``fs_indicator``, the classifier's normalizer
-check and its Nambu lift) take in one vectorized operation each.
+readers (``fs_indicator``, the classifier's normalizer check and its
+Nambu lift) take in one vectorized operation each.
 """
 
 import bisect
@@ -49,10 +49,6 @@ import numpy as np
 from . import linalg
 from .errors import (DegenerateDecompositionError, GroupTooLargeError,
                      InputShapeError, UnsupportedModeError)
-
-MODE_FINITE = "finite-group"
-MODE_LIE = "lie-algebra"
-MODE_SPIN_HALF = "spin-half"
 
 MAX_ORDER = 10_000
 
@@ -69,33 +65,13 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 class GroupAction:
     """A unitary symmetry group (or Lie algebra) acting on C^dim.
 
-    A finite group holds its elements as one (order, dim, dim) array.
+    A finite group holds its elements as one (order, dim, dim) array; a
+    Lie algebra has none.
     """
 
     dim: int
-    mode: str
     generators: tuple
     elements: np.ndarray = None
-
-    def is_trivial(self, tol=None):
-        """True when the action fixes every Hamiltonian (trivial group)."""
-        tol = linalg.TOL_INPUT if tol is None else tol
-        if self.mode == MODE_FINITE:
-            off = linalg.frob_each(self.elements - np.eye(self.dim))
-            return bool(off.max() <= tol * self.dim)
-        return all(linalg.frob(g) <= tol for g in self.generators)
-
-    def scalars(self, tol=None):
-        """The numbers c_k with generator k = c_k * identity, each to
-        ``tol`` relative to its norm (at least 1), or None when some
-        generator is not a multiple of the identity."""
-        tol = linalg.TOL_INPUT if tol is None else tol
-        eye = np.eye(self.dim)
-        z = [np.trace(g) / self.dim for g in self.generators]
-        if all(linalg.frob(g - c * eye) <= tol * max(1.0, linalg.frob(g))
-               for g, c in zip(self.generators, z)):
-            return z
-        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +124,7 @@ def lie_algebra_action(generators, tol=None):
                                   f"expected ({dim}, {dim})")
         if linalg.frob(g + g.conj().T) > tol * max(1.0, linalg.frob(g)):
             raise InputShapeError(f"generator {i} is not anti-Hermitian")
-    return GroupAction(dim=dim, mode=MODE_LIE, generators=tuple(gens))
+    return GroupAction(dim=dim, generators=tuple(gens))
 
 
 def u1_charge_action(dim):
@@ -157,13 +133,12 @@ def u1_charge_action(dim):
 
 
 def spin_half_action(dim):
-    """Built-in spin-1/2 action on V = E (x) C^2 (E slow, spin fast)."""
+    """su(2) on V = E (x) C^2 (E slow, spin fast), unvalidated: no copies."""
     if dim < 2 or dim % 2:
         raise InputShapeError("spin-half mode needs an even dimension >= 2")
-    m = dim // 2
-    eye = np.eye(m)
-    gens = tuple(np.kron(eye, 1j * s) for s in (PAULI_X, PAULI_Y, PAULI_Z))
-    return GroupAction(dim=dim, mode=MODE_SPIN_HALF, generators=gens)
+    eye = np.eye(dim // 2)
+    return GroupAction(dim=dim, generators=tuple(
+        np.kron(eye, 1j * s) for s in (PAULI_X, PAULI_Y, PAULI_Z)))
 
 
 def close_group(generators, max_order=MAX_ORDER, tol_dedup=linalg.TOL_DEDUP,
@@ -179,7 +154,7 @@ def close_group(generators, max_order=MAX_ORDER, tol_dedup=linalg.TOL_DEDUP,
     explicit ``dim`` gives the order-1 group).  Raises
     ``GroupTooLargeError`` when the closure exceeds ``max_order``
     elements, or as many as fit in ``linalg.MAX_ARRAY_BYTES``, before it
-    holds one more.
+    holds one more (before the identity, when not even that fits).
 
     The elements are one (order, dim, dim) array.  The candidates of a
     level are formed by one batched matmul into the free tail of that
@@ -203,13 +178,17 @@ def close_group(generators, max_order=MAX_ORDER, tol_dedup=linalg.TOL_DEDUP,
         if not linalg.is_unitary(g, max(tol_dedup, linalg.TOL_INPUT)):
             raise InputShapeError(f"generator {i} is not unitary")
 
+    item = 16 * dim * dim
+    held = min(max_order, linalg.MAX_ARRAY_BYTES // item)
+    if held < 1:
+        raise GroupTooLargeError(
+            f"one group element of size {dim} x {dim} needs {item} bytes, "
+            f"above the limit of {linalg.MAX_ARRAY_BYTES} bytes")
     u, v = _probe_pair(dim)
     # Re(u^H g v) is the real part of g's entries summed against u* v^t
     weight = np.outer(u.conj(), v).ravel()
     # The window is widened by 1e-12 to cover rounding in the keys.
     window = tol_dedup + 1e-12
-    item = 16 * dim * dim
-    held = min(max_order, linalg.MAX_ARRAY_BYTES // item)
     # matrices per step, as candidates or as distance pairs
     batch = max(1, linalg.MAX_ARRAY_BYTES // (8 * item))
     k = len(gens)
@@ -253,7 +232,7 @@ def close_group(generators, max_order=MAX_ORDER, tol_dedup=linalg.TOL_DEDUP,
                 by_key.insert(pos, count)
                 count += 1
         start = end
-    return GroupAction(dim=dim, mode=MODE_FINITE, generators=tuple(gens),
+    return GroupAction(dim=dim, generators=tuple(gens),
                        elements=buf[:count].copy())
 
 
@@ -417,10 +396,36 @@ def _eigen_clusters(evals, noise):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _single_block(dim, d, m):
-    eye = np.eye(dim, dtype=complex)
-    return [IsotypicBlock(label=0, irrep_dim=d, multiplicity=m,
-                          projector=eye, factor_basis=eye)]
+def _tensor_factor(action, tol):
+    """The one sector of a G0 whose generators are 1_m (x) r_k, each to
+    tol * max(1, ||g||), with r irreducible; else None.  Tries d | n from
+    d = 1 (scalars), m = n / d >= 2, each screened by g[d:, :d] in O(n d);
+    r_k is the mean diagonal block.  The first d that fits decides: a
+    1 x 1 r is irreducible, a larger one when its commutant is scalars.
+    """
+    n, gens = action.dim, action.generators
+    limits = [tol * max(1.0, *linalg.frob_each(g[None])) for g in gens]
+    for d in [d for d in range(1, n // 2 + 1) if n % d == 0] or [1]:
+        if any(linalg.frob(g[d:, :d]) > lim for g, lim in zip(gens, limits)):
+            continue
+        m, factors = n // d, []
+        for g, lim in zip(gens, limits):
+            g4 = np.ascontiguousarray(g, dtype=complex).reshape(m, d, m, d)
+            diag = np.einsum("aiaj->aij", g4)
+            factors.append(diag.mean(axis=0))
+            x = g4.view(float)
+            power = np.einsum("aibj,aibj->ab", x, x)  # squared block norms
+            np.einsum("aa->a", power)[...] = 0
+            if power.sum() + linalg.frob(diag - factors[-1]) ** 2 > lim ** 2:
+                break
+        else:
+            if d > 1 and len(commutant_basis(
+                    GroupAction(dim=d, generators=tuple(factors)), tol)) > 1:
+                return None
+            eye = np.eye(n, dtype=complex)
+            return IsotypicBlock(label=0, irrep_dim=d, multiplicity=m,
+                                 projector=eye, factor_basis=eye)
+    return None
 
 
 def isotypic_decompose(action, rng, tol=None, retries=5):
@@ -432,18 +437,16 @@ def isotypic_decompose(action, rng, tol=None, retries=5):
     between them, and a slice's squared norm is the dimension of that
     hom space: above 1/2 it puts two copies in one isomorphism class,
     and one power step from its largest row gives the map that
-    assembles the factor basis.  A group whose generators are all
-    multiples of the identity is one sector of n copies of a character,
-    with no split.  Retries with fresh randomness when the spectrum
-    fails the health checks, and raises ``DegenerateDecompositionError``
-    when the retry budget is exhausted.
+    assembles the factor basis.  A G0 that is 1_m (x) r in the given
+    basis with r irreducible (``_tensor_factor``) is one sector, with no
+    split.  Retries with fresh randomness when the spectrum fails the
+    health checks, and raises ``DegenerateDecompositionError`` when the
+    retry budget is exhausted.
     """
     tol = linalg.TOL_INPUT if tol is None else tol
-    n = action.dim
-    if action.scalars(tol) is not None:
-        return _single_block(n, 1, n)
-    if action.mode == MODE_SPIN_HALF:
-        return _single_block(n, 2, n // 2)
+    block = _tensor_factor(action, tol)
+    if block is not None:
+        return [block]
 
     comm = commutant_basis(action, tol)
     last_error = None
@@ -560,14 +563,14 @@ def dual_sum(g):
     return out
 
 
-def fs_indicator(action, block, tol=None):
+def fs_indicator(action, block):
     """Frobenius-Schur indicator of the sector's irreducible.
 
     Averages the character at squared group elements; +1 for real type
     (a symmetric self-pairing exists), -1 for quaternionic type (skew
     self-pairing), 0 for complex type (no self-pairing).
     """
-    if action.mode != MODE_FINITE:
+    if action.elements is None:
         raise UnsupportedModeError("Frobenius-Schur indicator needs an "
                                    "explicit finite group")
     r = block.rep_basis()
@@ -585,11 +588,11 @@ def self_duality_type(action, block, tol=None):
     """Symmetry type of the equivariant self-pairing R -> R*, if any.
 
     Returns +1 when a symmetric equivariant isomorphism onto the dual
-    exists, -1 when it is skew, and 0 when R is not self-dual.  Works in
-    every mode (the dual of a unitary or anti-Hermitian generator is its
-    entrywise conjugate).
+    exists, -1 when it is skew, and 0 when R is not self-dual (the dual
+    of a unitary or anti-Hermitian generator is its entrywise conjugate).
 
-    The commutant of R + R* (dimension 2d) is C + C when R is not
+    A character is self-dual (and symmetric) when real: |Im r_k| <= tol.
+    Else the commutant of R + R* (dimension 2d) is C + C when R is not
     self-dual and the 2 x 2 matrices over C when it is; then the
     lower-left d x d blocks of the commutant basis span Hom_G(R, R*),
     and the largest of them is the pairing psi.  Any other commutant,
@@ -598,10 +601,11 @@ def self_duality_type(action, block, tol=None):
     """
     tol = linalg.TOL_INPUT if tol is None else tol
     d = block.irrep_dim
-    doubled = tuple(dual_sum(block.irrep_matrix(g))
-                    for g in action.generators)
-    comm = commutant_basis(GroupAction(dim=2 * d, mode=action.mode,
-                                       generators=doubled), tol)
+    rep = [block.irrep_matrix(g) for g in action.generators]
+    if d == 1:
+        return int(all(abs(r[0, 0].imag) <= tol for r in rep))
+    comm = commutant_basis(GroupAction(dim=2 * d, generators=tuple(
+        dual_sum(r) for r in rep)), tol)
     if len(comm) == 2:
         return 0
     lower = comm[:, d:, :d]

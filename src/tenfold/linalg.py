@@ -42,9 +42,9 @@ TOL_EIG = 1e-10
 TOL_DEDUP = 1e-8
 
 # Largest array, in bytes, that a sampler draw (size * n^2 * 16 for
-# complex128), a commutant basis or component system or the elements of
-# a group closure may ask for; larger inputs are refused (InputShapeError,
-# or GroupTooLargeError for a closure) before they are allocated.
+# complex128), a commutant basis or system, a group closure or one matrix
+# of a spec's dimension may take; larger ones are refused before they are
+# allocated (InputShapeError, GroupTooLargeError, SpecFileError).
 # Measured peaks (one BLAS thread) of ``stats --class`` at 1.05e9 bytes
 # of samples: 2.1 GB for A(256) and circular AIII(128,128), 2.8 GB for
 # D(128), about 2.7 times the draw, so a draw at the cap fits an 8 GB

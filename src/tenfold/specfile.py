@@ -21,8 +21,7 @@ from .errors import InputShapeError, SpecFileError
 
 SCHEMA_VERSION = "1"
 # "none" is the trivial group, built as the finite group of order one.
-_MODES = ("none", grouprep.MODE_FINITE, grouprep.MODE_LIE,
-          grouprep.MODE_SPIN_HALF)
+_MODES = ("none", "finite-group", "lie-algebra", "spin-half")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +101,9 @@ def parse_spec_data(data):
     dim = data.get("dimension")
     _require(isinstance(dim, int) and dim >= 1, "dimension",
              "must be a positive integer")
+    _require(16 * dim * dim <= linalg.MAX_ARRAY_BYTES, "dimension",
+             f"one {dim} x {dim} complex matrix needs {16 * dim * dim} "
+             f"bytes, above the limit of {linalg.MAX_ARRAY_BYTES} bytes")
     kind = data.get("setting")
     _require(kind in ("hilbert", "nambu"), "setting",
              "must be 'hilbert' or 'nambu'")
@@ -125,14 +127,14 @@ def parse_spec_data(data):
         _require(not generators, "g0.generators",
                  "mode 'none' takes no generators")
         action = grouprep.trivial_action(dim)
-    elif mode == grouprep.MODE_SPIN_HALF:
+    elif mode == "spin-half":
         _require(not generators, "g0.generators",
                  "spin-half mode takes no generators (built-in factor)")
         try:
             action = grouprep.spin_half_action(dim)
         except InputShapeError as err:
             raise SpecFileError("dimension", str(err))
-    elif mode == grouprep.MODE_FINITE:
+    elif mode == "finite-group":
         for i, g in enumerate(generators):
             _require(linalg.is_unitary(g, max(tolerance,
                                               linalg.tol_unitary(dim))),

@@ -150,11 +150,17 @@ def _check_spectral_pairing():
 
 def _check_zero_modes():
     rng = linalg.RngStream(20)
-    lab = label("AIII", 2, 5)
-    h = ensembles.sample_gaussian(ensembles.EnsembleSpec(lab), rng)
-    ev = np.sort(np.abs(np.linalg.eigvalsh(h)))
-    ok = np.all(ev[:3] <= 1e-10) and np.all(ev[3:] > 1e-10)
-    return bool(ok), f"three smallest |E|: {ev[:3]}"
+    worst_zero, least_nonzero = 0.0, np.inf
+    for family, p, q in (("AIII", 2, 5), ("AIII", 4, 1), ("BDI", 1, 3),
+                         ("BDI", 5, 2), ("CII", 2, 6), ("CII", 4, 2)):
+        hs = ensembles.sample_gaussian(
+            ensembles.EnsembleSpec(label(family, p, q)), rng, size=2)
+        ev = np.sort(np.abs(np.linalg.eigvalsh(hs)), axis=-1)
+        worst_zero = max(worst_zero, float(ev[:, :abs(p - q)].max()))
+        least_nonzero = min(least_nonzero, float(ev[:, abs(p - q)].min()))
+    return worst_zero <= 1e-10 < least_nonzero, (
+        f"worst zero mode {worst_zero:.2e}, smallest nonzero |E| "
+        f"{least_nonzero:.2e}")
 
 
 def _check_circular_membership():

@@ -75,7 +75,7 @@ class TestBuildNambu:
         nambu = build_nambu(setting)
         assert nambu.kind == "nambu"
         assert nambu.dim == 2
-        assert nambu.g0.is_trivial()
+        assert len(nambu.g0.elements) == 1
 
     def test_induced_action_preserves_canonical_pairing(self, rng):
         w = haar_unitary(3, rng)
@@ -289,3 +289,45 @@ class TestSettingValidation:
         t = AntiUnitaryOp(symplectic_form(1))
         with pytest.raises(SymmetryConsistencyError):
             hilbert_setting(u1_charge_action(2), t, particle_hole=s)
+
+
+_OMEGA = np.exp(2j * np.pi / 3)
+
+
+class TestScalarFiniteG0:
+    """A finite G0 of scalar phases: the label read from its character
+    matches the brute-force dimension of the compatible Hamiltonians."""
+
+    @pytest.mark.parametrize("n, phase, t, s, want", [
+        (4, -1.0, None, None, label("D", 4)),
+        (4, -1.0, np.kron(symplectic_form(1), np.eye(2)), None,
+         label("DIII", 4)),
+        (3, _OMEGA, None, np.diag([1.0, -1.0, -1.0]), label("AIII", 1, 2)),
+        (3, _OMEGA, None, None, label("A", 3)),
+        (4, 1j, np.eye(4), np.diag([1.0, 1.0, -1.0, -1.0]),
+         label("BDI", 2, 2)),
+    ])
+    def test_label_matches_brute_force(self, n, phase, t, s, want, rng):
+        setting = hilbert_setting(
+            close_group([phase * np.eye(n)]),
+            None if t is None else AntiUnitaryOp(t), particle_hole=s)
+        (entry,) = classify_tenfold(setting, rng).entries
+        assert entry.class_label == want
+        nambu = build_nambu(setting)
+        brute = oracles.compatible_dimension(
+            nambu.dim, oracles.setting_constraints_nambu(nambu, n))
+        assert brute == compatible_space(want).tangent_dim
+
+
+@pytest.mark.parametrize("t", [None, "1", "J"])
+def test_charge_without_c_reads_its_dyson_class(t, rng):
+    # the tenfold reading of one charge sector matches the threefold one,
+    # parities included
+    u = {None: None, "1": np.eye(4), "J": symplectic_form(2)}[t]
+    setting = hilbert_setting(u1_charge_action(4),
+                              None if u is None else AntiUnitaryOp(u))
+    (ten,) = classify_tenfold(setting, rng).entries
+    (three,) = classify_threefold(setting, rng).entries
+    assert ten.line() == three.line()
+    assert (ten.eps_t, ten.eps_alpha, ten.eps_beta) == \
+        (three.eps_t, three.eps_alpha, three.eps_beta)

@@ -662,3 +662,54 @@ class TestUnsupportedTenfoldBranches:
         assert main(["classify", path, "--tenfold"]) == 4
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", err)
+
+
+_OMEGA = np.exp(2j * np.pi / 3)
+
+
+class TestScalarGroupSpecs:
+    """A finite G0 of scalar phases is one sector of a character: -1 is
+    real and lifts to (-1)^F, which allows pairing, like the trivial
+    group; omega and i are complex and forbid it, like a charge."""
+
+    @pytest.mark.parametrize("n, phase, t, s, line", [
+        (4, -1.0, None, None, "lambda=0 d=1 m=4 class=D space=SO_8"),
+        (4, -1.0, np.kron(_J2, np.eye(2)), None,
+         "lambda=0 d=1 m=4 class=DIII space=SO_8/U_4"),
+        (3, _OMEGA, None, np.diag([1.0, -1.0, -1.0]),
+         "lambda=0 d=1 m=3 class=AIII space=U_3/(U_1 x U_2)"),
+        (3, _OMEGA, None, None, "lambda=0 d=1 m=3 class=A space=U_3"),
+        (4, 1j, np.eye(4), np.diag([1.0, 1.0, -1.0, -1.0]),
+         "lambda=0 d=1 m=4 class=BDI space=O_4/(O_2 x O_2)"),
+    ], ids=["minus-one", "minus-one-T-J", "omega-S", "omega",
+            "i-T-one-S"])
+    def test_classify_tenfold(self, tmp_path, capsys, n, phase, t, s, line):
+        spec = trivial_spec(dim=n, g0={
+            "mode": "finite-group", "generators": [pairs(phase * np.eye(n))]})
+        if t is not None:
+            spec["time_reversal"] = {"matrix": pairs(t)}
+        if s is not None:
+            spec["particle_hole"] = {"s_matrix": pairs(s)}
+        path = write_spec(tmp_path, spec)
+        assert main(["classify", path, "--tenfold"]) == 0
+        assert capsys.readouterr() == (line + "\n", "")
+
+
+class TestDimensionCap:
+    @pytest.mark.parametrize("mode", ["none", "spin-half"])
+    def test_oversized_dimension_exits_two(self, tmp_path, capsys, mode):
+        # one 8193 x 8193 complex matrix is above 1 GiB: refused before
+        # the identity of the trivial group or a spin generator is built
+        path = write_spec(tmp_path, trivial_spec(dim=8193,
+                                                 g0={"mode": mode}))
+        tracemalloc.start()
+        try:
+            code = main(["classify", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: dimension: one 8193 x 8193 complex matrix needs "
+            "1074003984 bytes, above the limit of 1073741824 bytes\n")
+        assert peak < 1 << 20

@@ -1,4 +1,5 @@
-"""Every function, method and class in src/tenfold has a caller.
+"""Every function, method, class and module-level constant in
+src/tenfold has a caller or a reader.
 
 A definition counts as used when its name appears as an ``ast.Name``,
 an ``ast.Attribute`` or an imported name somewhere in src/tenfold
@@ -52,6 +53,20 @@ def _definitions(tree):
     return found
 
 
+def _constants(tree):
+    """(name, node) of every name a module-level assignment binds."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        found.append((name.id, node))
+    return found
+
+
 def test_no_definition_without_a_caller():
     sources = [p for p in sorted(PACKAGE.glob("*.py"))
                if p.name != "__init__.py"]
@@ -71,3 +86,18 @@ def test_no_definition_without_a_caller():
                 continue
             unused.append(f"{path.stem}.{qualname}")
     assert sorted(unused) == sorted(ALLOWED)
+
+
+def test_no_constant_without_a_reader():
+    sources = [p for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"]
+    scanned = sources + sorted((ROOT / "perfbench").glob("*.py")) + \
+        [ROOT / "tests" / "test_acceptance.py"]
+    used = Counter()
+    for path in scanned:
+        used.update(_used_names(ast.parse(path.read_text())))
+    # the assignment's own target cancels against its count in ``used``
+    unused = [f"{path.stem}.{name}" for path in sources
+              for name, node in _constants(ast.parse(path.read_text()))
+              if used[name] - _used_names(node)[name] <= 0]
+    assert unused == []

@@ -14,8 +14,8 @@ from tenfold.classifier import hilbert_setting
 from tenfold.errors import (DegenerateDecompositionError,
                             GroupTooLargeError, InputShapeError,
                             SymmetryConsistencyError, UnsupportedModeError)
-from tenfold.grouprep import (MODE_FINITE, MODE_SPIN_HALF, PAULI_X,
-                              PAULI_Y, PAULI_Z, GroupAction, IsotypicBlock,
+from tenfold.grouprep import (PAULI_X, PAULI_Y, PAULI_Z, GroupAction,
+                              IsotypicBlock,
                               _eigen_split, close_group,
                               commutant_basis, fs_indicator,
                               isotypic_decompose,
@@ -52,10 +52,9 @@ class TestCloseGroup:
 
     def test_trivial_action_is_the_group_of_order_one(self):
         action = trivial_action(4)
-        assert action.mode == MODE_FINITE and action.generators == ()
+        assert action.generators == ()
         assert len(action.elements) == 1
         assert np.array_equal(action.elements[0], np.eye(4))
-        assert action.is_trivial()
 
     def test_budget_enforced(self):
         theta = np.sqrt(2.0)
@@ -361,7 +360,7 @@ class TestComponentSolve:
 
     @staticmethod
     def _assert_oracle_span(gens, tol=linalg.TOL_INPUT, finite=True):
-        action = (GroupAction(dim=gens[0].shape[0], mode=MODE_FINITE,
+        action = (GroupAction(dim=gens[0].shape[0],
                               generators=tuple(gens)) if finite
                   else lie_algebra_action(gens, tol))
         basis = commutant_basis(action, tol)
@@ -405,8 +404,7 @@ class TestComponentSolve:
             z = rng.complex_normal(g.shape)
             z = z - z.conj().T if not finite else z
             noisy.append(g + 0.1 * tol * z / linalg.frob(z))
-        action = GroupAction(dim=gens[0].shape[0], mode=MODE_FINITE,
-                             generators=tuple(noisy))
+        action = GroupAction(dim=gens[0].shape[0], generators=tuple(noisy))
         basis = commutant_basis(action, tol)
         assert len(basis) == len(oracles.commutant_span_oracle(noisy, tol))
         b = basis.reshape(len(basis), -1)
@@ -419,8 +417,7 @@ class TestComponentSolve:
         e21 = np.zeros((3, 3), dtype=complex)
         e21[1, 0] = 1
         gens = [np.diag([1.0, 2.0, 3.0]) - (c[1] / c[0]) * e21, e21]
-        basis = commutant_basis(GroupAction(dim=3, mode=MODE_FINITE,
-                                            generators=tuple(gens)))
+        basis = commutant_basis(GroupAction(dim=3, generators=tuple(gens)))
         assert len(basis) == len(oracles.commutant_oracle(gens)) == 2
 
     def test_reflection_forms_no_system(self, monkeypatch):
@@ -714,8 +711,7 @@ class TestSliceIntertwiners:
             gens = noisy
         if finite:
             # only the generators enter the commutant and the split
-            return GroupAction(dim=gens[0].shape[0], mode=MODE_FINITE,
-                               generators=tuple(gens))
+            return GroupAction(dim=gens[0].shape[0], generators=tuple(gens))
         return lie_algebra_action(gens, tol)
 
     @pytest.mark.parametrize("name", ["Z3", "S3", "D4", "Q8", "su2"])
@@ -798,7 +794,7 @@ class TestBatchedDecompose:
         for path in paths:
             parsed = parse_spec(path)
             g0 = parsed.setting.g0
-            if g0.mode == MODE_SPIN_HALF or g0.is_trivial(parsed.tolerance):
+            if grouprep._tensor_factor(g0, parsed.tolerance) is not None:
                 continue  # decomposed without a split
             split += 1
             self._assert_oracle_sectors(g0, parsed.tolerance, seed)
@@ -810,7 +806,7 @@ class TestBatchedDecompose:
         rng = linalg.RngStream(31)
         gens, finite = _random_setting(name, rng)
         noisy = _noisy(gens, finite, tol, rng)
-        action = (GroupAction(dim=gens[0].shape[0], mode=MODE_FINITE,
+        action = (GroupAction(dim=gens[0].shape[0],
                               generators=tuple(noisy)) if finite
                   else lie_algebra_action(noisy, tol))
         self._assert_oracle_sectors(action, tol, 37)
@@ -852,3 +848,93 @@ class TestBatchedDecompose:
         assert sorted((b.irrep_dim, b.multiplicity) for b in blocks) == \
             [(1, 1), (1, 31)]
         assert peak < 0.25 * comm.nbytes
+
+
+class TestTensorFactor:
+    """G0 = 1_m (x) r in the given basis: one sector when r is irreducible,
+    the generic split otherwise."""
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_spin_one_is_one_sector(self, m):
+        action = lie_algebra_action([np.kron(np.eye(m), g) for g in _spin(2)])
+        block = grouprep._tensor_factor(action, linalg.TOL_INPUT)
+        assert (block.irrep_dim, block.multiplicity) == (3, m)
+        assert np.array_equal(block.factor_basis, np.eye(3 * m))
+        (got,) = isotypic_decompose(action, linalg.RngStream(1))
+        assert (got.irrep_dim, got.multiplicity) == (3, m)
+
+    @pytest.mark.parametrize("phase", [1.0, -1.0, 1j, np.exp(2j * np.pi / 3)])
+    def test_scalars_are_one_sector_of_a_character(self, phase):
+        action = close_group([phase * np.eye(6)])
+        block = grouprep._tensor_factor(action, linalg.TOL_INPUT)
+        assert (block.irrep_dim, block.multiplicity) == (1, 6)
+
+    @pytest.mark.parametrize("r", [
+        [1j * np.diag([1.0, -1.0])],  # two characters
+        _stack([(_spin(1), 1), (_spin(2), 1)]),  # spin 1/2 + spin 1
+    ], ids=["u1-charges", "two-spins"])
+    def test_reducible_factor_takes_the_generic_split(self, r):
+        action = lie_algebra_action([np.kron(np.eye(3), g) for g in r])
+        assert grouprep._tensor_factor(action, linalg.TOL_INPUT) is None
+        got = TestBatchedDecompose._assert_oracle_sectors(
+            action, linalg.TOL_INPUT, 3)
+        want = isotypic_decompose(action, linalg.RngStream(3))
+        assert [(b.irrep_dim, b.multiplicity) for b in got] == \
+            [(b.irrep_dim, b.multiplicity) for b in want]
+
+    @pytest.mark.parametrize("name", ["Q8", "su2"])
+    def test_haar_basis_is_not_a_tensor_factor(self, name):
+        gens = _spin(1) if name == "su2" else [1j * PAULI_X, 1j * PAULI_Z]
+        w = linalg.haar_unitary(8, linalg.RngStream(4))
+        gens = [w @ np.kron(np.eye(4), g) @ w.conj().T for g in gens]
+        action = lie_algebra_action(gens) if name == "su2" else \
+            close_group(gens)
+        assert grouprep._tensor_factor(action, linalg.TOL_INPUT) is None
+
+    def test_spin_half_peak_is_the_factor_basis(self):
+        # the blocks are read through views: the peak is the returned
+        # identity, 4 MiB at n = 512, not a temporary of each generator
+        action = spin_half_action(512)
+        tracemalloc.start()
+        try:
+            (block,) = isotypic_decompose(action, linalg.RngStream(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (block.irrep_dim, block.multiplicity) == (2, 256)
+        assert peak < 1.5 * block.factor_basis.nbytes
+
+
+class TestCharacterSelfDuality:
+    """The d = 1 path of self_duality_type against the commutant of
+    R + R*: a character is self-dual exactly when it is real."""
+
+    @pytest.mark.parametrize("value", [
+        1.0, -1.0, 1j, np.exp(2j * np.pi / 3), -1.0 + 1e-10j,
+        np.exp(2j * np.pi / 3) + 1e-10, 1e-10j, 2.5j + 1e-10])
+    def test_matches_commutant_of_the_doubled_character(self, value):
+        unit = abs(abs(value) - 1) < 1e-6
+        gen = value * np.eye(3)
+        action = GroupAction(dim=3, generators=(gen,)) if unit else \
+            lie_algebra_action([gen])
+        (block,) = isotypic_decompose(action, linalg.RngStream(6))
+        doubled = dual_sum(block.irrep_matrix(gen))
+        comm = commutant_basis(GroupAction(dim=2, generators=(doubled,)))
+        assert self_duality_type(action, block) == \
+            {2: 0, 4: 1}[len(comm)]
+
+
+def test_close_group_refuses_an_identity_above_the_cap(monkeypatch):
+    # one 300 x 300 element takes 1.44 MB, above a 1 MiB cap
+    monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupTooLargeError) as err:
+            close_group([], dim=300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == ("one group element of size 300 x 300 needs "
+                              "1440000 bytes, above the limit of 1048576 "
+                              "bytes")
+    assert peak < 100_000

@@ -34,7 +34,7 @@ class TestParse:
         path.write_text(json.dumps(minimal()))
         parsed = parse_spec(path)
         assert parsed.setting.dim == 2
-        assert parsed.setting.g0.is_trivial()
+        assert len(parsed.setting.g0.elements) == 1
         assert parsed.seed == 0
 
     def test_time_reversal_spin_half(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tenfold import focklab, linalg, symspace, verify
+from tenfold import ensembles, focklab, linalg, symspace, verify
 
 
 def test_cartan_membership_reports_a_computed_residual():
@@ -65,3 +65,25 @@ def test_ct_commutation_carries_the_determinant():
     assert verify.ct_residual(c, lift, 1.0) >= 1.0
     ok, detail = verify._check_ct_commutation()
     assert ok, detail
+
+
+def test_zero_modes_over_several_gradings(monkeypatch):
+    ok, detail = verify._check_zero_modes()
+    assert ok, detail
+    # a shift by 1e-8 I lifts every zero mode off zero
+    draw, seen = ensembles.sample_gaussian, []
+
+    def shifted(spec, rng, size=None):
+        seen.append((spec.label, size))
+        return draw(spec, rng, size) + 1e-8 * np.eye(spec.label.matrix_dim)
+
+    monkeypatch.setattr(ensembles, "sample_gaussian", shifted)
+    ok, detail = verify._check_zero_modes()
+    assert not ok
+    assert detail.startswith("worst zero mode 1.00e-08, ")
+    # two unbalanced gradings of each chiral family, two draws each
+    assert sorted(lab.family for lab, _ in seen) == \
+        ["AIII", "AIII", "BDI", "BDI", "CII", "CII"]
+    assert len({lab for lab, _ in seen}) == 6
+    assert all(lab.dims[0] != lab.dims[1] and size == 2
+               for lab, size in seen)
