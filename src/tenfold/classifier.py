@@ -3,14 +3,14 @@
 ``classify_threefold`` reduces a Hilbert-space setting (unitary group
 G0, optional time reversal T) to per-sector Dyson classes A / AI / AII.
 ``classify_tenfold`` promotes a setting to Nambu space W = V + V* and
-recognizes the canonical post-Dyson configurations, yielding one of the
-ten Cartan families together with the compact symmetric space of
-compatible time evolutions.
+recognizes the canonical post-Dyson configurations, yielding per sector
+one of the ten Cartan families together with the compact symmetric
+space of compatible time evolutions.
 
-Pattern recognition is structural, not name-based: G0's pattern is the
-real, complex or quaternionic type of its single isotypic sector (Dyson's
-one invariant), read from the matrices alone, so any unitary change of
-basis of the input leaves the labels unchanged.
+Pattern recognition is structural, not name-based: both decompose G0
+once and look up one SIGNATURE row per isotypic sector, keyed on its
+real, complex or quaternionic type read from the matrices alone, so any
+unitary change of basis of the input leaves the labels unchanged.
 """
 
 from dataclasses import dataclass
@@ -169,10 +169,10 @@ def twist(lab, name, size=None):
     return None if name is None else _TWISTS[name](n, p, q)
 
 
-# The decision table of both classifiers: (G0 of the canonical setting,
-# eps_T of its exact T twist or None, twisted C present) -> family.  G0 is
-# one sector: ``trivial`` a real character, ``u1`` a complex one, and
-# ``spin-half`` a quaternionic irreducible.
+# The decision table of both classifiers, read once per sector: (G0 of the
+# canonical setting, eps_T of its exact T twist or None, twisted C present)
+# -> family.  G0 is one sector: ``trivial`` a real character, ``u1`` a
+# complex one, and ``spin-half`` a quaternionic irreducible.
 SIGNATURE = {(g0, None if t is None else
               parity(AntiUnitaryOp(_TWISTS[t](4, 2, 2), 0), 0),
               fam.block == "chiral"): name
@@ -400,61 +400,35 @@ class ClassificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Threefold classification
+# Classification
 
 
 def classify_threefold(setting, rng=None):
-    """Dyson classification of a Hilbert-space setting, sector by sector.
-
-    Sectors without time reversal, and conjugate pairs of sectors that T
-    exchanges, are class A; fixed sectors are AI or AII according to the
-    parity of the transferred factor acting on the multiplicity space.
-    Swapped pairs are reported once, with both sector labels listed.
-    """
+    """Dyson classes A / AI / AII of a Hilbert-space setting, one per
+    sector of G0 or pair of sectors that T swaps (see ``_classify``)."""
     if setting.kind != "hilbert":
         raise InputShapeError("threefold classification runs on the "
                               "Hilbert-space setting")
-    rng = linalg.RngStream(0) if rng is None else rng
-    blocks = isotypic_decompose(setting.g0, rng, tol=setting.tolerance)
-    by_label = {b.label: b for b in blocks}
-    t = setting.time_reversal
-    unitary = SIGNATURE["u1", None, False]
-    entries = []
-    if t is None:
-        for b in blocks:
-            entries.append(BlockEntry((b.label,), b.irrep_dim,
-                                      b.multiplicity,
-                                      label(unitary, b.multiplicity)))
-        return ClassificationReport("threefold", setting.dim, tuple(entries))
-
-    eps_t = parity(t, setting.tolerance)
-    pairing = sector_action(t, blocks, setting.tolerance)
-    for lam in pairing.fixed:
-        b = by_label[lam]
-        tt = transfer_T(b, t, setting.tolerance)
-        family = SIGNATURE["u1", tt.eps_alpha, False]
-        entries.append(BlockEntry((lam,), b.irrep_dim, b.multiplicity,
-                                  label(family, b.multiplicity),
-                                  eps_t=eps_t, eps_alpha=tt.eps_alpha,
-                                  eps_beta=tt.eps_beta))
-    for lam, mu in pairing.swapped:
-        b, c = by_label[lam], by_label[mu]
-        if b.multiplicity != c.multiplicity:
-            raise SymmetryConsistencyError("swapped sectors with unequal "
-                                           "multiplicity")
-        entries.append(BlockEntry((lam, mu), b.irrep_dim, b.multiplicity,
-                                  label(unitary, b.multiplicity),
-                                  eps_t=eps_t))
-    entries.sort(key=lambda e: e.sector_labels)
-    return ClassificationReport("threefold", setting.dim, tuple(entries))
+    return _classify(setting, rng, tenfold=False)
 
 
-# ---------------------------------------------------------------------------
-# Tenfold classification
+def classify_tenfold(setting, rng=None):
+    """Cartan families of a (promoted) Nambu-space setting, one per
+    sector of G0 on W = V + V* (see ``_classify``)."""
+    base = setting if setting.kind == "hilbert" else setting.base
+    if base is None:
+        raise InputShapeError("nambu setting lacks its originating "
+                              "hilbert setting")
+    return _classify(base, rng, tenfold=True)
 
 
-def _unsupported(head, g0_name, eps_t, has_c):
-    """The exit-4 error: ``head`` and the patterns that were found."""
+def _unsupported(g0_name, eps_t, has_c):
+    """The exit-4 error, with the patterns of a one-sector G0."""
+    what = {"trivial": "trivial G0",
+            "spin-half": "quaternionic sector"}.get(g0_name)
+    head = (f"{what} with positive-parity T is outside the decision table"
+            if what and eps_t == 1 and not has_c else
+            "unrecognized symmetry configuration")
     t = "False" if eps_t is None else f"True (eps_T = {eps_t:+d})"
     return UnsupportedConfigurationError(
         f"{head}; G0 trivial: {g0_name == 'trivial'}; G0 U(1) charge: "
@@ -463,55 +437,81 @@ def _unsupported(head, g0_name, eps_t, has_c):
         f"present: {has_c}")
 
 
-def classify_tenfold(setting, rng=None):
-    """Tenfold classification of a (promoted) Nambu-space setting.
+def _classify(base, rng, tenfold):
+    """Decompose G0 on V once, pair its sectors and look up one
+    ``SIGNATURE`` row per entry.
 
-    A single sector of G0 is trivial, a U(1) charge or quaternionic by
-    its ``self_duality_type``; with the parity of T and the presence of
-    twisted particle-hole conjugation that names a canonical setting, and
-    ``SIGNATURE`` its family: D, DIII, C, CI, AIII, BDI or CII, or for a
-    charge without particle-hole conjugation the Dyson class A, AI or AII
-    of its one sector, with T's transferred parities.  Anything else raises
-    ``UnsupportedConfigurationError`` with a pattern diagnostic.
+    Threefold reads each sector in Dyson's column (``u1``, no C), keyed
+    on the parity eps_alpha of T's factor on its multiplicity space; a
+    pair T swaps is one A entry.  Tenfold reads ``self_duality_type``: a
+    real character is ``trivial``, a quaternionic irreducible
+    ``spin-half``, a complex character ``u1`` that joins its dual (one
+    sector of W, multiplicity m + m*).  The key is T's parity in the
+    sector's canonical setting, eps_alpha times -1 when quaternionic
+    (that T has eps_beta = -1): eps_T when d = 1.  A chiral entry reads
+    (p, q) from the signs of S on its factor bases.  A key outside the
+    table, a T that swaps sectors or an S that moves one exits 4.
     """
     rng = linalg.RngStream(0) if rng is None else rng
-    base = setting if setting.kind == "hilbert" else setting.base
-    if base is None:
-        raise InputShapeError("nambu setting lacks its originating "
-                              "hilbert setting")
     tol, n, g0, t = base.tolerance, base.dim, base.g0, base.time_reversal
-    has_c = base.particle_hole is not None
-
-    eps_t = parity(t, tol) if t is not None else None
-    blocks = isotypic_decompose(g0, rng, tol=tol)
-    block, d, m = blocks[0], blocks[0].irrep_dim, blocks[0].multiplicity
-    fs = self_duality_type(g0, block, tol) if len(blocks) == 1 else None
-    g0_name = {(1, 1): "trivial", (0, 1): "u1"}.get(
-        (fs, d), "spin-half" if fs == -1 else None)
-    found = (g0_name, eps_t, has_c)
-    family = SIGNATURE.get((g0_name, eps_t, has_c))
-    if family is None:
-        what = {"trivial": "trivial G0",
-                "spin-half": "quaternionic sector"}.get(g0_name)
-        raise _unsupported(
-            f"{what} with positive-parity T is outside the decision table"
-            if what and eps_t == 1 and not has_c else
-            "unrecognized symmetry configuration", *found)
-
+    has_c = tenfold and base.particle_hole is not None
     if has_c:
         s = np.asarray(base.particle_hole, dtype=complex)
-        p = int(np.sum(np.linalg.eigvalsh(0.5 * (s + s.conj().T)) > 0))
-    dims = (p, n - p) if has_c else (m,)
-    eps = {}
-    if t is not None and (g0_name == "spin-half" or
-                          FAMILY[family].block == "plain"):
-        tt = transfer_T(block, t, tol)
-        if g0_name == "spin-half" and tt.eps_alpha != 1:
-            raise _unsupported("quaternionic sector with eps_alpha = -1 is "
-                               "outside the decision table", *found)
-        eps = {"eps_alpha": tt.eps_alpha, "eps_beta": tt.eps_beta}
-    entry = BlockEntry((0,), d, m, label(family, *dims), eps_t=eps_t, **eps)
-    return ClassificationReport("tenfold", 2 * n, (entry,))
+        s = 0.5 * (s + s.conj().T)  # an involution: unitary and Hermitian
+    eps_t = parity(t, tol) if t is not None else None
+    blocks = isotypic_decompose(g0, rng, tol=tol)
+    fs = [(self_duality_type(g0, b, tol), b.irrep_dim) if tenfold else
+          (0, 1) for b in blocks]  # threefold: every sector a charge
+    types = [{(1, 1): "trivial", (0, 1): "u1"}.get(
+        k, "spin-half" if k[0] == -1 else None) for k in fs]
+    found = (types[0] if len(blocks) == 1 else None, eps_t, has_c)
+    pairs = {}
+    if t is not None and (len(blocks) > 1 or not tenfold):
+        pairs = {lam: mu for pair in sector_action(t, blocks, tol).swapped
+                 for lam, mu in (pair, pair[::-1])}
+    moved = has_c and len(blocks) > 1 and any(linalg.frob(
+        s @ b.projector @ s - b.projector) > tol * b.dim for b in blocks)
+    if tenfold and (None in types or pairs or moved):
+        raise _unsupported(*found)
+    if tenfold and len(blocks) > 1:  # a charge joins its dual charge
+        chi = {b.label: [b.irrep_matrix(g)[0, 0] for g in g0.generators]
+               for b, kind in zip(blocks, types) if kind == "u1"}
+        pairs = {lam: mu for lam in chi for mu in chi if np.allclose(
+            chi[mu], np.conj(chi[lam]), rtol=0, atol=tol)}
+    entries = []
+    for b, kind in zip(blocks, types):
+        mu = pairs.get(b.label, b.label)
+        if mu < b.label:
+            continue
+        group = [b] if mu == b.label else [b, blocks[mu]]
+        m, eps = sum(c.multiplicity for c in group), {"eps_t": eps_t}
+        if not tenfold and len(group) == 2:  # a pair of sectors T swaps
+            if m != 2 * b.multiplicity:
+                raise SymmetryConsistencyError("swapped sectors with "
+                                               "unequal multiplicity")
+            m, family = b.multiplicity, SIGNATURE["u1", None, False]
+        else:
+            tt = transfer_T(b, t, tol) if t is not None and (
+                not tenfold or kind == "spin-half") else None
+            sign = -1 if kind == "spin-half" else 1
+            family = SIGNATURE.get(
+                (kind, eps_t if tt is None else sign * tt.eps_alpha, has_c))
+            if family is None:
+                raise _unsupported(*found)
+            if t is not None and not tt and FAMILY[family].block == "plain":
+                tt = transfer_T(b, t, tol)
+            if tt is not None:
+                eps.update(eps_alpha=tt.eps_alpha, eps_beta=tt.eps_beta)
+        dims = (m,)
+        if has_c:  # (p, q): the signs of S on the entry's factor bases
+            fb = np.hstack([c.factor_basis for c in group])
+            h = s if len(blocks) == 1 else fb.conj().T @ s @ fb
+            p = int(np.sum(np.linalg.eigvalsh(h) > 0))
+            dims = (p, m - p)
+        entries.append(BlockEntry(tuple(c.label for c in group), b.irrep_dim,
+                                  m, label(family, *dims), **eps))
+    return ClassificationReport("tenfold" if tenfold else "threefold",
+                                2 * n if tenfold else n, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

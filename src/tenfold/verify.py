@@ -474,10 +474,10 @@ def run_setting_checks(parsed, tenfold):
         results.append(("setting.classify", False,
                         f"{type(err).__name__}: {err}"))
         return results
-    dims_total = 0
-    for entry in report.entries:
-        dims_total += entry.multiplicity * entry.irrep_dim * \
-            len(entry.sector_labels)
+    # a threefold pair that T swaps has the multiplicity of one sector
+    dims_total = sum(e.multiplicity * e.irrep_dim *
+                     (1 if tenfold else len(e.sector_labels))
+                     for e in report.entries)
     results.append(("setting.block-dimensions",
                     dims_total == parsed.setting.dim,
                     f"sum {dims_total}, space {parsed.setting.dim}"))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import oracles
 from tenfold import linalg
@@ -13,6 +14,7 @@ from tenfold.classifier import (build_nambu, canonical_setting,
 from tenfold.errors import (InputShapeError, SymmetryConsistencyError,
                             UnsupportedConfigurationError)
 from tenfold.grouprep import (PAULI_X, PAULI_Y, PAULI_Z, close_group,
+                              lie_algebra_action, spin_half_action,
                               u1_charge_action)
 from tenfold.linalg import RngStream, haar_unitary, symplectic_form
 
@@ -331,3 +333,124 @@ def test_charge_without_c_reads_its_dyson_class(t, rng):
     assert ten.line() == three.line()
     assert (ten.eps_t, ten.eps_alpha, ten.eps_beta) == \
         (three.eps_t, three.eps_alpha, three.eps_beta)
+
+
+_J1 = symplectic_form(1)
+_CHARGES_1122 = lie_algebra_action([1j * np.diag([1.0, 1.0, 2.0, 2.0])])
+_CHARGES_11MM = lie_algebra_action([1j * np.diag([1.0, 1.0, -1.0, -1.0])])
+_Z2 = close_group([np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)])
+# spin 1/2 (x) C^2 on the first four coordinates, C^2 trivial on the rest
+_SPIN_PLUS_TRIVIAL = lie_algebra_action(
+    [np.kron(np.diag([1.0, 1.0, 0.0]), 1j * p) for p in
+     (PAULI_X, PAULI_Y, PAULI_Z)])
+
+
+class TestMultiSectorTenfold:
+    """A G0 of several sectors gets one SIGNATURE row per sector of W =
+    V + V*: a real character is D or DIII, a charge and its dual charge
+    one Dyson or chiral entry of multiplicity m + m*, a quaternionic
+    sector C or CI.  The summed tangent dimension is the brute-force
+    dimension of the compatible Nambu Hamiltonians, in the model basis
+    and in a Haar-random one."""
+
+    @pytest.mark.parametrize("g0, t, s, want", [
+        (_Z2, None, None, ["D(2)", "D(2)"]),
+        (_Z2, np.kron(np.eye(2), _J1), None, ["DIII(2)", "DIII(2)"]),
+        (close_group([Z3_SHIFT]), None, None, ["A(2)", "D(1)"]),
+        (_CHARGES_1122, None, None, ["A(2)", "A(2)"]),
+        (_CHARGES_1122, np.eye(4), None, ["AI(2)", "AI(2)"]),
+        (_CHARGES_1122, np.kron(np.eye(2), _J1), None, ["AII(2)", "AII(2)"]),
+        (_CHARGES_11MM, None, None, ["A(4)"]),
+        (_CHARGES_11MM, np.eye(4), None, ["AI(4)"]),
+        (_CHARGES_1122, None, np.diag([1.0, -1.0, 1.0, -1.0]),
+         ["AIII(1,1)", "AIII(1,1)"]),
+        (_CHARGES_1122, None, np.diag([1.0, 1.0, 1.0, -1.0]),
+         ["AIII(1,1)", "AIII(2,0)"]),
+        (_CHARGES_1122, np.eye(4), np.diag([1.0, -1.0, 1.0, -1.0]),
+         ["BDI(1,1)", "BDI(1,1)"]),
+        (_CHARGES_11MM, None, np.diag([1.0, -1.0, 1.0, -1.0]),
+         ["AIII(2,2)"]),
+        (_SPIN_PLUS_TRIVIAL, None, None, ["C(2)", "D(2)"]),
+        (_SPIN_PLUS_TRIVIAL,
+         block_diag(np.kron(np.eye(2), 1j * PAULI_Y), _J1), None,
+         ["CI(2)", "DIII(2)"]),
+    ], ids=["Z2", "Z2-T-J", "Z3-regular", "charges-1122", "charges-1122-T-K",
+            "charges-1122-T-J", "charges-11mm", "charges-11mm-T-K",
+            "charges-1122-S-alternating", "charges-1122-S-one-minus",
+            "charges-1122-S-T-K", "charges-11mm-S", "spin-half-plus-trivial",
+            "spin-half-plus-trivial-T"])
+    @pytest.mark.parametrize("basis", ["model", "haar"])
+    def test_labels_and_brute_force_dimension(self, g0, t, s, want, basis,
+                                              rng):
+        n = g0.dim
+        w = np.eye(n) if basis == "model" else haar_unitary(n, rng)
+        gens = [w @ g @ w.conj().T for g in g0.generators]
+        rotated = close_group(gens) if g0.elements is not None else \
+            lie_algebra_action(gens)
+        setting = hilbert_setting(
+            rotated, None if t is None else AntiUnitaryOp(w @ t @ w.T),
+            particle_hole=None if s is None else w @ s @ w.conj().T)
+        report = classify_tenfold(setting, rng)
+        assert sorted(str(e.class_label) for e in report.entries) == want
+        nambu = build_nambu(setting)
+        brute = oracles.compatible_dimension(
+            nambu.dim, oracles.setting_constraints_nambu(nambu, n))
+        assert sum(compatible_space(e.class_label).tangent_dim
+                   for e in report.entries) == brute
+
+
+_SPIN_HALF_X2 = spin_half_action(4)
+
+
+def _brute_nambu_dimension(setting):
+    nambu = build_nambu(setting)
+    return oracles.compatible_dimension(
+        nambu.dim, oracles.setting_constraints_nambu(nambu, setting.dim))
+
+
+@pytest.mark.parametrize("t", [np.eye(4), np.kron(np.eye(2), 1j * PAULI_X),
+                               np.kron(np.eye(2), PAULI_Z)],
+                         ids=["K", "1-i-sigma-x", "1-sigma-z"])
+def test_spin_half_t_reads_its_canonical_parity(t, rng):
+    # each T is a G0 element times the canonical CI twist 1 (x) i sigma_y:
+    # eps_alpha = +1, so T's parity in the canonical setting is -1
+    setting = hilbert_setting(_SPIN_HALF_X2, AntiUnitaryOp(t))
+    (entry,) = classify_tenfold(setting, rng).entries
+    assert entry.class_label == label("CI", 2)
+    assert _brute_nambu_dimension(setting) == 6
+
+
+def test_spin_half_t_with_negative_alpha_stays_unsupported(rng):
+    # J (x) i sigma_x: eps_T = eps_alpha = -1, outside the decision table
+    # (the brute-force Nambu dimension is 4)
+    setting = hilbert_setting(_SPIN_HALF_X2,
+                              AntiUnitaryOp(np.kron(_J1, 1j * PAULI_X)))
+    assert _brute_nambu_dimension(setting) == 4
+    with pytest.raises(UnsupportedConfigurationError,
+                       match="^unrecognized symmetry configuration;"):
+        classify_tenfold(setting, rng)
+
+
+def test_t_swapping_a_charge_with_its_dual_stays_unsupported(rng):
+    # Z3 on C^2 = omega + omega-bar with T = swap K: T exchanges the two
+    # sectors of V.  On W, T C fixes the omega sector and the brute-force
+    # Nambu dimension is 2, that of AIII(1,1); not classified yet.
+    setting = hilbert_setting(
+        close_group([np.diag([_OMEGA, np.conj(_OMEGA)])]),
+        AntiUnitaryOp(PAULI_X))
+    assert _brute_nambu_dimension(setting) == 2
+    with pytest.raises(UnsupportedConfigurationError,
+                       match="^unrecognized symmetry configuration;"):
+        classify_tenfold(setting, rng)
+
+
+def test_s_that_moves_a_sector_stays_unsupported(rng):
+    # S = sigma_x exchanges the charges 1 and -1 of V; the brute-force
+    # Nambu dimension is 3, which no signature count of S gives
+    setting = hilbert_setting(
+        lie_algebra_action([1j * np.diag([1.0, -1.0])]),
+        particle_hole=PAULI_X)
+    assert _brute_nambu_dimension(setting) == 3
+    with pytest.raises(UnsupportedConfigurationError,
+                       match="^unrecognized symmetry configuration;"):
+        classify_tenfold(setting, rng)

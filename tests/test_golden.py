@@ -5,7 +5,9 @@ Pins stdout, stderr and exit code of ``classify`` (text, ``--json`` and
 configurations among them, of ``sample --kind gaussian`` for all ten
 classes, of ``stats --poisson`` and of ``classify`` (text and
 ``--json``) on the permutation modules of S4, A5, S5 and S6 in a random
-basis, byte for byte, against ``golden_outputs.txt``.  Outputs that rest on LAPACK rounding (circular
+basis, and of ``classify --tenfold --json`` on two multi-sector G0s
+and a spin-half G0 with T = K, byte for byte, against
+``golden_outputs.txt``.  Outputs that rest on LAPACK rounding (circular
 samples, eigenvalue statistics, residual digits) are left out.
 
 A change that alters one of these outputs on purpose regenerates the
@@ -119,6 +121,18 @@ COMMANDS.append(["stats", "--poisson", "8", "--count", "3"])
 COMMANDS += [["classify", f"{name}.json"] + flags
              for name in GROUP_SPECS for flags in ([], ["--json"])]
 
+# one SIGNATURE row per sector: two real characters, a charge joined with
+# its dual, and a T that is a G0 element times the canonical CI twist
+TENFOLD_SPECS = {
+    "z2-4": _spec(4, "finite-group", [np.diag([1.0, 1.0, -1.0, -1.0])]),
+    "u1-dual-charges-s-4": _spec(
+        4, "lie-algebra", [1j * np.diag([1.0, 1.0, -1.0, -1.0])],
+        s=np.diag([1.0, -1.0, 1.0, -1.0])),
+    "spin-half-t1-4": _spec(4, "spin-half", t=np.eye(4)),
+}
+COMMANDS += [["classify", f"{name}.json", "--tenfold", "--json"]
+             for name in TENFOLD_SPECS]
+
 
 def run(argv, workdir):
     """``$ argv``, the exit code, stdout and stderr as one text block."""
@@ -132,7 +146,7 @@ def run(argv, workdir):
 
 
 def write_specs(workdir):
-    for name, data in {**SPECS, **GROUP_SPECS}.items():
+    for name, data in {**SPECS, **GROUP_SPECS, **TENFOLD_SPECS}.items():
         (Path(workdir) / f"{name}.json").write_text(json.dumps(data))
 
 

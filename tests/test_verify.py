@@ -1,9 +1,13 @@
 """Tests for the invariant checks behind verify and fock-verify."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from tenfold import ensembles, focklab, linalg, symspace, verify
+from tenfold.classifier import classify_tenfold, hilbert_setting
+from tenfold.grouprep import close_group
 
 
 def test_cartan_membership_reports_a_computed_residual():
@@ -87,3 +91,27 @@ def test_zero_modes_over_several_gradings(monkeypatch):
     assert len({lab for lab, _ in seen}) == 6
     assert all(lab.dims[0] != lab.dims[1] and size == 2
                for lab, size in seen)
+
+
+def test_block_dimensions_count_a_joined_charge_once(monkeypatch):
+    # Z3 regular on C^3 under --tenfold: D(1) and one A(2) entry that joins
+    # omega with omega-bar (m = 1 + 1) cover V once
+    shift = np.roll(np.eye(3), 1, axis=0).astype(complex)
+    parsed = SimpleNamespace(seed=0,
+                             setting=hilbert_setting(close_group([shift])))
+
+    def block_dimensions():
+        results = verify.run_setting_checks(parsed, tenfold=True)
+        return {name: (ok, detail) for name, ok, detail in results}[
+            "setting.block-dimensions"]
+
+    assert block_dimensions() == (True, "sum 3, space 3")
+    full = classify_tenfold(parsed.setting)
+    assert sorted(len(e.sector_labels) for e in full.entries) == [1, 2]
+    for dropped in range(2):
+        kept = tuple(e for i, e in enumerate(full.entries) if i != dropped)
+        monkeypatch.setattr(verify, "classify_tenfold",
+                            lambda setting, rng, kept=kept: SimpleNamespace(
+                                entries=kept, lines=lambda: []))
+        ok, detail = block_dimensions()
+        assert not ok and detail != "sum 3, space 3"
