@@ -16,8 +16,8 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (InconsistentSymmetryError, InputShapeError,
-                     NotInvolutiveError, NotPureTensorError)
+from .errors import (InputShapeError, NotInvolutiveError, NotPureTensorError,
+                     SymmetryConsistencyError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,13 +96,13 @@ def sector_action(op, blocks, tol=None):
                 target = other.label
                 break
         if target is None:
-            raise InconsistentSymmetryError(
+            raise SymmetryConsistencyError(
                 f"image of sector {block.label} matches no sector projector")
         images[block.label] = target
     for label, target in images.items():
         if images.get(target) != label:
-            raise InconsistentSymmetryError("sector pairing is not an "
-                                            "involution")
+            raise SymmetryConsistencyError("sector pairing is not an "
+                                           "involution")
         if target == label:
             fixed.append(label)
         elif label < target:
@@ -138,7 +138,7 @@ def transfer_T(block, op, tol=None):
     restricted = op.u @ np.conj(fb)
     if linalg.frob(restricted - block.projector @ restricted) > \
             tol * np.sqrt(block.dim):
-        raise InconsistentSymmetryError("sector is not fixed by the operator")
+        raise SymmetryConsistencyError("sector is not fixed by the operator")
     ub = fb.conj().T @ restricted
 
     r = ub.reshape(m, d, m, d).transpose(0, 2, 1, 3).reshape(m * m, d * d)
@@ -170,7 +170,7 @@ def transfer_T(block, op, tol=None):
     eps_b = parity(beta, tol)
     eps_t = parity(op, tol)
     if eps_a * eps_b != eps_t:
-        raise InconsistentSymmetryError(
+        raise SymmetryConsistencyError(
             "transferred parities violate eps_alpha * eps_beta = eps_T")
     return TransferredT(alpha=alpha, beta=beta, eps_alpha=eps_a,
                         eps_beta=eps_b)

@@ -1,7 +1,8 @@
 """Command-line surface: classify, sample, stats, verify, fock-verify.
 
-Exit codes: 0 success, 2 input or schema error, 3 symmetry-consistency
-error, 4 unsupported configuration, 5 invariant failure.  All outputs
+Exit codes (each error class states its own in ``tenfold.errors``): 0
+success, 2 input or schema error, 3 symmetry-consistency error, 4
+unsupported configuration, 5 invariant failure.  All outputs
 are deterministic functions of the inputs, flags and seed; the seed
 defaults to 0 and is echoed in every output header.
 """
@@ -16,19 +17,10 @@ import numpy as np
 from . import ensembles, linalg, verify
 from .classifier import (FAMILIES, ClassLabel, classify_tenfold,
                          classify_threefold)
-from .errors import (DegenerateDecompositionError, GroupTooLargeError,
-                     InconsistentSymmetryError, InputShapeError,
-                     NotInManifoldError, NotInvolutiveError,
-                     NotPureTensorError,
-                     NotQuadraticError, SpecFileError,
-                     SymmetryConsistencyError, TenfoldError,
-                     UnsupportedConfigurationError, UnsupportedModeError)
+from .errors import InputShapeError, SpecFileError, TenfoldError
 from .specfile import parse_spec, read_samples, write_samples
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_CONSISTENCY = 3
-EXIT_UNSUPPORTED = 4
 EXIT_INVARIANT = 5
 
 
@@ -52,17 +44,10 @@ def cmd_classify(args):
     parsed = parse_spec(args.spec)
     rng = linalg.RngStream(args.seed if args.seed is not None
                            else parsed.seed)
-    if _tenfold_mode(args, parsed):
-        report = classify_tenfold(parsed.setting, rng)
-    else:
-        report = classify_threefold(parsed.setting, rng)
-    if args.json:
-        payload = report.as_dict()
-        payload["seed"] = rng.seed
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in report.lines():
-            print(line)
+    report = (classify_tenfold if _tenfold_mode(args, parsed) else
+              classify_threefold)(parsed.setting, rng)
+    print(json.dumps(report.as_dict() | {"seed": rng.seed}, sort_keys=True)
+          if args.json else "\n".join(report.lines()))
     return EXIT_OK
 
 
@@ -77,33 +62,41 @@ def _draw(args, rng):
 def cmd_sample(args):
     rng = linalg.RngStream(args.seed)
     lab, draws = _draw(args, rng)
-    matrices = [draws[i] for i in range(args.count)]
-
-    def emit(fh):
-        write_samples(fh, lab.family, lab.dims, args.kind, rng.seed, matrices)
-
-    if args.out:
+    if not args.out:
+        write_samples(sys.stdout, lab.family, lab.dims, args.kind, rng.seed,
+                      draws)
+        return EXIT_OK
+    try:  # opening and writing, as on a full disk
         with open(args.out, "w", encoding="utf-8") as fh:
-            emit(fh)
-    else:
-        emit(sys.stdout)
+            write_samples(fh, lab.family, lab.dims, args.kind, rng.seed, draws)
+    except OSError as err:
+        raise SpecFileError("--out", f"cannot write {args.out}: {err.strerror}")
     return EXIT_OK
 
 
-def _spectra(kind, matrices):
+def _spectra(kind, stack):
     if kind == "circular":
-        return np.stack([np.sort(np.angle(np.linalg.eigvals(m)))
-                         for m in matrices])
-    return np.linalg.eigvalsh(np.asarray(matrices))
+        return np.sort(np.angle(np.linalg.eigvals(stack)), axis=-1)
+    return np.linalg.eigvalsh(stack)
 
 
 def cmd_stats(args):
     rng = linalg.RngStream(args.seed)
     if args.infile:
         meta, matrices = read_samples(args.infile)
-        if not matrices:
-            raise SpecFileError("$", "sample file holds no records")
-        spectra = _spectra(meta.get("kind"), matrices)
+        stack, kind = np.asarray(matrices), meta["kind"]
+        adj = stack.conj().swapaxes(1, 2)
+        # the eigensolver that kind picks needs Hermitian or unitary records
+        if kind == "gaussian":
+            resid = (linalg.frob_each(stack - adj) /
+                     np.maximum(1.0, linalg.frob_each(stack)))
+        else:
+            resid = linalg.frob_each(adj @ stack - np.eye(stack.shape[1]))
+        bad = np.flatnonzero(~(resid <= linalg.input_tol()))
+        if bad.size:
+            raise SpecFileError(f"record[{bad[0]}]", "must be Hermitian" if
+                                kind == "gaussian" else "must be unitary")
+        spectra = _spectra(kind, stack)
     elif args.poisson:
         if args.poisson < 0:
             raise InputShapeError("--poisson must not be negative")
@@ -156,6 +149,18 @@ def cmd_fock_verify(args):
                                           args.seed))
 
 
+def _ensemble_arguments(p, required, count):
+    """The options that ``sample`` and ``stats`` share."""
+    p.add_argument("--class", dest="family", required=required,
+                   choices=FAMILIES)
+    p.add_argument("--dims", required=required, help="N or p,q")
+    p.add_argument("--kind", choices=("gaussian", "circular"),
+                   default="gaussian")
+    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--count", type=int, default=count)
+    p.add_argument("--seed", type=int, default=0)
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process."""
@@ -175,28 +180,14 @@ def build_parser():
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sample", help="draw ensemble samples")
-    p.add_argument("--class", dest="family", required=True,
-                   choices=FAMILIES)
-    p.add_argument("--dims", required=True, help="N or p,q")
-    p.add_argument("--kind", choices=("gaussian", "circular"),
-                   default="gaussian")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    _ensemble_arguments(p, required=True, count=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("stats", help="spacing-ratio and density statistics")
     p.add_argument("--in", dest="infile", default=None,
                    help="sample file produced by the sample command")
-    p.add_argument("--class", dest="family", default=None,
-                   choices=FAMILIES)
-    p.add_argument("--dims", default=None)
-    p.add_argument("--kind", choices=("gaussian", "circular"),
-                   default="gaussian")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    _ensemble_arguments(p, required=False, count=1000)
     p.add_argument("--poisson", type=int, default=0,
                    help="synthetic iid-uniform spectra with this many levels")
     p.add_argument("--bins", type=int, default=0)
@@ -226,24 +217,9 @@ def main(argv=None):
             if getattr(args, flag, 1) < 1:
                 raise InputShapeError(f"--{flag} must be at least 1")
         return args.func(args)
-    except SpecFileError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NotInvolutiveError, SymmetryConsistencyError,
-            InconsistentSymmetryError, NotPureTensorError) as err:
-        print(f"symmetry-consistency error: {err}", file=sys.stderr)
-        return EXIT_CONSISTENCY
-    except UnsupportedConfigurationError as err:
-        print(f"unsupported configuration: {err}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (InputShapeError, GroupTooLargeError, UnsupportedModeError,
-            NotInManifoldError) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (DegenerateDecompositionError, NotQuadraticError,
-            TenfoldError) as err:
-        print(f"invariant failure: {err}", file=sys.stderr)
-        return EXIT_INVARIANT
+    except TenfoldError as err:  # its class carries the exit code
+        print(f"{err.label}: {err}", file=sys.stderr)
+        return err.exit_code
 
 
 if __name__ == "__main__":

@@ -53,10 +53,8 @@ class Constraint:
     sign: int
 
     def residual(self, h):
-        if self.antiunitary:
-            image = self.u @ np.conj(h) @ self.u.conj().T
-        else:
-            image = self.u @ h @ self.u.conj().T
+        acted = np.conj(h) if self.antiunitary else h
+        image = self.u @ acted @ self.u.conj().T
         return linalg.frob(image - self.sign * h)
 
 

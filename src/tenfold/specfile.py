@@ -99,7 +99,8 @@ def parse_spec_data(data):
     _require(version == SCHEMA_VERSION, "schema_version",
              f"expected {SCHEMA_VERSION!r}, got {version!r}")
     dim = data.get("dimension")
-    _require(isinstance(dim, int) and dim >= 1, "dimension",
+    # a JSON boolean is a Python int, but not a number of a spec
+    _require(type(dim) is int and dim >= 1, "dimension",
              "must be a positive integer")
     _require(16 * dim * dim <= linalg.MAX_ARRAY_BYTES, "dimension",
              f"one {dim} x {dim} complex matrix needs {16 * dim * dim} "
@@ -111,7 +112,7 @@ def parse_spec_data(data):
     _require(isinstance(tolerance, (int, float)) and 0 < tolerance < 1,
              "tolerance", "must be a number in (0, 1)")
     seed = data.get("seed", 0)
-    _require(isinstance(seed, int) and seed >= 0, "seed",
+    _require(type(seed) is int and seed >= 0, "seed",
              "must be a non-negative integer")
 
     g0_raw = data.get("g0")
@@ -175,64 +176,73 @@ def parse_spec_data(data):
                       tolerance=float(tolerance))
 
 
-def parse_spec(path):
-    """Parse and validate a spec file from disk."""
+def _read_text(path):
+    """The text of a UTF-8 file; ``SpecFileError`` when it cannot be read."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except FileNotFoundError:
         raise SpecFileError("$", f"file not found: {path}")
-    except json.JSONDecodeError as err:
-        raise SpecFileError("$", f"invalid JSON: {err}")
-    return parse_spec_data(data)
+    except OSError as err:
+        raise SpecFileError("$", f"cannot read {path}: {err.strerror}")
+    except UnicodeDecodeError as err:
+        raise SpecFileError("$", f"{path} is not UTF-8 text ({err.reason} "
+                                 f"at byte {err.start})")
+
+
+def _load_json(text, field):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as err:  # deep nesting recurses
+        raise SpecFileError(field, f"invalid JSON: {err}")
+
+
+def parse_spec(path):
+    """Parse and validate a spec file from disk."""
+    return parse_spec_data(_load_json(_read_text(path), "$"))
 
 
 # ---------------------------------------------------------------------------
 # Sample files
 
 
-def sample_header(family, dims, kind, seed):
-    dims_text = ",".join(str(d) for d in dims)
-    return (f"# tenfold sample class={family} dims={dims_text} "
-            f"kind={kind} seed={seed}")
+_HEADER = "# tenfold sample "
 
 
 def write_samples(fh, family, dims, kind, seed, matrices):
     """One header line, then one matrix per line as nested [re, im] JSON."""
-    fh.write(sample_header(family, dims, kind, seed) + "\n")
+    dims_text = ",".join(str(d) for d in dims)
+    fh.write(f"{_HEADER}class={family} dims={dims_text} kind={kind} "
+             f"seed={seed}\n")
     for m in matrices:
         fh.write(json.dumps(matrix_to_pairs(m), separators=(",", ":")))
         fh.write("\n")
 
 
 def read_samples(path):
-    """Read a sample file; returns (metadata dict, list of matrices)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except FileNotFoundError:
-        raise SpecFileError("$", f"file not found: {path}")
-    if not lines or not lines[0].startswith("# tenfold sample "):
-        raise SpecFileError("$", "missing sample header line")
-    meta = {}
-    for token in lines[0][len("# tenfold sample "):].split():
-        key, _, value = token.partition("=")
-        meta[key] = value
+    """Read a sample file; returns (metadata dict, list of matrices).
+    Records are square arrays of finite [re, im] pairs of numbers."""
+    lines = _read_text(path).splitlines()
+    _require(lines and lines[0].startswith(_HEADER), "$",
+             "missing sample header line")
+    meta = dict(token.partition("=")[::2]
+                for token in lines[0][len(_HEADER):].split())
+    _require(meta.get("kind") in ("gaussian", "circular"), "kind",
+             "must be gaussian or circular")
     matrices = []
-    for i, line in enumerate(lines[1:]):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise SpecFileError(f"record[{i}]", f"invalid JSON: {err}")
-        arr = np.asarray(raw, dtype=float)
-        if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-            raise SpecFileError(f"record[{i}]",
-                                "expected a square matrix of [re, im] pairs")
-        if matrices and arr.shape[0] != len(matrices[0]):
-            n = len(matrices[0])
-            raise SpecFileError(f"record[{i}]", f"expected a {n} x {n} matrix "
-                                "like the first record")
+    for line in filter(str.strip, lines[1:]):
+        field = f"record[{len(matrices)}]"
+        raw = _load_json(line, field)
+        arr = np.array(None)  # stays for a ragged record
+        with contextlib.suppress(ValueError):
+            arr = np.array(raw)
+        _require(arr.dtype.kind in "biuf" and arr.ndim == 3 and
+                 arr.shape[2] == 2 and arr.shape[0] == arr.shape[1] and
+                 np.isfinite(arr).all(), field,
+                 "expected a square array of finite [re, im] number pairs")
+        n = len(matrices[0]) if matrices else len(arr)
+        _require(len(arr) == n, field,
+                 f"expected a {n} x {n} matrix like the first record")
         matrices.append(arr[..., 0] + 1j * arr[..., 1])
+    _require(matrices, "$", "sample file holds no records")
     return meta, matrices

@@ -11,7 +11,7 @@ import numpy as np
 from . import ensembles, focklab, grouprep, linalg, symspace
 from .antiunitary import AntiUnitaryOp, parity, transfer_T
 from .classifier import (canonical_setting, classify_tenfold,
-                         classify_threefold, label)
+                         classify_threefold, hilbert_setting, label)
 from .errors import InputShapeError
 
 TEN_LABELS = (
@@ -111,7 +111,6 @@ def _check_threefold_invariance():
     rng = linalg.RngStream(17)
     action = grouprep.close_group([np.kron(1j * grouprep.PAULI_X, np.eye(2)),
                                    np.kron(1j * grouprep.PAULI_Z, np.eye(2))])
-    from .classifier import hilbert_setting
     t = AntiUnitaryOp(np.kron(1j * grouprep.PAULI_Y, np.eye(2)))
     setting = hilbert_setting(action, t)
     base = classify_threefold(setting, rng)
@@ -196,15 +195,18 @@ def _check_cartan_membership():
 
 def _check_geodesic_involution():
     rng = linalg.RngStream(23)
+    worst = 0.0
     for lab in TEN_LABELS:
         pair = symspace.involution(lab)
         x = symspace.cartan_embed(pair.haar(rng), pair)
         y = symspace.cartan_embed(pair.haar(rng), pair)
         z = symspace.geodesic_inversion(y, x, pair)
         back = symspace.geodesic_inversion(y, z, pair)
-        if linalg.frob(back - x) > 1e-9 * np.sqrt(pair.matrix_dim):
-            return False, f"{lab} inversion failed to involute"
-    return True, "s_y(s_y(x)) = x on all ten families"
+        resid = linalg.frob(back - x) / np.sqrt(pair.matrix_dim)
+        if resid > 1e-9:
+            return False, f"{lab} inversion failed to involute: {resid:.2e}"
+        worst = max(worst, resid)
+    return True, f"worst ||s_y(s_y(x)) - x|| / sqrt(n) {worst:.2e}"
 
 
 def _check_triple_brackets():
@@ -230,13 +232,14 @@ def _bracket_residual(split):
 
 
 def _check_wegner_closure():
+    worst = 0.0
     for lab in TEN_LABELS:
-        split = symspace.tangent_split(lab)
-        result = symspace.closure_check(split.p_basis)
+        result = symspace.closure_check(symspace.tangent_split(lab).p_basis)
         if not result.passed:
             return False, (f"{lab} closure residual "
                            f"{result.max_residual:.2e}")
-    return True, "double commutator closes for all ten tangent spaces"
+        worst = max(worst, result.max_residual)
+    return True, f"worst [p, [p, p]] closure residual {worst:.2e}"
 
 
 def _check_closure_negative_control():
@@ -333,12 +336,14 @@ def _defining_property_residual(fock, c, rng, trials):
 
 
 def _check_c2_sign_law(max_modes=6):
+    worst = 0.0
     for n in range(1, max_modes + 1):
         fock = focklab.build_fock(n)
         resid = c2_sign_residual(fock, focklab.conjugation(fock))
         if resid > 1e-12:
             return False, f"sign law broken at N={n}, residual {resid:.2e}"
-    return True, f"C^2 = (-1)^(n(N-n)) exact for N <= {max_modes}"
+        worst = max(worst, resid)
+    return True, f"N = 1..{max_modes}, worst residual {worst:.2e}"
 
 
 def _check_covering(max_modes=6, trials=2):
@@ -464,10 +469,8 @@ def run_setting_checks(parsed, tenfold):
     results = []
     rng = linalg.RngStream(parsed.seed)
     try:
-        if tenfold:
-            report = classify_tenfold(parsed.setting, rng)
-        else:
-            report = classify_threefold(parsed.setting, rng)
+        report = (classify_tenfold if tenfold else
+                  classify_threefold)(parsed.setting, rng)
         results.append(("setting.classify", True,
                         "; ".join(report.lines())))
     except Exception as err:

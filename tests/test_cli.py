@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from tenfold import linalg
+from tenfold import errors, linalg, verify
 from tenfold.cli import build_parser, main
 from tenfold.specfile import matrix_to_pairs
 
@@ -713,3 +713,149 @@ class TestDimensionCap:
             "error: dimension: one 8193 x 8193 complex matrix needs "
             "1074003984 bytes, above the limit of 1073741824 bytes\n")
         assert peak < 1 << 20
+
+
+_SAMPLE_HEADER = "# tenfold sample class=A dims={n} kind={kind} seed=0"
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _record(entry="[1, 0]", at=(0, 0)):
+    """A 3 x 3 record of diag(1, 2, 3) with the JSON text ``entry`` at
+    ``at``."""
+    raw = [[[float(i + 1) if i == j else 0.0, 0.0] for j in range(3)]
+           for i in range(3)]
+    raw[at[0]][at[1]] = "@"
+    return json.dumps(raw).replace('"@"', entry)
+
+
+def _stats_in(tmp_path, *records, kind="gaussian", header=None):
+    path = tmp_path / "samples.txt"
+    head = _SAMPLE_HEADER.format(n=3, kind=kind) if header is None else header
+    path.write_text("\n".join([head, *records]) + "\n")
+    return ["stats", "--in", str(path)]
+
+
+def _non_utf8(tmp_path, command):
+    path = tmp_path / "latin1.txt"
+    head = _SAMPLE_HEADER.format(n=3, kind="gaussian")
+    path.write_bytes(f"{head}\n{_record()}\n".encode() + b"\xe9\n"
+                     if command == "stats" else
+                     b'{"schema_version": "1", "setting": "\xe9"}')
+    return [command] + (["--in"] if command == "stats" else []) + [str(path)]
+
+
+def _spec_argv(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    return ["classify", str(path)]
+
+
+def _sample_out(path):
+    return ["sample", "--class", "A", "--dims", "2", "--out", str(path)]
+
+
+# Malformed inputs: each is exit 2 naming the field, never a traceback.
+_PROBES = {
+    "ragged-record": (lambda t: _stats_in(t, _record("[[1, 0]]")),
+                      "record[0]"),
+    "string-entry": (lambda t: _stats_in(t, _record('["1.5", 0]')),
+                     "record[0]"),
+    "object-record": (lambda t: _stats_in(t, '{"re": 1, "im": 0}'),
+                      "record[0]"),
+    "deep-record": (lambda t: _stats_in(t, _DEEP), "record[0]"),
+    "circular-nan": (lambda t: _stats_in(t, _record("[NaN, 0]"),
+                                         kind="circular"), "record[0]"),
+    "gaussian-nan": (lambda t: _stats_in(t, _record(), _record("[NaN, 0]")),
+                     "record[1]"),
+    "gaussian-1e999": (lambda t: _stats_in(t, _record("[1e999, 0]")),
+                       "record[0]"),
+    "header-without-kind": (lambda t: _stats_in(
+        t, _record(), header="# tenfold sample class=A dims=3 seed=0"),
+        "kind"),
+    "header-weird-kind": (lambda t: _stats_in(t, _record(), kind="weird"),
+                          "kind"),
+    "non-hermitian-gaussian": (lambda t: _stats_in(
+        t, _record(), _record("[1, 0]", at=(0, 1))), "record[1]"),
+    "non-utf8-spec": (lambda t: _non_utf8(t, "classify"), "$"),
+    "non-utf8-sample": (lambda t: _non_utf8(t, "stats"), "$"),
+    "directory-classify": (lambda t: ["classify", str(t)], "$"),
+    "directory-verify": (lambda t: ["verify", str(t)], "$"),
+    "directory-stats": (lambda t: ["stats", "--in", str(t)], "$"),
+    "deep-spec": (lambda t: _spec_argv(t, _DEEP), "$"),
+    "dimension-true": (lambda t: _spec_argv(t, trivial_spec(dim=True)),
+                       "dimension"),
+    "seed-true": (lambda t: _spec_argv(t, trivial_spec(seed=True)), "seed"),
+    "out-in-missing-directory": (lambda t: _sample_out(t / "no" / "s.txt"),
+                                 "--out"),
+    "out-onto-directory": (lambda t: _sample_out(t), "--out"),
+}
+
+
+@pytest.mark.parametrize("probe", list(_PROBES))
+def test_malformed_input_exits_two_naming_the_field(probe, tmp_path, capsys):
+    build, field = _PROBES[probe]
+    code = main(build(tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that is always full")
+def test_sample_write_error_exits_two(capsys):
+    assert main(_sample_out("/dev/full")) == 2
+    assert capsys.readouterr() == (
+        "", "error: --out: cannot write /dev/full: No space left on device\n")
+
+
+def test_valid_records_pass_the_kind_check(tmp_path, capsys):
+    # a Hermitian record with a large norm and a unitary one at the
+    # roundoff of a Haar draw stay accepted
+    u = linalg.haar_unitary(6, linalg.RngStream(3))
+    h = 1e6 * (u + u.conj().T)
+    for kind, m in (("gaussian", h), ("circular", u)):
+        argv = _stats_in(tmp_path, json.dumps(pairs(m)), json.dumps(pairs(m)),
+                         header=_SAMPLE_HEADER.format(n=6, kind=kind))
+        assert main(argv) == 0, capsys.readouterr().err
+
+
+# Every error class with the exit code and stderr label main reports.
+_EXIT_TABLE = {
+    "TenfoldError": (5, "invariant failure"),
+    "DegenerateDecompositionError": (5, "invariant failure"),
+    "NotQuadraticError": (5, "invariant failure"),
+    "InputShapeError": (2, "input error"),
+    "GroupTooLargeError": (2, "input error"),
+    "UnsupportedModeError": (2, "input error"),
+    "NotInManifoldError": (2, "input error"),
+    "SpecFileError": (2, "error"),
+    "SymmetryConsistencyError": (3, "symmetry-consistency error"),
+    "NotInvolutiveError": (3, "symmetry-consistency error"),
+    "NotPureTensorError": (3, "symmetry-consistency error"),
+    "UnsupportedConfigurationError": (4, "unsupported configuration"),
+}
+
+
+def _subclasses(cls):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _subclasses(sub)]
+
+
+def test_exit_table_names_every_error_class():
+    assert sorted(c.__name__ for c in _subclasses(errors.TenfoldError)) == \
+        sorted(_EXIT_TABLE)
+
+
+@pytest.mark.parametrize("name", list(_EXIT_TABLE))
+def test_main_reports_each_error_class(name, monkeypatch, capsys):
+    cls = getattr(errors, name)
+    err = cls("f", "boom") if cls is errors.SpecFileError else cls("boom")
+
+    def fail(*args):
+        raise err
+
+    monkeypatch.setattr(verify, "run_fock_checks", fail)
+    code = main(["fock-verify", "--modes", "1"])
+    assert (code, capsys.readouterr()) == \
+        (_EXIT_TABLE[name][0], ("", f"{_EXIT_TABLE[name][1]}: {err}\n"))

@@ -28,6 +28,48 @@ def test_cartan_membership_reports_a_computed_residual():
     assert worst >= 0.99 * bound
 
 
+def _reported(detail):
+    """The residual at the end of a detail string."""
+    return float(detail.rsplit(" ", 1)[1])
+
+
+def test_geodesic_involution_reports_a_computed_residual():
+    ok, detail = verify._check_geodesic_involution()
+    rng = linalg.RngStream(23)  # the check's draws, in its order
+    worst = 0.0
+    for lab in verify.TEN_LABELS:
+        pair = symspace.involution(lab)
+        x = symspace.cartan_embed(pair.haar(rng), pair)
+        y = symspace.cartan_embed(pair.haar(rng), pair)
+        z = symspace.geodesic_inversion(y, x, pair)
+        back = symspace.geodesic_inversion(y, z, pair)
+        worst = max(worst, np.linalg.norm(back - x) /
+                    np.sqrt(pair.matrix_dim))
+    assert ok
+    assert 0.0 < worst <= 1e-9
+    assert _reported(detail) == pytest.approx(worst, rel=1e-2)
+
+
+def test_wegner_closure_reports_a_computed_residual():
+    ok, detail = verify._check_wegner_closure()
+    worst = max(symspace.closure_check(
+        symspace.tangent_split(lab).p_basis).max_residual
+        for lab in verify.TEN_LABELS)
+    assert ok
+    assert 0.0 < worst <= 1e-9
+    assert _reported(detail) == pytest.approx(worst, rel=1e-2)
+
+
+def test_c2_sign_law_reports_a_computed_residual(monkeypatch):
+    ok, detail = verify._check_c2_sign_law()
+    assert ok and _reported(detail) == 0.0  # the law is exact
+    # a residual below the bound is reported, not a fixed text
+    monkeypatch.setattr(verify, "c2_sign_residual",
+                        lambda fock, c: 1e-13 * fock.n_modes)
+    ok, detail = verify._check_c2_sign_law()
+    assert ok and _reported(detail) == 6e-13
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_c2_sign_residual_equals_the_dense_square(n):
     fock = focklab.build_fock(n)
