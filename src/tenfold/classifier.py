@@ -465,8 +465,8 @@ def _classify(base, rng, tenfold):
     types = [{(1, 1): "trivial", (0, 1): "u1"}.get(
         k, "spin-half" if k[0] == -1 else None) for k in fs]
     found = (types[0] if len(blocks) == 1 else None, eps_t, has_c)
-    pairs = {}
-    if t is not None and (len(blocks) > 1 or not tenfold):
+    pairs = {}  # T cannot swap a single sector
+    if t is not None and len(blocks) > 1:
         pairs = {lam: mu for pair in sector_action(t, blocks, tol).swapped
                  for lam, mu in (pair, pair[::-1])}
     moved = has_c and len(blocks) > 1 and any(linalg.frob(

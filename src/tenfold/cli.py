@@ -2,7 +2,8 @@
 
 Exit codes (each error class states its own in ``tenfold.errors``): 0
 success, 2 input or schema error, 3 symmetry-consistency error, 4
-unsupported configuration, 5 invariant failure.  All outputs
+unsupported configuration, 5 invariant failure.  A reader that closes
+standard output early ends the command with exit code 0.  All outputs
 are deterministic functions of the inputs, flags and seed; the seed
 defaults to 0 and is echoed in every output header.
 """
@@ -10,6 +11,7 @@ defaults to 0 and is echoed in every output header.
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -216,10 +218,15 @@ def main(argv=None):
         for flag in ("count", "trials"):
             if getattr(args, flag, 1) < 1:
                 raise InputShapeError(f"--{flag} must be at least 1")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except TenfoldError as err:  # its class carries the exit code
         print(f"{err.label}: {err}", file=sys.stderr)
         return err.exit_code
+    except BrokenPipeError:  # the reader stopped; exit flushes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -26,6 +26,9 @@ from . import linalg, symspace
 from .classifier import FAMILY, ClassLabel, twist
 from .errors import InputShapeError
 
+DROP_TOL = 1e-12  # spacings below this fraction of the range: degenerate
+
+
 @dataclass(frozen=True, eq=False)
 class EnsembleSpec:
     """Class label, variance and ensemble kind driving the samplers."""
@@ -201,17 +204,17 @@ class SpectralStats:
     dropped: int
 
 
-def _kept_ratios(spectra, drop_tol):
+def _kept_ratios(spectra):
     """Ratios min/max of consecutive kept spacings within each row of a
     stack of sorted spectra, and the number of dropped spacings.
 
-    Spacings below ``drop_tol`` times their spectrum's range are dropped
+    Spacings below ``DROP_TOL`` times their spectrum's range are dropped
     so exact degeneracies (such as Kramers pairs) do not poison the
     statistic; a ratio never straddles two spectra.
     """
     spacings = np.diff(spectra, axis=1)
     span = spectra[:, -1] - spectra[:, 0]
-    good = spacings >= drop_tol * np.maximum(span, np.finfo(float).tiny)[:, None]
+    good = spacings >= DROP_TOL * np.maximum(span, np.finfo(float).tiny)[:, None]
     row = np.nonzero(good)[0]
     s = spacings[good]
     r = np.minimum(s[:-1], s[1:]) / np.maximum(s[:-1], s[1:])
@@ -225,25 +228,25 @@ def _summary(r, dropped):
                          dropped=dropped)
 
 
-def spacing_ratios(values, drop_tol=1e-12):
+def spacing_ratios(values):
     """Ratios min(s_i, s_{i+1}) / max(s_i, s_{i+1}) of level spacings.
 
     ``values`` must be at least three ascending levels.  Spacings below
-    ``drop_tol`` times the spectral range are dropped (and counted).
+    ``DROP_TOL`` times the spectral range are dropped (and counted).
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 3:
         raise InputShapeError("need at least three levels")
     if np.any(np.diff(values) < 0):
         raise InputShapeError("levels must be ascending")
-    r, dropped = _kept_ratios(values[None], drop_tol)
+    r, dropped = _kept_ratios(values[None])
     if r.size == 0:
         return SpectralStats(ratios=r, mean=np.nan, stderr=np.nan,
                              dropped=dropped)
     return _summary(r, dropped)
 
 
-def pooled_spacing_ratios(spectra, drop_tol=1e-12):
+def pooled_spacing_ratios(spectra):
     """Spacing-ratio statistics pooled over a stack of sorted spectra.
 
     Each spectrum follows the rule of ``spacing_ratios``.  Vectorized
@@ -254,7 +257,7 @@ def pooled_spacing_ratios(spectra, drop_tol=1e-12):
     spectra = np.atleast_2d(np.asarray(spectra, dtype=float))
     if spectra.shape[1] < 3:
         raise InputShapeError("need at least three levels per spectrum")
-    r, dropped = _kept_ratios(spectra, drop_tol)
+    r, dropped = _kept_ratios(spectra)
     if r.size == 0:
         raise InputShapeError("no spacing ratio survives: every spectrum "
                               "has fewer than two non-degenerate spacings")

@@ -241,7 +241,7 @@ def lift_unitary(fock, s):
     return out
 
 
-def lift_one_body(fock, w, z, tol=None):
+def lift_one_body(fock, w, z):
     """Quadratic Hamiltonian sum W a^dag a + (Z a^dag a^dag + h.c.)/2.
 
     ``w`` must be Hermitian and ``z`` skew-symmetric (the pairing term is
@@ -255,15 +255,14 @@ def lift_one_body(fock, w, z, tol=None):
     l, then the three terms, and equal that loop's bit for bit.
     """
     _require_dense(fock)
-    tol = linalg.TOL_INPUT if tol is None else tol
     n = fock.n_modes
     w = np.asarray(w, dtype=complex)
     z = np.asarray(z, dtype=complex)
     if w.shape != (n, n) or z.shape != (n, n):
         raise InputShapeError("W and Z must match the mode count")
-    if not linalg.is_hermitian(w, tol):
+    if not linalg.is_hermitian(w):
         raise InputShapeError("W must be Hermitian")
-    if not linalg.is_skew(z, tol):
+    if not linalg.is_skew(z):
         raise InputShapeError("Z must be skew-symmetric")
     rows = np.arange(fock.dim)
     masks = np.array([op.mask for op in fock.create])
@@ -359,7 +358,7 @@ class CoveringRecord:
     sign_residual: float
 
 
-def covering_check(fock, h_fock, w, z, tol=1e-9):
+def covering_check(fock, h_fock, w, z):
     """Project U = exp(-i H) onto SO(2N) and compare with the generator.
 
     Computes the rotation M with U c_i U^{-1} = sum_j M_{ji} c_j, checks
@@ -383,7 +382,7 @@ def covering_check(fock, h_fock, w, z, tol=1e-9):
     states, pos = _sectors(fock.occupation % 2)
     even, odd = states
     mixing = linalg.frob(h_fock[even[:, None], odd])
-    if mixing > tol * max(1.0, linalg.frob(h_fock)):
+    if mixing > 1e-9 * max(1.0, linalg.frob(h_fock)):
         raise NotQuadraticError("H mixes even and odd fermion parity "
                                 f"(residual {mixing:.3e})")
     u_even = _exp_i(h_fock[even[:, None], even])
@@ -429,7 +428,7 @@ def covering_check(fock, h_fock, w, z, tol=1e-9):
         return m, residual
 
     m, span_residual = rotation_of(u_even, u_odd)
-    if span_residual > tol * max(1.0, linalg.frob(m)):
+    if span_residual > 1e-9 * max(1.0, linalg.frob(m)):
         raise NotQuadraticError("conjugated Majorana operators leave the "
                                 f"Majorana span (residual {span_residual:.3e})")
     orth = linalg.frob(m.T @ m - np.eye(2 * n))
@@ -456,7 +455,7 @@ class TwistedTransferRecord:
         return not self.failures
 
 
-def twisted_ph_transfer_check(fock, s, tol=1e-10):
+def twisted_ph_transfer_check(fock, s):
     """Verify how twisted particle-hole conjugation transports a^dag.
 
     For C-tilde = C Lift(S) and every particle number n, checks the
@@ -512,6 +511,6 @@ def twisted_ph_transfer_check(fock, s, tol=1e-10):
                gathered.reshape(len(rows), -1)).reshape(gathered.shape)
         residuals[n] = np.linalg.norm(lhs - sign * rhs, axis=(0, 2))
     failures = tuple((n, k, float(r)) for (n, k), r in
-                     np.ndenumerate(residuals) if r > tol)
+                     np.ndenumerate(residuals) if r > 1e-10)
     return TwistedTransferRecord(max_residual=float(residuals.max()),
                                  failures=failures)

@@ -141,8 +141,7 @@ def spin_half_action(dim):
         np.kron(eye, 1j * s) for s in (PAULI_X, PAULI_Y, PAULI_Z)))
 
 
-def close_group(generators, max_order=MAX_ORDER, tol_dedup=linalg.TOL_DEDUP,
-                dim=None):
+def close_group(generators, tol_dedup=linalg.TOL_DEDUP, dim=None):
     """Multiplicative closure of unitary generators.
 
     Breadth-first over words in the generators, one level at a time.
@@ -152,7 +151,7 @@ def close_group(generators, max_order=MAX_ORDER, tol_dedup=linalg.TOL_DEDUP,
     element already held or of an earlier kept candidate of its level.
     The identity is always included (an empty generator list with
     explicit ``dim`` gives the order-1 group).  Raises
-    ``GroupTooLargeError`` when the closure exceeds ``max_order``
+    ``GroupTooLargeError`` when the closure exceeds ``MAX_ORDER``
     elements, or as many as fit in ``linalg.MAX_ARRAY_BYTES``, before it
     holds one more (before the identity, when not even that fits).
 
@@ -179,7 +178,7 @@ def close_group(generators, max_order=MAX_ORDER, tol_dedup=linalg.TOL_DEDUP,
             raise InputShapeError(f"generator {i} is not unitary")
 
     item = 16 * dim * dim
-    held = min(max_order, linalg.MAX_ARRAY_BYTES // item)
+    held = min(MAX_ORDER, linalg.MAX_ARRAY_BYTES // item)
     if held < 1:
         raise GroupTooLargeError(
             f"one group element of size {dim} x {dim} needs {item} bytes, "
@@ -219,7 +218,7 @@ def close_group(generators, max_order=MAX_ORDER, tol_dedup=linalg.TOL_DEDUP,
             if count + len(kept) > held:
                 raise GroupTooLargeError(
                     f"closure exceeded {held} elements" + (
-                        "" if held == max_order else
+                        "" if held == MAX_ORDER else
                         f" of size {dim} x {dim}, the most that fit in "
                         f"{linalg.MAX_ARRAY_BYTES} bytes"))
             # in place already unless a candidate before the last kept
@@ -428,7 +427,7 @@ def _tensor_factor(action, tol):
     return None
 
 
-def isotypic_decompose(action, rng, tol=None, retries=5):
+def isotypic_decompose(action, rng, tol=None):
     """Decompose V into isotypic sectors E_lambda (x) R_lambda.
 
     The eigenspaces of a random Hermitian element x of the commutant
@@ -440,8 +439,8 @@ def isotypic_decompose(action, rng, tol=None, retries=5):
     assembles the factor basis.  A G0 that is 1_m (x) r in the given
     basis with r irreducible (``_tensor_factor``) is one sector, with no
     split.  Retries with fresh randomness when the spectrum fails the
-    health checks, and raises ``DegenerateDecompositionError`` when the
-    retry budget is exhausted.
+    health checks, and raises ``DegenerateDecompositionError`` after
+    five failed attempts.
     """
     tol = linalg.TOL_INPUT if tol is None else tol
     block = _tensor_factor(action, tol)
@@ -449,14 +448,13 @@ def isotypic_decompose(action, rng, tol=None, retries=5):
         return [block]
 
     comm = commutant_basis(action, tol)
-    last_error = None
-    for attempt in range(retries):
+    for attempt in range(5):
         try:
             return _decompose_once(action, comm, rng.child(attempt), tol)
         except DegenerateDecompositionError as err:
             last_error = err
     raise DegenerateDecompositionError(
-        f"no clean sector split after {retries} attempts: {last_error}")
+        f"no clean sector split after 5 attempts: {last_error}")
 
 
 def _eigen_split(action, comm, rng):

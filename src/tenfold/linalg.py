@@ -7,7 +7,7 @@ package.
 
 All tolerances are centralized here: ``TOL_INPUT`` for input validation,
 ``TOL_EIG`` for eigendecomposition residuals, and ``tol_unitary(n)`` for
-unitarity checks.  Every operation accepts per-call overrides.
+unitarity checks.
 """
 
 import os
@@ -107,8 +107,8 @@ class RngStream:
     def generator(self):
         return self._gen
 
-    def normal(self, size=None, scale=1.0):
-        return self._gen.normal(0.0, scale, size=size)
+    def normal(self, size=None):
+        return self._gen.normal(size=size)
 
     def complex_normal(self, size=None):
         """Standard complex normal entries, E|z|^2 = 1."""
@@ -160,11 +160,10 @@ def is_unitary(a, tol=None):
     return frob(a.conj().T @ a - np.eye(n)) <= tol
 
 
-def is_skew(a, tol=None):
-    tol = input_tol() if tol is None else tol
+def is_skew(a):
     a = np.asarray(a)
     return a.ndim == 2 and a.shape[0] == a.shape[1] and \
-        frob(a + a.T) <= tol * max(1.0, frob(a))
+        frob(a + a.T) <= input_tol() * max(1.0, frob(a))
 
 
 def _vec_real(x):
@@ -202,13 +201,13 @@ def off_span(basis, mats):
     return v - (v @ q) @ q.T
 
 
-def eig_hermitian(h, tol_input=None):
+def eig_hermitian(h):
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
     h : ndarray
-        Square matrix, Hermitian to ``tol_input`` (relative Frobenius).
+        Square matrix, Hermitian to ``TOL_INPUT`` (relative Frobenius).
 
     Returns
     -------
@@ -218,13 +217,13 @@ def eig_hermitian(h, tol_input=None):
         ``linalg.eig-reconstruction`` check measures it against
         ``TOL_EIG``.
     """
-    tol_input = input_tol() if tol_input is None else tol_input
+    tol = input_tol()
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InputShapeError(f"expected a square matrix, got shape {h.shape}")
-    if not is_hermitian(h, tol_input):
+    if not is_hermitian(h, tol):
         raise InputShapeError("matrix is not Hermitian within tolerance "
-                              f"{tol_input:g}")
+                              f"{tol:g}")
     values, vectors = np.linalg.eigh(h)
     return HermitianEigenSystem(values=values, vectors=vectors)
 
@@ -268,24 +267,20 @@ def symplectic_form(n):
     return j
 
 
-def haar_symplectic_unitary(n2, rng, j=None):
-    """Haar-distributed element of USp(n2) for even ``n2``.
+def haar_symplectic_unitary(n2, rng, j):
+    """Haar-distributed element of USp(n2) for the ±1-paired form ``j``.
 
     Columns of a quaternion Ginibre matrix are orthonormalized in
     quaternion arithmetic: each computed column v gets the partner
-    -J conj(v), which keeps the result inside USp.  The quaternion
-    structure may be supplied as ``j`` (defaults to the standard form).
+    -J conj(v), which keeps the result inside USp of the standard form
+    J.  Its rows and columns are then permuted onto ``j``'s pairs.
     """
     if n2 < 2 or n2 % 2:
         raise InputShapeError("symplectic dimension must be even and >= 2")
-    n = n2 // 2
-    if j is None:
-        return _haar_usp_standard(n, rng)
-    # General j: conjugate a standard draw by the permutation relating j
-    # to the standard form.
-    perm = _symplectic_permutation(j)
-    u = _haar_usp_standard(n, rng)
-    return perm @ u @ perm.T
+    if np.shape(j) != (n2, n2):
+        raise InputShapeError(f"symplectic form must be {n2} x {n2}")
+    src = _symplectic_permutation(j)
+    return _haar_usp_standard(n2 // 2, rng)[np.ix_(src, src)]
 
 
 def _haar_usp_standard(n, rng):
@@ -308,26 +303,21 @@ def _haar_usp_standard(n, rng):
 
 
 def _symplectic_permutation(j):
-    """Permutation P with P J_std P^T = j, for a ±1-paired form j."""
+    """Indices src with J_std[src][:, src] = j, for a ±1-paired form j."""
     j = np.asarray(j)
-    n2 = j.shape[0]
-    n = n2 // 2
-    pairs = []
-    seen = set()
-    for a in range(n2):
-        if a in seen:
+    n = len(j) // 2
+    src = np.full(len(j), -1)  # -1 until an index is paired
+    k = 0
+    for a in range(len(j)):
+        if src[a] >= 0:
             continue
         row = j[a]
         b = int(np.argmax(np.abs(row)))
         if abs(row[b] - 1.0) > 1e-12:
             raise InputShapeError("symplectic form must pair basis vectors "
                                   "with entries ±1")
-        pairs.append((a, b))
-        seen.update((a, b))
-    if len(pairs) != n:
+        src[a], src[b] = k, n + k
+        k += 1
+    if k != n:
         raise InputShapeError("invalid symplectic form")
-    p = np.zeros((n2, n2))
-    for k, (a, b) in enumerate(pairs):
-        p[a, k] = 1.0
-        p[b, n + k] = 1.0
-    return p
+    return src

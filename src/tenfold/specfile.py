@@ -243,6 +243,7 @@ def read_samples(path):
         n = len(matrices[0]) if matrices else len(arr)
         _require(len(arr) == n, field,
                  f"expected a {n} x {n} matrix like the first record")
-        matrices.append(arr[..., 0] + 1j * arr[..., 1])
+        # through the float view, which keeps the sign of a zero
+        matrices.append(arr.astype(float).view(complex)[..., 0])
     _require(matrices, "$", "sample file holds no records")
     return meta, matrices

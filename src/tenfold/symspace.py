@@ -114,15 +114,14 @@ def in_space(x, pair, tol=1e-8):
     return residual <= tol * np.sqrt(pair.matrix_dim)
 
 
-def cartan_embed(u, pair, tol=None):
+def cartan_embed(u, pair):
     """Cartan embedding u K -> u tau(u^{-1}) of U/K into U.
 
     Group-type families are their own symmetric space, so the embedding
     is the identity map there.
     """
-    tol = linalg.TOL_INPUT if tol is None else tol
     u = np.asarray(u, dtype=complex)
-    if not pair.in_group(u, tol):
+    if not pair.in_group(u):
         raise InputShapeError(f"element is not in the ambient group of "
                               f"{pair.label}")
     if pair.group_type:
@@ -130,11 +129,11 @@ def cartan_embed(u, pair, tol=None):
     return u @ pair.tau(u.conj().T)
 
 
-def geodesic_inversion(y, x, pair, tol=1e-8):
+def geodesic_inversion(y, x, pair):
     """Geodesic inversion s_y(x) = y x^{-1} y on the symmetric space."""
-    if not in_space(x, pair, tol):
+    if not in_space(x, pair):
         raise NotInManifoldError("x is not in the symmetric space")
-    if not in_space(y, pair, tol):
+    if not in_space(y, pair):
         raise NotInManifoldError("y is not in the symmetric space")
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -224,7 +223,7 @@ class ClosureResult:
     max_residual: float
 
 
-def closure_check(p_basis, tol=1e-9):
+def closure_check(p_basis):
     """Test whether [p, [p, p]] stays inside the real span of ``p_basis``.
 
     The closure condition holds exactly when p is the odd part of a Lie
@@ -254,4 +253,4 @@ def closure_check(p_basis, tol=1e-9):
     off = linalg.off_span(mats, x @ w - w @ x)
     worst = float(np.linalg.norm(off, ord=2, axis=(1, 2)).max()) + \
         2.0 * float(s[rank:].max(initial=0.0))
-    return ClosureResult(passed=worst <= tol, max_residual=worst)
+    return ClosureResult(passed=worst <= 1e-9, max_residual=worst)

@@ -251,9 +251,9 @@ def _check_closure_negative_control():
                                  f"{result.max_residual:.2e} (should fail)")
 
 
-def _check_fock_car(max_modes=4):
+def _check_fock_car():
     worst = 0.0
-    for n in range(1, max_modes + 1):
+    for n in range(1, 5):
         fock = focklab.build_fock(n)
         worst = max(worst, car_residual(fock))
     return worst <= 1e-12, f"worst CAR residual {worst:.2e}"
@@ -335,23 +335,23 @@ def _defining_property_residual(fock, c, rng, trials):
     return worst
 
 
-def _check_c2_sign_law(max_modes=6):
+def _check_c2_sign_law():
     worst = 0.0
-    for n in range(1, max_modes + 1):
+    for n in range(1, 7):
         fock = focklab.build_fock(n)
         resid = c2_sign_residual(fock, focklab.conjugation(fock))
         if resid > 1e-12:
             return False, f"sign law broken at N={n}, residual {resid:.2e}"
         worst = max(worst, resid)
-    return True, f"N = 1..{max_modes}, worst residual {worst:.2e}"
+    return True, f"N = 1..6, worst residual {worst:.2e}"
 
 
-def _check_covering(max_modes=6, trials=2):
+def _check_covering():
     rng = linalg.RngStream(25)
     worst, worst_gap = 0.0, 0.0
-    for n in range(1, max_modes + 1):
+    for n in range(1, 7):
         resid, two_to_one, sign_gap = covering_residual(
-            focklab.build_fock(n), rng, trials)
+            focklab.build_fock(n), rng, trials=2)
         if not two_to_one:
             return False, (f"two-to-one property broken at N={n}, "
                            f"max|M(U) - M(-U)| {sign_gap:.2e}")
@@ -365,12 +365,12 @@ def ct_residual(c, t_u, factor):
     return linalg.frob(c.u @ np.conj(t_u) - factor * t_u @ np.conj(c.u))
 
 
-def _check_ct_commutation(max_modes=4):
+def _check_ct_commutation():
     """C T = det(O) T C for T = Lift(O) K, O Haar-random real orthogonal:
     C anticommutes with the lift of a reflection."""
     rng = linalg.RngStream(26)
     worst = 0.0
-    for n in range(1, max_modes + 1):
+    for n in range(1, 5):
         fock = focklab.build_fock(n)
         o = linalg.haar_orthogonal(n, rng)
         worst = max(worst, ct_residual(focklab.particle_hole(fock),
@@ -379,9 +379,9 @@ def _check_ct_commutation(max_modes=4):
     return worst <= 1e-12, f"worst CT - det(O) TC residual {worst:.2e}"
 
 
-def _check_twisted_transfer(max_modes=4):
+def _check_twisted_transfer():
     worst = 0.0
-    for n in range(2, max_modes + 1):
+    for n in range(2, 5):
         record = twisted_transfer(focklab.build_fock(n))
         if not record.passed:
             return False, f"transfer identity failed at N={n}"

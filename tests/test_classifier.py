@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import block_diag
 
 import oracles
-from tenfold import linalg
+from tenfold import classifier, linalg
 from tenfold.antiunitary import AntiUnitaryOp, parity
 from tenfold.classifier import (build_nambu, canonical_setting,
                                 classify_tenfold, classify_threefold,
@@ -191,6 +191,16 @@ class TestClassifyThreefold:
         brute = oracles.compatible_dimension(
             setting.dim, oracles.setting_constraints_hilbert(setting))
         assert predicted == brute
+
+
+@pytest.mark.parametrize("classify", [classify_threefold, classify_tenfold])
+def test_one_sector_is_not_paired_by_t(classify, rng, monkeypatch):
+    # T cannot swap the only sector of G0, so neither classifier asks
+    def refuse(*args):
+        raise AssertionError("sector_action called on a single sector")
+    monkeypatch.setattr(classifier, "sector_action", refuse)
+    report = classify(canonical_setting(label("AII", 4)), rng)
+    assert report.entries[0].class_label == label("AII", 4)
 
 
 class TestClassifyTenfold:

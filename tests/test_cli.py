@@ -322,6 +322,19 @@ class TestFockVerifyCommand:
         assert "FAIL" not in out
 
 
+def test_closed_stdout_ends_with_exit_zero():
+    # the reader stops after 10 bytes of a sample stream of some 7 MB
+    run = subprocess.Popen(
+        [sys.executable, "-m", "tenfold.cli", "sample", "--class", "A",
+         "--dims", "60", "--count", "50"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = run.stdout.read(10)
+    run.stdout.close()
+    _, err = run.communicate(timeout=120)
+    assert head == b"# tenfold "
+    assert (run.returncode, err) == (0, b"")
+
+
 def test_cli_import_leaves_scipy_out():
     code = ("import sys\n"
             "import tenfold.cli\n"

@@ -56,12 +56,14 @@ class TestCloseGroup:
         assert len(action.elements) == 1
         assert np.array_equal(action.elements[0], np.eye(4))
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
         theta = np.sqrt(2.0)
         rot = np.array([[np.cos(theta), -np.sin(theta)],
                         [np.sin(theta), np.cos(theta)]], dtype=complex)
-        with pytest.raises(GroupTooLargeError):
-            close_group([rot], max_order=64)
+        monkeypatch.setattr(grouprep, "MAX_ORDER", 64)
+        with pytest.raises(GroupTooLargeError,
+                           match="^closure exceeded 64 elements$"):
+            close_group([rot])
 
     def test_non_unitary_rejected(self):
         with pytest.raises(InputShapeError):
@@ -320,12 +322,15 @@ class TestAgainstOracles:
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
     @pytest.mark.parametrize("name", ["Q8", "S4"])
-    def test_budget_raised_at_exactly_max_order(self, name):
+    def test_budget_raised_at_exactly_max_order(self, name, monkeypatch):
         gens, _ = _random_setting(name, linalg.RngStream(7))
         order = len(oracles.close_group_oracle(gens))
-        assert len(close_group(gens, max_order=order).elements) == order
-        with pytest.raises(GroupTooLargeError):
-            close_group(gens, max_order=order - 1)
+        monkeypatch.setattr(grouprep, "MAX_ORDER", order)
+        assert len(close_group(gens).elements) == order
+        monkeypatch.setattr(grouprep, "MAX_ORDER", order - 1)
+        with pytest.raises(GroupTooLargeError,
+                           match=f"^closure exceeded {order - 1} elements$"):
+            close_group(gens)
 
     @pytest.mark.parametrize("name", ["su2", "u1"])
     @pytest.mark.parametrize("tol", [1e-8, 1e-4])

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tenfold import linalg
+from tenfold import linalg, symspace
+from tenfold.classifier import label
 from tenfold.errors import InputShapeError
 from tenfold.linalg import (RngStream, eig_hermitian, haar_orthogonal,
                             haar_symplectic_unitary, haar_unitary,
@@ -116,10 +117,31 @@ class TestHaarOrthogonalSymplectic:
 
     @pytest.mark.parametrize("n2", [2, 4, 6])
     def test_symplectic_unitary(self, n2):
-        u = haar_symplectic_unitary(n2, RngStream(n2))
         j = symplectic_form(n2 // 2)
+        u = haar_symplectic_unitary(n2, RngStream(n2), j)
         assert linalg.frob(u.conj().T @ u - np.eye(n2)) < 1e-12 * np.sqrt(n2)
         assert linalg.frob(u.T @ j @ u - j) < 1e-10
+
+    def test_symplectic_form_of_another_size_is_refused(self):
+        with pytest.raises(InputShapeError):
+            haar_symplectic_unitary(4, RngStream(0), symplectic_form(1))
+
+    @pytest.mark.parametrize("lab", [label("C", 3), label("CI", 4),
+                                     label("CII", 2, 4), label("CII", 4, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_symplectic_draw_is_the_permuted_standard_draw(self, lab, seed):
+        # the draw used to be P u P^T with the dense permutation P that
+        # sends the standard form's pairs to j's; indexing gives its bits
+        pair = symspace.involution(lab)
+        j, n2 = pair.ambient_form, pair.matrix_dim
+        n = n2 // 2
+        a, b = np.nonzero(j == 1)
+        p = np.zeros((n2, n2))
+        p[a, np.arange(n)] = 1.0
+        p[b, n + np.arange(n)] = 1.0
+        want = p @ linalg._haar_usp_standard(n, RngStream(seed)) @ p.T
+        got = haar_symplectic_unitary(n2, RngStream(seed), j)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFrobEach:

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from tenfold.antiunitary import parity
+from tenfold.classifier import label
+from tenfold.ensembles import EnsembleSpec, sample_gaussian
 from tenfold.errors import (NotInvolutiveError, SpecFileError,
                             SymmetryConsistencyError)
+from tenfold.linalg import RngStream
 from tenfold.specfile import (_parse_matrix, matrix_to_pairs, parse_spec,
                               parse_spec_data, read_samples, write_samples)
 
@@ -197,6 +200,17 @@ class TestSampleFiles:
                         "seed": "7"}
         for a, b in zip(mats, loaded):
             assert np.array_equal(a, b)  # [re, im] pairs are bit-exact
+
+    def test_round_trip_keeps_the_sign_of_zeros(self, tmp_path):
+        # the diagonal of a class-D draw has imaginary parts -0.0
+        draws = sample_gaussian(EnsembleSpec(label("D", 3)), RngStream(1),
+                                size=2)
+        assert np.signbit(draws.imag[draws.imag == 0]).sum() == 12
+        path = tmp_path / "d.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_samples(fh, "D", (3,), "gaussian", 1, draws)
+        _, loaded = read_samples(path)
+        assert np.asarray(loaded).tobytes() == draws.tobytes()
 
     def test_record_bytes_are_pinned(self):
         m = np.empty((2, 2), dtype=complex)
