@@ -44,8 +44,8 @@ MAX_MODES = 14
 # fock-verify holds H, its exponentiated parity blocks and Lift(S)
 # dense.  With one BLAS thread on a 2-vCPU host, --modes 10 --trials 1
 # takes 2.1-2.6 s and peaks at 113 MB resident, --modes 11 16-20 s and
-# 328 MB, so N = 12 would need about 1.3 GB and 2 to 3 minutes.
-MAX_DENSE_MODES = 11
+# 328 MB, --modes 12 107-131 s and 1028 MB; N = 13 would need 4 GB.
+MAX_DENSE_MODES = 12
 # covering_check forms the images of the Majoranas of as many modes at
 # once as fit in this many entries (1 MB), and of at least one mode;
 # wedge takes this many pairs of basis states at a time (about 30 MB)

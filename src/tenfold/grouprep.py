@@ -20,16 +20,15 @@ self-dual exactly when the commutant of R + R* is a full 2 x 2 matrix
 algebra (a character: when it is real), and its off-diagonal block is
 the pairing R -> R*.
 
-Cost.  ``commutant_basis`` solves each connected component of the
-generator blocks, in the eigenbasis of one fixed generic Hermitian
-element of the algebra the k generators span, on its own: O(k n_c^2 M_c^2)
-on n_c dimensions with M_c unknowns, nothing for a cluster no block
-touches, and O(M n^2) for the basis (M = sum M_c), not O(k n^6).
-``isotypic_decompose`` then rotates that basis into x's eigenbasis one
-line at a time, O(|comm| n^3) in all, and reads the dimension of each
-hom space it needs as the squared norm of a |comm| x d_a d_b slice,
-with no factorization, instead of a full SVD of a (k d^2 x d^2)
-Kronecker system, O(k d^6), per pair of lines; 1_m (x) r is O(k n^2).
+Cost.  The commutant is solved, and kept, one connected component of
+the k generator blocks at a time, in the eigenbasis of one fixed
+generic Hermitian element of their algebra: O(k n_c^2 M_c^2) on n_c
+dimensions with M_c unknowns, nothing for a cluster no block touches,
+not O(k n^6).  ``isotypic_decompose`` rotates each component's basis
+into x's eigenbasis one line at a time, O(M_c n_c^3), and reads the
+dimension of each hom space as the squared norm of an M_c x d_a d_b
+slice, instead of a full SVD of a (k d^2 x d^2) Kronecker system,
+O(k d^6), per pair of lines; 1_m (x) r is O(k n^2).
 ``close_group`` closes a group of order N breadth-first, a level at a
 time: O(k N) products of dim x dim matrices, one batched matmul per
 level, and duplicates found through a sorted scalar key, O(k N log N)
@@ -290,23 +289,47 @@ def _dedup_step(buf, count, n, weight, keys, by_key, window, tol, batch):
 
 
 def commutant_basis(action, tol=None):
-    """Frobenius-orthonormal basis of {X : [X, g] = 0 for all generators}.
+    """Frobenius-orthonormal basis of {X : [X, g] = 0 for all generators},
+    stacked as a (dim, n, n) array: the parts of ``_commutant_parts`` in
+    V's basis, an unlinked cluster's as unit matrices q E_ij q^H in
+    row-major order.  For a finite group the dimension is the sum of
+    squared multiplicities of the irreducible sectors.  A stack above
+    ``linalg.MAX_ARRAY_BYTES`` raises ``InputShapeError`` unallocated.
+    """
+    tol = linalg.TOL_INPUT if tol is None else tol
+    n = action.dim
+    q, parts = _commutant_parts(action, tol)
+    dims = [len(at) ** 2 if basis is None else len(basis)
+            for at, basis in parts]
+    ends = np.cumsum(dims)
+    _check_bytes(f"the commutant on C^{n} has {ends[-1]} dimensions; its "
+                 "basis", int(ends[-1]) * n * n)
+    out = np.empty((ends[-1], n, n), dtype=complex)
+    for (at, basis), end, dim in zip(parts, ends, dims):
+        dest, qs = out[end - dim:end], q[:, at]
+        if basis is None:
+            np.multiply(qs.T[:, None, :, None], qs.T[None, :, None].conj(),
+                        out=dest.reshape(len(at), len(at), n, n))
+        else:
+            np.matmul(qs @ basis, qs.conj().T, out=dest)
+    return out
 
-    The basis is returned stacked, as a (dim, n, n) array.  For a finite
-    group the dimension equals the sum of squared multiplicities of the
-    irreducible sectors.
+
+def _commutant_parts(action, tol):
+    """The commutant as solved: h's eigenbasis q, and a part (at, basis)
+    per connected component, by first cluster: its columns of q and an
+    orthonormal (M_c, n_c, n_c) basis in them, None for all of M_{n_c}.
 
     Every commutant element commutes with the Hermitian algebra element
     h = sum_k c_k g_k + h.c. (fixed generic c_k), so it is block-diagonal
     on h's eigenspaces (clusters, of dimensions m_i).  Generator blocks
     g_ij, and non-scalar g_ii, of norm above tol * scale / 2 link the
-    clusters.  An unlinked cluster is all of M_{m_i}; each other connected
+    clusters.  An unlinked cluster stores nothing; each other connected
     component solves its unknowns against its linked rows (a QR, then the
-    SVD of R).  A basis of sum m_i^2 matrices, or a component's system,
-    above ``linalg.MAX_ARRAY_BYTES`` raises ``InputShapeError`` before it
-    is allocated.
+    SVD of R).  A component's system, or the bases stored, above
+    ``linalg.MAX_ARRAY_BYTES`` raise ``InputShapeError`` before they are
+    allocated.
     """
-    tol = linalg.TOL_INPUT if tol is None else tol
     n = action.dim
     gens = np.array(action.generators, dtype=complex).reshape(-1, n, n)
     coeff = linalg.RngStream(_PROBE_SEED).complex_normal(len(gens))
@@ -315,8 +338,6 @@ def commutant_basis(action, tol=None):
     # the generators are only known to tol, and merging is merely slower
     starts = [lo for lo, _ in _eigen_clusters(evals, tol)]
     sizes = np.diff(starts + [n])
-    _check_bytes(f"the commutant on C^{n} has up to {sizes @ sizes} "
-                 "dimensions; its basis", int(sizes @ sizes) * n * n)
     label = np.repeat(np.arange(len(sizes)), sizes)  # cluster of each row
     gq = q.conj().T @ gens @ q
     # a diagonal block's scalar part commutes with every unknown: take it
@@ -331,20 +352,18 @@ def commutant_basis(action, tol=None):
     reach = link | np.eye(len(sizes), dtype=bool)
     for _ in range(len(sizes).bit_length()):
         reach = reach @ reach
-    parts = [_component_null(gq, label, inside, link, tol * scale) for inside
-             in reach[reach.argmax(axis=1) == np.arange(len(sizes))]]
-    ends = np.cumsum([len(r if v is None else v) for _, r, _, v in parts])
-    out = np.empty((ends[-1], n, n), dtype=complex)
-    for (at, rows, cols, null), end in zip(parts, ends):
-        dest, qs = out[end - len(rows if null is None else null):end], q[:, at]
-        if null is None:  # the unit matrices q E_t q^H
-            np.multiply(qs.T[rows, :, None], qs.T[cols, None, :].conj(),
-                        out=dest)
-        else:
-            blocks = np.zeros((len(null), len(at), len(at)), dtype=complex)
-            blocks[:, rows, cols] = null
-            np.matmul(qs @ blocks, qs.conj().T, out=dest)
-    return out
+    parts, stored = [], 0
+    for inside in reach[reach.argmax(axis=1) == np.arange(len(sizes))]:
+        at, rows, cols, null = _component_null(gq, label, inside, link,
+                                               tol * scale)
+        basis = None
+        if null is not None:
+            stored += len(null) * len(at) ** 2
+            _check_bytes(f"the commutant bases on C^{n}", stored)
+            basis = np.zeros((len(null), len(at), len(at)), dtype=complex)
+            basis[:, rows, cols] = null
+        parts.append((at, basis))
+    return q, parts
 
 
 def _component_null(gq, label, inside, link, cut):
@@ -431,23 +450,26 @@ def isotypic_decompose(action, rng, tol=None):
     """Decompose V into isotypic sectors E_lambda (x) R_lambda.
 
     The eigenspaces of a random Hermitian element x of the commutant
-    are generically single copies of an irreducible.  Slices of the
-    commutant basis rotated into x's eigenbasis span the intertwiners
-    between them, and a slice's squared norm is the dimension of that
+    are generically single copies of an irreducible.  x is drawn, and
+    split, one part of ``_commutant_parts`` at a time: a cluster that
+    nothing links is one sector of a character; in a linked component,
+    slices of its basis rotated into x's eigenbasis span the
+    intertwiners, and a slice's squared norm is the dimension of that
     hom space: above 1/2 it puts two copies in one isomorphism class,
     and one power step from its largest row gives the map that
-    assembles the factor basis.  A G0 that is 1_m (x) r in the given
-    basis with r irreducible (``_tensor_factor``) is one sector, with no
-    split.  Retries with fresh randomness when the spectrum fails the
-    health checks, and raises ``DegenerateDecompositionError`` after
-    five failed attempts.
+    assembles the factor basis, rotated back through q once.  Sectors
+    are labelled by x's eigenvalue on their first copy, ascending.  A G0
+    that is 1_m (x) r in the given basis with r irreducible
+    (``_tensor_factor``) is one sector, with no split.  Retries with
+    fresh randomness when the spectrum fails the health checks, and
+    raises ``DegenerateDecompositionError`` after five failed attempts.
     """
     tol = linalg.TOL_INPUT if tol is None else tol
     block = _tensor_factor(action, tol)
     if block is not None:
         return [block]
 
-    comm = commutant_basis(action, tol)
+    comm = _commutant_parts(action, tol)
     for attempt in range(5):
         try:
             return _decompose_once(action, comm, rng.child(attempt), tol)
@@ -457,43 +479,73 @@ def isotypic_decompose(action, rng, tol=None):
         f"no clean sector split after 5 attempts: {last_error}")
 
 
-def _eigen_split(action, comm, rng):
+def _eigen_split(gq, comm, rng):
     """Eigenspaces of a random Hermitian element x of the commutant.
 
-    Returns x's eigenvectors and the index ranges [lo, hi) of its
-    eigenvalue clusters.
+    Returns, per part of ``comm`` (generators ``gq`` in its basis q),
+    x's ascending eigenvalues, its eigenvectors on the part's columns of
+    q and the index ranges [lo, hi) of its eigenvalue clusters.
     """
+    q, parts = comm
     # x projects a complex Gaussian r onto the commutant: the complex
     # coefficients <C_k, r> (a real span can be degenerate: conjugate
     # characters collide) are iid standard normal in every orthonormal
-    # basis, so x does not depend on the one the solver returned.
-    r = rng.complex_normal((action.dim,) * 2)
-    coeff = np.tensordot(comm, r.conj(), axes=2).conj()
-    x = np.tensordot(coeff, comm, axes=1)
-    x = 0.5 * (x + x.conj().T)
-    evals, evecs = np.linalg.eigh(x)
+    # basis, so x does not depend on the one the solver returned.  The
+    # parts are orthogonal: each projects its block of q^H r q.
+    r = q.conj().T @ rng.complex_normal((len(q),) * 2) @ q
+    x, spectra = np.zeros_like(r), []
+    for at, basis in parts:
+        block = r[at[:, None], at]
+        if basis is not None:
+            block = np.tensordot(np.tensordot(basis.conj(), block, axes=2),
+                                 basis, axes=1)
+        x[at[:, None], at] = block = 0.5 * (block + block.conj().T)
+        spectra.append(np.linalg.eigh(block))
     # Inside one irreducible line the eigenvalue is degenerate up to how
     # far x fails to commute with the generators.  That residual, not
     # tol, sets the cluster gap: merging two lines is fatal here, and a
     # gap of 1e2 * tol would merge them at loose tolerances.  The floor
-    # covers rounding in eigh.
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    gens = np.reshape(action.generators, (-1, action.dim, action.dim))
-    residual = linalg.frob_each(x @ gens - gens @ x).max(initial=0.0) / scale
-    return evecs, _eigen_clusters(evals, max(residual, 1e-12))
+    # covers rounding in eigh.  Each part is cut at the whole spectrum's
+    # gap, 1e2 * noise in units of its scale.
+    scale = max(1.0, *(float(np.max(np.abs(e))) for e, _ in spectra))
+    noise = max(linalg.frob_each(x @ gq - gq @ x).max(initial=0.0) / scale,
+                1e-12)
+    return [(evals, vecs, _eigen_clusters(evals / scale, noise))
+            for evals, vecs in spectra]
 
 
 def _decompose_once(action, comm, rng, tol):
-    gens = np.reshape(action.generators, (-1, action.dim, action.dim))
-    norms = np.maximum(1.0, linalg.frob_each(gens))
-    evecs, bounds = _eigen_split(action, comm, rng)
+    """One split of V, x drawn from ``rng``, on ``_commutant_parts``."""
+    q, parts = comm
+    gq = q.conj().T @ np.reshape(action.generators, (-1, len(q), len(q))) @ q
+    norms = np.maximum(1.0, linalg.frob_each(gq))
+    sectors = []  # (x's eigenvalue on the first copy, d, factor basis)
+    for (at, basis), (evals, vecs, bounds) in zip(
+            parts, _eigen_split(gq, comm, rng)):
+        sectors += [(evals[lo], d, q[:, at] @ fb) for lo, d, fb in
+                    _component_sectors(gq[:, at[:, None], at], basis, vecs,
+                                       bounds, norms, tol)]
+    sectors.sort(key=lambda sector: sector[0])
+    # every cluster is in one sector of its size: dims sum to n
+    return [IsotypicBlock(label=label, irrep_dim=d,
+                          multiplicity=fb.shape[1] // d,
+                          projector=fb @ fb.conj().T, factor_basis=fb)
+            for label, (_, d, fb) in enumerate(sectors)]
+
+
+def _component_sectors(gs, basis, evecs, bounds, norms, tol):
+    """(first column, d, factor basis) of each sector of one part, in its
+    own coordinates: ``gs`` the generators, ``basis`` the commutant (None:
+    the generators are one scalar) and ``evecs`` x's eigenvectors."""
+    if basis is None:
+        return [(0, 1, evecs)]
     starts = [lo for lo, _ in bounds]
     sizes = [hi - lo for lo, hi in bounds]
     clusters = [evecs[:, lo:hi] for lo, hi in bounds]
 
     # Invariance: no generator may move a cluster's columns off its block.
     power = np.add.reduceat(np.add.reduceat(np.abs(
-        evecs.conj().T @ gens @ evecs) ** 2, starts, axis=1), starts, axis=2)
+        evecs.conj().T @ gs @ evecs) ** 2, starts, axis=1), starts, axis=2)
     np.einsum("kaa->ka", power)[...] = 0
     if (np.sqrt(power.sum(axis=1)) > 1e3 * tol * norms[:, None]).any():
         raise DegenerateDecompositionError(
@@ -503,12 +555,12 @@ def _decompose_once(action, comm, rng, tol):
     # the orthonormal commutant basis C (one |comm| x d_b d_a matrix) has
     # singular values 1 on Hom_G(a, b) and 0 elsewhere: its squared norm
     # is dim Hom_G(a, b), 1 on a single irreducible copy (2 or 4 on a
-    # merged one) and 0 or 1 between two copies.  The commutant is rotated
+    # merged one) and 0 or 1 between two copies.  The basis is rotated
     # one cluster row Q_b^H C evecs at a time, never as a second stack.
     first = []  # the first cluster of each cluster's class
     links = {}  # cluster index -> intertwiner from its class's first one
     for b, d in enumerate(sizes):
-        row = (clusters[b].conj().T @ comm) @ evecs
+        row = (clusters[b].conj().T @ basis) @ evecs
         if linalg.frob(row[..., slice(*bounds[b])]) ** 2 >= 1.5:
             raise DegenerateDecompositionError(
                 "cluster is not irreducible (merged eigenvalues)")
@@ -518,14 +570,14 @@ def _decompose_once(action, comm, rng, tol):
             if first[a] == a and sizes[a] == d and linalg.frob(s) ** 2 > 0.5:
                 # one power step from the largest row: the top right
                 # singular vector to first order in the noise
-                s = s.reshape(len(comm), d * d)
+                s = s.reshape(len(basis), d * d)
                 r = s[np.argmax(linalg.frob_each(s))]
                 links[b] = (s.T @ (s.conj() @ r)).reshape(d, d)
                 first[b] = a
                 break
 
-    blocks = []
-    for label, top in enumerate(dict.fromkeys(first)):
+    sectors = []
+    for top in dict.fromkeys(first):
         cls = [b for b, f in enumerate(first) if f == top]
         d, mult = sizes[top], len(cls)
         maps = [clusters[top]]
@@ -538,17 +590,14 @@ def _decompose_once(action, comm, rng, tol):
             maps.append(clusters[idx] @ m)
         fb = np.hstack(maps)
         # Block-Kronecker test: fb^H g fb = 1_mult (x) rho(g) for every g.
-        gb = (fb.conj().T @ gens @ fb).reshape(-1, mult, d, mult, d)
+        gb = (fb.conj().T @ gs @ fb).reshape(-1, mult, d, mult, d)
         diag = np.einsum("kaiaj->kaij", gb)
         diag -= diag[:, :1].copy()
         if (linalg.frob_each(gb) > 1e3 * tol * norms).any():
             raise DegenerateDecompositionError(
                 "factor basis failed the block-Kronecker test")
-        blocks.append(IsotypicBlock(label=label, irrep_dim=d,
-                                    multiplicity=mult,
-                                    projector=fb @ fb.conj().T,
-                                    factor_basis=fb))
-    return blocks  # every cluster is in one sector of its size: dims sum to n
+        sectors.append((starts[top], d, fb))
+    return sectors
 
 
 def dual_sum(g):

@@ -42,14 +42,14 @@ TOL_EIG = 1e-10
 TOL_DEDUP = 1e-8
 
 # Largest array, in bytes, that a sampler draw (size * n^2 * 16 for
-# complex128), a commutant basis or system, a group closure or one matrix
-# of a spec's dimension may take; larger ones are refused before they are
-# allocated (InputShapeError, GroupTooLargeError, SpecFileError).
-# Measured peaks (one BLAS thread) of ``stats --class`` at 1.05e9 bytes
-# of samples: 2.1 GB for A(256) and circular AIII(128,128), 2.8 GB for
-# D(128), about 2.7 times the draw, so a draw at the cap fits an 8 GB
-# machine.  ``commutant_basis`` peaks at about 1.1 times a basis written
-# without a solve, and at 2.3 to 2.6 times a component's system.
+# complex128), a commutant basis (dense, or the component bases stored) or
+# system, a group closure or one matrix of a spec's dimension may take;
+# larger ones are refused before they are allocated (InputShapeError,
+# GroupTooLargeError, SpecFileError).  Measured peaks (one BLAS thread)
+# of ``stats --class`` at 1.05e9 bytes of samples: 2.1 GB for A(256) and
+# circular AIII(128,128), 2.8 GB for D(128), about 2.7 times the draw, so
+# a draw at the cap fits an 8 GB machine.  The commutant solve peaks at
+# 2.3 to 2.8 times a component's system, a dense basis at 1.0 times itself.
 MAX_ARRAY_BYTES = 1 << 30
 
 _MASK64 = (1 << 64) - 1
@@ -107,10 +107,10 @@ class RngStream:
     def generator(self):
         return self._gen
 
-    def normal(self, size=None):
+    def normal(self, size):
         return self._gen.normal(size=size)
 
-    def complex_normal(self, size=None):
+    def complex_normal(self, size):
         """Standard complex normal entries, E|z|^2 = 1."""
         re = self._gen.normal(size=size)
         im = self._gen.normal(size=size)

@@ -172,17 +172,17 @@ class TestRejectedEnsembleInputs:
         assert "PASS" not in capsys.readouterr().out
 
     def test_fock_verify_above_the_dense_cap_exits_two(self, capsys):
-        assert main(["fock-verify", "--modes", "12"]) == 2
+        assert main(["fock-verify", "--modes", "13"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "limited to" in captured.err
 
-    @pytest.mark.parametrize("modes", ["12", "15"])
+    @pytest.mark.parametrize("modes", ["13", "15"])
     def test_fock_verify_advertises_the_dense_range(self, modes, capsys):
         assert main(["fock-verify", "--modes", modes]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "mode count must be in 1..11" in captured.err
+        assert "mode count must be in 1..12" in captured.err
 
     @pytest.mark.parametrize("command", ["sample", "stats"])
     def test_oversized_draw_exits_two_before_allocating(self, command,
@@ -379,6 +379,32 @@ def test_classify_does_not_depend_on_blas_threads(tmp_path):
         assert run.returncode == 0, run.stderr
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_reflection_does_not_depend_on_blas_threads(tmp_path):
+    # 47 trivial lines and one sign line in a random basis: the sector
+    # order comes from x's eigenvalues, one component at a time
+    w = linalg.haar_unitary(48, linalg.RngStream(48))
+    spec = trivial_spec(dim=48)
+    spec["g0"] = {"mode": "finite-group", "generators": [
+        pairs(w @ np.diag([1.0] * 47 + [-1.0]) @ w.conj().T)]}
+    path = write_spec(tmp_path, spec)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + os.environ.get("PYTHONPATH", "").split(
+                           os.pathsep)))
+        run = subprocess.run([sys.executable, "-m", "tenfold.cli",
+                              "classify", path, "--json"],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    blocks = json.loads(outputs[0])["blocks"]
+    assert sorted((b["d"], b["m"]) for b in blocks) == [(1, 1), (1, 47)]
 
 
 class TestParserReuse:
@@ -586,16 +612,52 @@ class TestSpecTolerance:
                 "normalize the symmetry algebra\n")
 
 
+def _spin_one_copies(m, seed):
+    """su(2) spin 1, m times, on C^(3m) in a Haar-random basis."""
+    jx = np.sqrt(0.5) * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    jy = np.sqrt(0.5) * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]])
+    jz = np.diag([1.0, 0.0, -1.0])
+    w = linalg.haar_unitary(3 * m, linalg.RngStream(seed))
+    return [pairs(w @ np.kron(np.eye(m), 1j * j) @ w.conj().T)
+            for j in (jx, jy, jz)]
+
+
 class TestCommutantCap:
     def test_oversized_commutant_exits_two(self, tmp_path, capsys):
-        # one reflection on C^100 leaves 99^2 + 1 commutant unknowns
-        spec = trivial_spec(dim=100)
-        spec["g0"] = {"mode": "finite-group",
-                      "generators": [pairs(np.diag([1.0] * 99 + [-1.0]))]}
+        # spin 1 forty times links its three clusters of 40: a system of
+        # 3 generators x (4 * 40^2 + 1) rows x 3 * 40^2 unknowns, 1.47 GB
+        spec = trivial_spec(dim=120)
+        spec["g0"] = {"mode": "lie-algebra",
+                      "generators": _spin_one_copies(40, 3)}
         path = write_spec(tmp_path, spec)
         assert main(["classify", path]) == 2
-        assert "above the limit of 1073741824 bytes" in \
-            capsys.readouterr().err
+        assert "constraint system needs 1474790400 bytes, above the limit " \
+            "of 1073741824 bytes" in capsys.readouterr().err
+
+    def test_oversized_component_system_exits_two(self, tmp_path, capsys,
+                                                  monkeypatch):
+        spec = trivial_spec(dim=12)
+        spec["g0"] = {"mode": "lie-algebra",
+                      "generators": _spin_one_copies(4, 5)}
+        path = write_spec(tmp_path, spec)
+        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 120_000)
+        assert main(["classify", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "constraint system needs 149760 bytes, above the limit of " \
+            "120000 bytes" in captured.err
+
+    def test_reflection_on_c96_classifies(self, tmp_path, capsys):
+        # two clusters that nothing links: 95 copies of the trivial
+        # character and one of the sign, with no commutant basis stored
+        w = linalg.haar_unitary(96, linalg.RngStream(96))
+        spec = trivial_spec(dim=96)
+        spec["g0"] = {"mode": "finite-group", "generators": [
+            pairs(w @ np.diag([1.0] * 95 + [-1.0]) @ w.conj().T)]}
+        path = write_spec(tmp_path, spec)
+        assert main(["classify", path, "--json"]) == 0
+        blocks = json.loads(capsys.readouterr().out)["blocks"]
+        assert sorted((b["d"], b["m"]) for b in blocks) == [(1, 1), (1, 95)]
 
     @pytest.mark.parametrize("t, line", [
         (None, "class=A space=U_96"), ("1", "class=AI space=U_96/O_96")])

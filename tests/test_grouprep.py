@@ -387,7 +387,7 @@ class TestComponentSolve:
             self._assert_oracle_span(list(parsed.setting.g0.generators),
                                      parsed.tolerance)
 
-    @pytest.mark.parametrize("n", [16, 24, 32])
+    @pytest.mark.parametrize("n", [16, 24, 32, 48])
     def test_reflection(self, n):
         self._assert_oracle_span(_reflection(n))
 
@@ -398,6 +398,10 @@ class TestComponentSolve:
     def test_spin_7_twice(self):
         gens = [np.kron(np.eye(2), g) for g in _spin(14)]
         self._assert_oracle_span(_in_random_basis(gens, 7), finite=False)
+
+    def test_spin_4_twice(self):
+        gens = [np.kron(np.eye(2), g) for g in _spin(8)]
+        self._assert_oracle_span(_in_random_basis(gens, 4), finite=False)
 
     @pytest.mark.parametrize("name", ["S3", "Q8", "su2", "u1", "S4"])
     @pytest.mark.parametrize("tol", [1e-8, 1e-4, 1e-2])
@@ -726,8 +730,15 @@ class TestSliceIntertwiners:
         action = self._action(name, seed, tol)
         tol = linalg.TOL_INPUT if tol is None else tol
         comm = commutant_basis(action, tol)
-        evecs, bounds = _eigen_split(action, comm,
-                                     linalg.RngStream(seed).child(9))
+        q, parts = grouprep._commutant_parts(action, tol)
+        gq = q.conj().T @ np.array(action.generators) @ q
+        splits = _eigen_split(gq, (q, parts), linalg.RngStream(seed).child(9))
+        # x's eigenvectors and clusters, part after part, on all of V
+        evecs = np.hstack([q[:, at] @ vecs
+                           for (at, _), (_, vecs, _) in zip(parts, splits)])
+        offsets = np.cumsum([0] + [len(at) for at, _ in parts])
+        bounds = [(lo + o, hi + o) for o, (_, _, part) in zip(offsets, splits)
+                  for lo, hi in part]
         reps = [[evecs[:, lo:hi].conj().T @ g @ evecs[:, lo:hi]
                  for g in action.generators] for lo, hi in bounds]
         # the squared slice norm is dim Hom_G(a, b), off by the noise only
@@ -769,22 +780,39 @@ class TestBatchedDecompose:
     @staticmethod
     def _assert_oracle_sectors(action, tol, seed):
         comm = commutant_basis(action, tol)
+        parts = grouprep._commutant_parts(action, tol)
+        early = []  # the library's splits of attempts the oracle failed
         for attempt in range(5):
             try:
                 want = oracles.decompose_oracle(
                     action, comm, linalg.RngStream(seed).child(attempt), tol)
             except DegenerateDecompositionError:
-                with pytest.raises(DegenerateDecompositionError):
-                    grouprep._decompose_once(
-                        action, comm, linalg.RngStream(seed).child(attempt),
-                        tol)
+                # the oracle clusters x's whole spectrum, and so can merge
+                # eigenvalues of two components; the library clusters each
+                # component apart.  It either fails too, or splits V into
+                # the oracle's sectors, checked below: their order depends
+                # on x, and the sectors themselves only to the noise, since
+                # the generators are known to tol.
+                try:
+                    early.append(grouprep._decompose_once(
+                        action, parts, linalg.RngStream(seed).child(attempt),
+                        tol))
+                except DegenerateDecompositionError:
+                    pass
                 continue
             got = grouprep._decompose_once(
-                action, comm, linalg.RngStream(seed).child(attempt), tol)
+                action, parts, linalg.RngStream(seed).child(attempt), tol)
             assert [(b.irrep_dim, b.multiplicity) for b in got] == \
                 [(b.irrep_dim, b.multiplicity) for b in want]
             for b, w in zip(got, want):
                 assert linalg.frob(b.projector - w.projector) <= 1e-10
+            for blocks in early:
+                assert len(blocks) == len(want)
+                for b in blocks:
+                    assert any((b.irrep_dim, b.multiplicity) ==
+                               (w.irrep_dim, w.multiplicity) and
+                               linalg.frob(b.projector - w.projector) <= tol
+                               for w in want)
             return got
         raise AssertionError("no attempt split the space")
 
@@ -816,11 +844,28 @@ class TestBatchedDecompose:
                   else lie_algebra_action(noisy, tol))
         self._assert_oracle_sectors(action, tol, 37)
 
+    @pytest.mark.parametrize("n", [32, 48])
+    def test_reflection(self, n):
+        # two clusters that nothing links: no slice is read
+        gens = _reflection(n)
+        got = self._assert_oracle_sectors(
+            GroupAction(dim=n, generators=tuple(gens)), linalg.TOL_INPUT, n)
+        assert sorted((b.irrep_dim, b.multiplicity) for b in got) == \
+            [(1, 1), (1, n - 1)]
+
+    @pytest.mark.parametrize("j", [4, 7])
+    def test_spin_twice(self, j):
+        gens = [np.kron(np.eye(2), g) for g in _spin(2 * j)]
+        action = lie_algebra_action(_in_random_basis(gens, j))
+        got = self._assert_oracle_sectors(action, linalg.TOL_INPUT, j)
+        assert [(b.irrep_dim, b.multiplicity) for b in got] == [(2 * j + 1, 2)]
+
     @pytest.mark.parametrize("name", ["S3", "Q8", "su2", "S4"])
     def test_one_svd_per_cluster_size(self, name, monkeypatch):
         gens, finite = _random_setting(name, linalg.RngStream(41))
         action = close_group(gens) if finite else lie_algebra_action(gens)
         comm = commutant_basis(action)
+        parts = grouprep._commutant_parts(action, linalg.TOL_INPUT)
         calls = []
         svd = np.linalg.svd
 
@@ -829,7 +874,8 @@ class TestBatchedDecompose:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        blocks = grouprep._decompose_once(action, comm, linalg.RngStream(43),
+        blocks = grouprep._decompose_once(action, parts,
+                                          linalg.RngStream(43),
                                           linalg.TOL_INPUT)
         assert sum(b.dim for b in blocks) == action.dim
         assert not calls  # slice norms count the hom spaces
@@ -842,9 +888,10 @@ class TestBatchedDecompose:
         # commutant holds 962 matrices of 32 x 32 (15 MB)
         action = close_group(_reflection(32))
         comm = commutant_basis(action)
+        parts = grouprep._commutant_parts(action, linalg.TOL_INPUT)
         tracemalloc.start()
         try:
-            blocks = grouprep._decompose_once(action, comm,
+            blocks = grouprep._decompose_once(action, parts,
                                               linalg.RngStream(47),
                                               linalg.TOL_INPUT)
             _, peak = tracemalloc.get_traced_memory()
