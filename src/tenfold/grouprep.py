@@ -299,8 +299,7 @@ def commutant_basis(action, tol=None):
     tol = linalg.TOL_INPUT if tol is None else tol
     n = action.dim
     q, parts = _commutant_parts(action, tol)
-    dims = [len(at) ** 2 if basis is None else len(basis)
-            for at, basis in parts]
+    dims = _part_dims(parts)
     ends = np.cumsum(dims)
     _check_bytes(f"the commutant on C^{n} has {ends[-1]} dimensions; its "
                  "basis", int(ends[-1]) * n * n)
@@ -364,6 +363,12 @@ def _commutant_parts(action, tol):
             basis[:, rows, cols] = null
         parts.append((at, basis))
     return q, parts
+
+
+def _part_dims(parts):
+    """The commutant dimension of each part of ``_commutant_parts``."""
+    return [len(at) ** 2 if basis is None else len(basis)
+            for at, basis in parts]
 
 
 def _component_null(gq, label, inside, link, cut):
@@ -437,8 +442,8 @@ def _tensor_factor(action, tol):
             if power.sum() + linalg.frob(diag - factors[-1]) ** 2 > lim ** 2:
                 break
         else:
-            if d > 1 and len(commutant_basis(
-                    GroupAction(dim=d, generators=tuple(factors)), tol)) > 1:
+            if d > 1 and sum(_part_dims(_commutant_parts(GroupAction(
+                    dim=d, generators=tuple(factors)), tol)[1])) > 1:
                 return None
             eye = np.eye(n, dtype=complex)
             return IsotypicBlock(label=0, irrep_dim=d, multiplicity=m,

@@ -682,6 +682,22 @@ def twisted_transfer_oracle(fock, s):
 # Randomized threefold settings with predicted labels
 
 
+def spin(two_j):
+    """Anti-Hermitian su(2) generators i J_x, i J_y, i J_z of spin j."""
+    j = two_j / 2
+    m = j - np.arange(two_j + 1)
+    up = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)
+    jx = (up + up.T) / 2
+    jy = (up - up.T) / 2j
+    return [1j * jx, 1j * jy, 1j * np.diag(m)]
+
+
+def in_random_basis(gens, seed):
+    """The generators conjugated by one Haar-random unitary."""
+    w = linalg.haar_unitary(gens[0].shape[0], linalg.RngStream(seed))
+    return [w @ g @ w.conj().T for g in gens]
+
+
 def equivariant_self_pairing(rep_gens):
     """Unitary psi with psi rho(g) = conj(rho(g)) psi, via least squares."""
     d = rep_gens[0].shape[0]

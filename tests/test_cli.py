@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import in_random_basis, spin
 from tenfold import errors, linalg, verify
 from tenfold.cli import build_parser, main
+from tenfold.grouprep import PAULI_X, PAULI_Y
 from tenfold.specfile import matrix_to_pairs
 
 
@@ -34,6 +36,14 @@ def trivial_spec(dim=2, **extra):
     }
     data.update(extra)
     return data
+
+
+def reflection_spec(n):
+    """G0 = {1, diag(1, ..., 1, -1)} on C^n in a Haar-random basis."""
+    spec = trivial_spec(dim=n)
+    spec["g0"] = {"mode": "finite-group", "generators": [pairs(
+        in_random_basis([np.diag([1.0] * (n - 1) + [-1.0])], n)[0])]}
+    return spec
 
 
 class TestClassifyCommand:
@@ -346,7 +356,8 @@ def test_cli_import_leaves_scipy_out():
 
 
 # Builds the classify benchmark specs of seeds 1-3 into argv[3] and prints
-# every classify output, with argv[1:3] the perfbench and src directories.
+# every classify output, with argv[1:3] the perfbench and src directories,
+# then the --json output of each spec in argv[4:].
 _CLASSIFY_SPECS = """
 import sys
 from pathlib import Path
@@ -363,48 +374,31 @@ for name in ("classify-wide", "classify-big-group"):
                 print("$", name, seed, path.name, *flags, flush=True)
                 print("exit", main(["classify", str(path), *flags]),
                       flush=True)
+for path in sys.argv[4:]:
+    print("exit", main(["classify", path, "--json"]), flush=True)
 """
 
 
 def test_classify_does_not_depend_on_blas_threads(tmp_path):
     root = Path(__file__).resolve().parents[1]
+    # 47 trivial lines and one sign line in a random basis: the sector
+    # order comes from x's eigenvalues, one component at a time
+    reflection = write_spec(tmp_path, reflection_spec(48))
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         run = subprocess.run(
             [sys.executable, "-c", _CLASSIFY_SPECS, str(root / "perfbench"),
-             str(root / "src"), str(tmp_path / threads)],
+             str(root / "src"), str(tmp_path / threads), reflection],
             capture_output=True, text=True, env=env)
         assert run.returncode == 0, run.stderr
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
-
-
-def test_reflection_does_not_depend_on_blas_threads(tmp_path):
-    # 47 trivial lines and one sign line in a random basis: the sector
-    # order comes from x's eigenvalues, one component at a time
-    w = linalg.haar_unitary(48, linalg.RngStream(48))
-    spec = trivial_spec(dim=48)
-    spec["g0"] = {"mode": "finite-group", "generators": [
-        pairs(w @ np.diag([1.0] * 47 + [-1.0]) @ w.conj().T)]}
-    path = write_spec(tmp_path, spec)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [src] + os.environ.get("PYTHONPATH", "").split(
-                           os.pathsep)))
-        run = subprocess.run([sys.executable, "-m", "tenfold.cli",
-                              "classify", path, "--json"],
-                             capture_output=True, text=True, env=env)
-        assert run.returncode == 0, run.stderr
-        outputs.append(run.stdout)
-    assert outputs[0] == outputs[1]
-    blocks = json.loads(outputs[0])["blocks"]
-    assert sorted((b["d"], b["m"]) for b in blocks) == [(1, 1), (1, 47)]
+    *_, blocks, code = outputs[0].splitlines()
+    assert code == "exit 0"
+    assert sorted((b["d"], b["m"]) for b in json.loads(blocks)["blocks"]) \
+        == [(1, 1), (1, 47)]
 
 
 class TestParserReuse:
@@ -612,52 +606,59 @@ class TestSpecTolerance:
                 "normalize the symmetry algebra\n")
 
 
-def _spin_one_copies(m, seed):
-    """su(2) spin 1, m times, on C^(3m) in a Haar-random basis."""
-    jx = np.sqrt(0.5) * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    jy = np.sqrt(0.5) * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]])
-    jz = np.diag([1.0, 0.0, -1.0])
-    w = linalg.haar_unitary(3 * m, linalg.RngStream(seed))
-    return [pairs(w @ np.kron(np.eye(m), 1j * j) @ w.conj().T)
-            for j in (jx, jy, jz)]
-
-
 class TestCommutantCap:
     def test_oversized_commutant_exits_two(self, tmp_path, capsys):
         # spin 1 forty times links its three clusters of 40: a system of
         # 3 generators x (4 * 40^2 + 1) rows x 3 * 40^2 unknowns, 1.47 GB
         spec = trivial_spec(dim=120)
+        gens = in_random_basis([np.kron(np.eye(40), g) for g in spin(2)], 3)
         spec["g0"] = {"mode": "lie-algebra",
-                      "generators": _spin_one_copies(40, 3)}
+                      "generators": [pairs(g) for g in gens]}
         path = write_spec(tmp_path, spec)
         assert main(["classify", path]) == 2
         assert "constraint system needs 1474790400 bytes, above the limit " \
             "of 1073741824 bytes" in capsys.readouterr().err
 
-    def test_oversized_component_system_exits_two(self, tmp_path, capsys,
-                                                  monkeypatch):
+    def test_oversized_stored_bases_exit_two(self, tmp_path, capsys,
+                                             monkeypatch):
+        # spin 1/2 twice at three charges: three components, each a
+        # system of 2304 bytes and a basis of 4 matrices of 4 x 4 (1024
+        # bytes); the third basis takes the stored total over the cap
+        sx, sy = (np.kron(np.eye(3), np.kron(p / 2, np.eye(2)))
+                  for p in (PAULI_X, PAULI_Y))
+        charge = np.diag(np.repeat(np.arange(3.0), 4))
+        gens = [1j * (sx + charge), 1j * sy]
         spec = trivial_spec(dim=12)
         spec["g0"] = {"mode": "lie-algebra",
-                      "generators": _spin_one_copies(4, 5)}
+                      "generators": [pairs(g) for g in gens]}
         path = write_spec(tmp_path, spec)
-        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 120_000)
+        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 3000)
         assert main(["classify", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "constraint system needs 149760 bytes, above the limit of " \
-            "120000 bytes" in captured.err
+        assert captured.err == (
+            "input error: the commutant bases on C^12 needs 3072 bytes, "
+            "above the limit of 3000 bytes\n")
 
     def test_reflection_on_c96_classifies(self, tmp_path, capsys):
         # two clusters that nothing links: 95 copies of the trivial
         # character and one of the sign, with no commutant basis stored
-        w = linalg.haar_unitary(96, linalg.RngStream(96))
-        spec = trivial_spec(dim=96)
-        spec["g0"] = {"mode": "finite-group", "generators": [
-            pairs(w @ np.diag([1.0] * 95 + [-1.0]) @ w.conj().T)]}
-        path = write_spec(tmp_path, spec)
+        path = write_spec(tmp_path, reflection_spec(96))
         assert main(["classify", path, "--json"]) == 0
         blocks = json.loads(capsys.readouterr().out)["blocks"]
         assert sorted((b["d"], b["m"]) for b in blocks) == [(1, 1), (1, 95)]
+
+    def test_copies_of_a_reducible_factor_classify(self, tmp_path, capsys):
+        # 1_2 (x) diag(1, ..., 1, -1) on C^200 first fits as two copies of
+        # a factor on C^100, which is reducible: its commutant, 99^2 + 1
+        # dimensions, is counted from the solve and never stacked (1.6 GB)
+        spec = trivial_spec(dim=200)
+        spec["g0"] = {"mode": "finite-group", "generators": [
+            pairs(np.kron(np.eye(2), np.diag([1.0] * 99 + [-1.0])))]}
+        path = write_spec(tmp_path, spec)
+        assert main(["classify", path, "--json"]) == 0
+        blocks = json.loads(capsys.readouterr().out)["blocks"]
+        assert [(b["d"], b["m"]) for b in blocks] == [(1, 198), (1, 2)]
 
     @pytest.mark.parametrize("t, line", [
         (None, "class=A space=U_96"), ("1", "class=AI space=U_96/O_96")])
