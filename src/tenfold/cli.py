@@ -22,8 +22,9 @@ from .classifier import (FAMILIES, ClassLabel, classify_tenfold,
 from .errors import InputShapeError, SpecFileError, TenfoldError
 from .specfile import parse_spec, read_samples, write_samples
 
-EXIT_OK = 0
-EXIT_INVARIANT = 5
+# stats --bins peaks at about 160 bytes a bin, most of it the text rows
+# and their join; the bins are counted at that against the array cap
+_BIN_BYTES = 160
 
 
 def _parse_dims(text):
@@ -50,7 +51,7 @@ def cmd_classify(args):
               classify_threefold)(parsed.setting, rng)
     print(json.dumps(report.as_dict() | {"seed": rng.seed}, sort_keys=True)
           if args.json else "\n".join(report.lines()))
-    return EXIT_OK
+    return 0
 
 
 def _draw(args, rng):
@@ -67,13 +68,13 @@ def cmd_sample(args):
     if not args.out:
         write_samples(sys.stdout, lab.family, lab.dims, args.kind, rng.seed,
                       draws)
-        return EXIT_OK
+        return 0
     try:  # opening and writing, as on a full disk
         with open(args.out, "w", encoding="utf-8") as fh:
             write_samples(fh, lab.family, lab.dims, args.kind, rng.seed, draws)
     except OSError as err:
         raise SpecFileError("--out", f"cannot write {args.out}: {err.strerror}")
-    return EXIT_OK
+    return 0
 
 
 def _spectra(kind, stack):
@@ -83,6 +84,10 @@ def _spectra(kind, stack):
 
 
 def cmd_stats(args):
+    if args.bins * _BIN_BYTES > linalg.MAX_ARRAY_BYTES:
+        raise InputShapeError(
+            f"--bins {args.bins} needs about {args.bins * _BIN_BYTES} bytes, "
+            f"above the limit of {linalg.MAX_ARRAY_BYTES} bytes")
     rng = linalg.RngStream(args.seed)
     if args.infile:
         meta, matrices = read_samples(args.infile)
@@ -123,17 +128,18 @@ def cmd_stats(args):
         for c, d in zip(hist.centers, hist.density):
             lines.append(f"{float(c)!r},{float(d)!r}")
     print("\n".join(lines))
-    return EXIT_OK
+    return 0
 
 
 def _report(results):
+    """Print one line per check; a failed one exits as a failed invariant."""
     failures = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     if failures:
         print("failed invariants: " + ", ".join(failures))
-        return EXIT_INVARIANT
-    return EXIT_OK
+        return TenfoldError.exit_code
+    return 0
 
 
 def cmd_verify(args):
@@ -226,7 +232,7 @@ def main(argv=None):
         return err.exit_code
     except BrokenPipeError:  # the reader stopped; exit flushes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+        return 0
 
 
 if __name__ == "__main__":

@@ -43,8 +43,8 @@ MAX_MODES = 14
 # A 2^N x 2^N complex array takes 64 MB at N = 11 and 256 MB at N = 12.
 # fock-verify holds H, its exponentiated parity blocks and Lift(S)
 # dense.  With one BLAS thread on a 2-vCPU host, --modes 10 --trials 1
-# takes 2.1-2.6 s and peaks at 113 MB resident, --modes 11 16-20 s and
-# 328 MB, --modes 12 107-131 s and 1028 MB; N = 13 would need 4 GB.
+# takes 1.6 s and peaks at 113 MB resident, --modes 11 8.5 s and
+# 328 MB, --modes 12 72 s and 1028 MB; N = 13 would need 4 GB.
 MAX_DENSE_MODES = 12
 # covering_check forms the images of the Majoranas of as many modes at
 # once as fit in this many entries (1 MB), and of at least one mode;
@@ -343,28 +343,27 @@ def _sectors(labels):
 
 @dataclass(frozen=True, eq=False)
 class CoveringRecord:
-    """Result of projecting a Fock evolution onto the Majorana rotation.
-
-    ``sign_residual`` is max|M(U) - M(-U)|; the covering is two-to-one
-    (``sign_invariant``) only when it is exactly 0.
-    """
+    """Result of projecting a Fock evolution onto the Majorana rotation."""
 
     rotation: np.ndarray
     span_residual: float
     orthogonality_residual: float
     determinant: float
     generator_residual: float
-    sign_invariant: bool
-    sign_residual: float
+
+    @property
+    def sign_invariant(self):
+        """True by construction: M is read off U c U^dag, even in U.  The
+        falsifiable two-to-one law is verify's 2 pi lift to -1."""
+        return True
 
 
 def covering_check(fock, h_fock, w, z):
     """Project U = exp(-i H) onto SO(2N) and compare with the generator.
 
     Computes the rotation M with U c_i U^{-1} = sum_j M_{ji} c_j, checks
-    that M is special orthogonal, that it equals the exponential of the
-    Majorana generator built from (w, z), and that -U induces exactly
-    the same rotation (the covering is two-to-one).
+    that M is special orthogonal and that it equals the exponential of
+    the Majorana generator built from (w, z).
 
     H must be Hermitian (else InputShapeError) and parity-even (else
     NotQuadraticError).  Then U = U_e + U_o on the even and odd states,
@@ -386,7 +385,8 @@ def covering_check(fock, h_fock, w, z):
         raise NotQuadraticError("H mixes even and odd fermion parity "
                                 f"(residual {mixing:.3e})")
     u_even = _exp_i(h_fock[even[:, None], even])
-    u_odd = _exp_i(h_fock[odd[:, None], odd])
+    u_odd_adj = np.ascontiguousarray(
+        _exp_i(h_fock[odd[:, None], odd]).conj().T)
     n = fock.n_modes
     c_ops = majorana_basis(fock)
     masks = np.array([c.mask for c in c_ops[::2]])
@@ -397,37 +397,31 @@ def covering_check(fock, h_fock, w, z):
     half = len(even)
     rows = np.arange(half)
     # the images of the Majoranas of ``per`` modes at a time, in two
-    # buffers reused by every batch and by -U: at N = 7, fresh arrays
-    # per batch took longer to fault in than the products took
+    # buffers reused by every batch: at N = 7, fresh arrays per batch
+    # took longer to fault in than the products took
     per = min(n, max(1, _BATCH_ENTRIES // (2 * half * half)))
     images = np.empty((per, 2, half, half), dtype=complex)
     factors = np.empty_like(images)
-
-    def rotation_of(u_e, u_o):
-        u_o_adj = np.ascontiguousarray(u_o.conj().T)
-        m = np.zeros((2 * n, 2 * n))
-        residual = 0.0
-        for k in range(0, n, per):
-            ks, count = slice(k, k + per), min(per, n - k)
-            image = images[:count]
-            # U_e c U_o^dag: c U_o^dag gathers signed rows of U_o^dag
-            np.multiply(u_o_adj[partners[ks]][:, None],
-                        signs[ks, :, :, None], out=factors[:count])
-            np.matmul(u_e, factors[:count], out=image)
-            # M_ji = 2 Re tr(c_j^oe image) / 2^N, gathered for all j
-            on_span = image[:, :, rows, partners]
-            coeff = 2 * np.einsum("kajr,jbr->kajb", on_span,
-                                  signs.conj()).real / fock.dim
-            m[:, 2 * k:2 * (k + count)] = coeff.reshape(-1, 2 * n).T
-            image[:, :, rows, partners] = on_span - np.einsum(
-                "kajb,jbr->kajr", coeff, signs)
-            # the odd-to-even block is the adjoint: twice the squared norm
-            parts = image.view(float)
-            residual = max(residual, np.sqrt(2 * np.einsum(
-                "kaij,kaij->ka", parts, parts)).max())
-        return m, residual
-
-    m, span_residual = rotation_of(u_even, u_odd)
+    m = np.zeros((2 * n, 2 * n))
+    span_residual = 0.0
+    for k in range(0, n, per):
+        ks, count = slice(k, k + per), min(per, n - k)
+        image = images[:count]
+        # U_e c U_o^dag: c U_o^dag gathers signed rows of U_o^dag
+        np.multiply(u_odd_adj[partners[ks]][:, None],
+                    signs[ks, :, :, None], out=factors[:count])
+        np.matmul(u_even, factors[:count], out=image)
+        # M_ji = 2 Re tr(c_j^oe image) / 2^N, gathered for all j
+        on_span = image[:, :, rows, partners]
+        coeff = 2 * np.einsum("kajr,jbr->kajb", on_span,
+                              signs.conj()).real / fock.dim
+        m[:, 2 * k:2 * (k + count)] = coeff.reshape(-1, 2 * n).T
+        image[:, :, rows, partners] = on_span - np.einsum(
+            "kajb,jbr->kajr", coeff, signs)
+        # the odd-to-even block is the adjoint: twice the squared norm
+        parts = image.view(float)
+        span_residual = max(span_residual, np.sqrt(2 * np.einsum(
+            "kaij,kaij->ka", parts, parts)).max())
     if span_residual > 1e-9 * max(1.0, linalg.frob(m)):
         raise NotQuadraticError("conjugated Majorana operators leave the "
                                 f"Majorana span (residual {span_residual:.3e})")
@@ -435,12 +429,9 @@ def covering_check(fock, h_fock, w, z):
     det = float(np.linalg.det(m))
     gen = nambu_generator(w, z)
     gen_residual = linalg.frob(m - _exp_i(1j * gen).real)
-    m_neg = rotation_of(-u_even, -u_odd)[0]
     return CoveringRecord(rotation=m, span_residual=span_residual,
                           orthogonality_residual=orth, determinant=det,
-                          generator_residual=gen_residual,
-                          sign_invariant=bool(np.array_equal(m, m_neg)),
-                          sign_residual=float(np.max(np.abs(m - m_neg))))
+                          generator_residual=gen_residual)
 
 
 @dataclass(frozen=True, eq=False)

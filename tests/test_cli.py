@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import in_random_basis, spin
-from tenfold import errors, linalg, verify
+from tenfold import ensembles, errors, focklab, linalg, verify
 from tenfold.cli import build_parser, main
 from tenfold.grouprep import PAULI_X, PAULI_Y
 from tenfold.specfile import matrix_to_pairs
@@ -214,6 +214,25 @@ class TestRejectedEnsembleInputs:
         assert main(["stats", "--poisson", levels]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_oversized_bins_exit_two_before_drawing(self, monkeypatch,
+                                                    capsys):
+        # 100 bins fit the cap at 160 bytes a bin, 101 do not; the
+        # refusal comes before a spectrum is drawn
+        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 16000)
+        argv = ["stats", "--class", "A", "--dims", "4", "--count", "20"]
+        assert main(argv + ["--bins", "100"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 105
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a spectrum was drawn")
+
+        monkeypatch.setattr(ensembles, "sample_gaussian", no_draw)
+        assert main(argv + ["--bins", "101"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: --bins 101 needs about 16160 "
+                                "bytes, above the limit of 16000 bytes\n")
+
 
 class TestStatsCommand:
     def test_poisson_control(self, capsys):
@@ -307,7 +326,7 @@ class TestVerifyCommand:
         assert "fock.C2-sign-law" in out
         assert "PASS fock.covering-two-to-one: worst covering residual " \
             in out
-        assert "max|M(U) - M(-U)| 0.00e+00" in out
+        assert ", 2 pi lift residual " in out
 
     def test_spec_verify(self, tmp_path, capsys):
         path = write_spec(tmp_path, trivial_spec())
@@ -327,9 +346,25 @@ class TestFockVerifyCommand:
         out = capsys.readouterr().out
         assert "fock.car" in out
         assert "fock.C2-sign-law" in out
-        assert "PASS fock.covering-two-to-one: max|M(U) - M(-U)| " \
-            "0.00e+00" in out
+        assert "PASS fock.covering-two-to-one: 2 pi lift residual " in out
         assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--all-classes", "--level", "full"],
+    ["fock-verify", "--modes", "4"]])
+def test_two_to_one_check_fails_on_a_lift_off_by_pi(argv, monkeypatch,
+                                                   capsys):
+    # H + pi turns the lift of a 2 pi rotation from -1 into +1 but
+    # leaves every rotation U c U^dag as it was
+    lift = focklab.lift_one_body
+    monkeypatch.setattr(focklab, "lift_one_body", lambda fock, w, z: lift(
+        fock, w, z) + np.pi * np.eye(fock.dim))
+    assert main(argv) == 5
+    *results, summary = capsys.readouterr().out.splitlines()
+    assert summary == "failed invariants: fock.covering-two-to-one"
+    assert [line.split(":")[0] for line in results if not
+            line.startswith("PASS")] == ["FAIL fock.covering-two-to-one"]
 
 
 def test_closed_stdout_ends_with_exit_zero():

@@ -379,7 +379,21 @@ class TestComponentSolve:
 
     @pytest.mark.parametrize("n", [16, 24, 32, 48])
     def test_reflection(self, n):
-        self._assert_oracle_span(_reflection(n))
+        # the commutant of a reflection R is exactly the X with
+        # P+ X P+ + P- X P- = X, P+- = (1 +- R) / 2, of dimension
+        # (n - 1)^2 + 1; for as many orthonormal X, the distance of their
+        # span projector from that one is sqrt(2) times their part off it
+        gens = _reflection(n)
+        basis = commutant_basis(GroupAction(dim=n, generators=tuple(gens)))
+        plus = (np.eye(n) + gens[0]) / 2
+        minus = np.eye(n) - plus
+        off = basis - plus @ basis @ plus - minus @ basis @ minus
+        assert len(basis) == (n - 1) ** 2 + 1
+        assert np.sqrt(2) * linalg.frob(off) <= 1e-10
+        b = basis.reshape(len(basis), -1)
+        assert linalg.frob(b @ b.conj().T - np.eye(len(basis))) <= 1e-10
+        if n <= 32:  # the single-system solve takes 17 s at n = 48
+            self._assert_oracle_span(gens)
 
     def test_u1_charge_on_nambu_space(self):
         self._assert_oracle_span(

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from tenfold import ensembles, focklab, linalg, symspace, verify
 from tenfold.classifier import classify_tenfold, hilbert_setting
@@ -97,6 +98,33 @@ def test_fock_suite_at_one_mode_number():
     assert all(ok for _, ok, _ in results)
     c2_detail = dict((name, detail) for name, _, detail in results)
     assert c2_detail["fock.C2-sign-law"] == "residual 0.00e+00"
+
+
+@pytest.mark.parametrize("offset", [0.0, np.pi])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_two_pi_lift_residual_equals_the_dense_exponential(n, offset,
+                                                          monkeypatch):
+    # the residual read off the sector spectra against expm of the
+    # whole H; a lift off by pi takes the 2 pi rotation to +1, which is
+    # 2 away from -1 on each of the 2^N states
+    fock = focklab.build_fock(n)
+    lift, lifts = focklab.lift_one_body, []
+
+    def shifted(fock, w, z):
+        lifts.append((lift(fock, w, z) + offset * np.eye(fock.dim),
+                      np.trace(w).real / 2))
+        return lifts[-1][0]
+
+    monkeypatch.setattr(focklab, "lift_one_body", shifted)
+    resid = verify.two_pi_lift_residual(fock, linalg.RngStream(n))
+    [(h, half_trace)] = lifts
+    eye = np.eye(fock.dim)
+    assert resid == pytest.approx(
+        linalg.frob(expm(-1j * (h - half_trace * eye)) + eye), abs=1e-12)
+    if offset:
+        assert resid == pytest.approx(2 * np.sqrt(fock.dim))
+    else:
+        assert resid <= 1e-12
 
 
 def test_ct_commutation_carries_the_determinant():
