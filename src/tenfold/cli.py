@@ -84,6 +84,8 @@ def _spectra(kind, stack):
 
 
 def cmd_stats(args):
+    if args.bins < 0:
+        raise InputShapeError("--bins must not be negative")
     if args.bins * _BIN_BYTES > linalg.MAX_ARRAY_BYTES:
         raise InputShapeError(
             f"--bins {args.bins} needs about {args.bins * _BIN_BYTES} bytes, "

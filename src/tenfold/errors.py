@@ -25,7 +25,7 @@ class GroupTooLargeError(InputShapeError):
 
 
 class DegenerateDecompositionError(TenfoldError):
-    """Random commutant elements kept producing near-degenerate spectra."""
+    """G0's eigenclusters did not resolve into isotypic sectors."""
 
 
 class UnsupportedModeError(InputShapeError):

@@ -8,27 +8,20 @@ R_lambda, one per isomorphism class of irreducible subrepresentation,
 with the multiplicity factor E slow and the irreducible factor R fast
 in the column ordering of the returned bases.
 
-The decomposition is purely numerical: eigenspaces of a random Hermitian
-commutant element x resolve the multiplicity lines.  The lines are
-G-invariant, so Hom_G(a, b) = Q_b^H End_G(V) Q_a for orthonormal bases
-Q_a, Q_b of two lines, and the commutant basis, rotated into x's
-eigenbasis, already holds every intertwiner: a slice of it decides
-which lines are isomorphic (the space of equivariant maps between two
-irreducibles has dimension zero or one) and supplies the map that
-aligns them.  Self-duality is read from the same solver: R is
+The decomposition is purely numerical.  A generic Hermitian element h
+of the algebra the generators span acts on each sector as
+rho(h) (x) 1_m, so its eigenspaces are lines of R times E.  Carried
+onto each other along the generator blocks, by polar factors, they
+show every block as a scalar: each connected component of the blocks
+is one sector.  Self-duality is read from the same routine: R is
 self-dual exactly when the commutant of R + R* is a full 2 x 2 matrix
 algebra (a character: when it is real), and its off-diagonal block is
 the pairing R -> R*.
 
-Cost.  The commutant is solved, and kept, one connected component of
-the k generator blocks at a time, in the eigenbasis of one fixed
-generic Hermitian element of their algebra: O(k n_c^2 M_c^2) on n_c
-dimensions with M_c unknowns, nothing for a cluster no block touches,
-not O(k n^6).  ``isotypic_decompose`` rotates each component's basis
-into x's eigenbasis one line at a time, O(M_c n_c^3), and reads the
-dimension of each hom space as the squared norm of an M_c x d_a d_b
-slice, instead of a full SVD of a (k d^2 x d^2) Kronecker system,
-O(k d^6), per pair of lines; 1_m (x) r is O(k n^2).
+Cost.  No linear system is formed: one eigendecomposition of h, then
+per round of refinement (one, unless h is degenerate) the blocks of
+one generic element, O(n^3), and of the k generators in the frames of
+each component of n_c dimensions, O(k n_c^3).  1_m (x) r is O(k n^2).
 ``close_group`` closes a group of order N breadth-first, a level at a
 time: O(k N) products of dim x dim matrices, one batched matmul per
 level, and duplicates found through a sorted scalar key, O(k N log N)
@@ -52,7 +45,7 @@ from .errors import (DegenerateDecompositionError, GroupTooLargeError,
 MAX_ORDER = 10_000
 
 # Seed of the fixed generic vectors and coefficients behind the
-# close_group keys and the commutant's algebra element.
+# close_group keys and the algebra elements that _sectors reads.
 _PROBE_SEED = 0x7E4F01D
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -290,120 +283,171 @@ def _dedup_step(buf, count, n, weight, keys, by_key, window, tol, batch):
 
 def commutant_basis(action, tol=None):
     """Frobenius-orthonormal basis of {X : [X, g] = 0 for all generators},
-    stacked as a (dim, n, n) array: the parts of ``_commutant_parts`` in
-    V's basis, an unlinked cluster's as unit matrices q E_ij q^H in
-    row-major order.  For a finite group the dimension is the sum of
-    squared multiplicities of the irreducible sectors.  A stack above
-    ``linalg.MAX_ARRAY_BYTES`` raises ``InputShapeError`` unallocated.
+    stacked as a (dim, n, n) array: fb (E_ab (x) 1_d) fb^H / sqrt(d) for
+    each sector of ``_sectors`` in turn, a and b in row-major order.
+
+    G0's generators are unitary or anti-Hermitian, so the algebra they
+    generate is closed under adjoints, and its commutant is the sum of
+    M_m (x) 1_d over the sectors: its dimension is the sum of squared
+    multiplicities.  A stack above ``linalg.MAX_ARRAY_BYTES`` raises
+    ``InputShapeError`` unallocated.
     """
     tol = linalg.TOL_INPUT if tol is None else tol
     n = action.dim
-    q, parts = _commutant_parts(action, tol)
-    dims = _part_dims(parts)
-    ends = np.cumsum(dims)
-    _check_bytes(f"the commutant on C^{n} has {ends[-1]} dimensions; its "
-                 "basis", int(ends[-1]) * n * n)
-    out = np.empty((ends[-1], n, n), dtype=complex)
-    for (at, basis), end, dim in zip(parts, ends, dims):
-        dest, qs = out[end - dim:end], q[:, at]
-        if basis is None:
-            np.multiply(qs.T[:, None, :, None], qs.T[None, :, None].conj(),
-                        out=dest.reshape(len(at), len(at), n, n))
-        else:
-            np.matmul(qs @ basis, qs.conj().T, out=dest)
+    sectors = _sectors(action, tol)
+    dims = [(fb.shape[1] // d) ** 2 for d, fb in sectors]
+    size = 16 * sum(dims) * n * n
+    if size > linalg.MAX_ARRAY_BYTES:
+        raise InputShapeError(
+            f"the commutant on C^{n} has {sum(dims)} dimensions; its basis "
+            f"needs {size} bytes, above the limit of "
+            f"{linalg.MAX_ARRAY_BYTES} bytes")
+    out = np.empty((sum(dims), n, n), dtype=complex)
+    at = 0
+    for (d, fb), dim in zip(sectors, dims):
+        m = fb.shape[1] // d
+        # f[a]: the n x d columns of copy a
+        f = fb.reshape(n, m, d).transpose(1, 0, 2) / d ** 0.25
+        np.matmul(f[:, None], f.conj().transpose(0, 2, 1)[None],
+                  out=out[at:at + dim].reshape(m, m, n, n))
+        at += dim
     return out
 
 
-def _commutant_parts(action, tol):
-    """The commutant as solved: h's eigenbasis q, and a part (at, basis)
-    per connected component, by first cluster: its columns of q and an
-    orthonormal (M_c, n_c, n_c) basis in them, None for all of M_{n_c}.
+def _sectors(action, tol):
+    """(d, factor basis) of each isotypic sector.
 
-    Every commutant element commutes with the Hermitian algebra element
-    h = sum_k c_k g_k + h.c. (fixed generic c_k), so it is block-diagonal
-    on h's eigenspaces (clusters, of dimensions m_i).  Generator blocks
-    g_ij, and non-scalar g_ii, of norm above tol * scale / 2 link the
-    clusters.  An unlinked cluster stores nothing; each other connected
-    component solves its unknowns against its linked rows (a QR, then the
-    SVD of R).  A component's system, or the bases stored, above
-    ``linalg.MAX_ARRAY_BYTES`` raise ``InputShapeError`` before they are
-    allocated.
+    A generic Hermitian h = sum_k c_k g_k + h.c. lies in the algebra A
+    that the generators span, closed under adjoints; on each sector it
+    is rho(h) (x) 1_m, so each cluster of its spectrum is a line of R
+    times E.  In frames of E every block of every element of A is a
+    scalar.  The frames of a connected component of the blocks of the
+    generic G = sum_k w_k g_k are carried along a maximum spanning tree
+    of its blocks by their polar factors; then the component is one
+    sector, d clusters of one size m.
+
+    A degenerate h (a Lie weight shared by two irreducibles, a weight
+    space of dimension above one) merges clusters.  A merged cluster
+    holds a block that is not scalar to tol, in units of the largest
+    generator: the Hermitian part of G's diagonal block plus B B^H and
+    B^H B over G's blocks B from and into it, weighted per cluster, or a
+    generator's block in the frames.  These lie in A cut down to the
+    cluster, so a Hermitian generic combination of them splits it at
+    the gaps of its spectrum above 10 tol of its spread, into clusters
+    of the same kind.  A cluster that does not split raises
+    ``DegenerateDecompositionError``.
     """
     n = action.dim
     gens = np.array(action.generators, dtype=complex).reshape(-1, n, n)
-    coeff = linalg.RngStream(_PROBE_SEED).complex_normal(len(gens))
-    h = (coeff @ gens.reshape(len(gens), n * n)).reshape(n, n)
+    k = len(gens)
+    probe = linalg.RngStream(_PROBE_SEED)
+    h = (probe.complex_normal(k) @ gens.reshape(k, n * n)).reshape(n, n)
     evals, q = np.linalg.eigh(h + h.conj().T)
-    # the generators are only known to tol, and merging is merely slower
+    del h
+    # the generators are only known to tol; a merged cluster is split
+    # below, a split one is never merged
     starts = [lo for lo, _ in _eigen_clusters(evals, tol)]
-    sizes = np.diff(starts + [n])
-    label = np.repeat(np.arange(len(sizes)), sizes)  # cluster of each row
-    gq = q.conj().T @ gens @ q
-    # a diagonal block's scalar part commutes with every unknown: take it
-    # out of its entries, and sum the squared block norms over generators
-    diag = np.einsum("kii->ki", gq)
-    diag -= (np.add.reduceat(diag, starts, axis=1) / sizes)[:, label]
-    power = np.add.reduceat(np.add.reduceat((np.abs(gq) ** 2).sum(axis=0),
-                                            starts, axis=0), starts, axis=1)
-    scale = np.linalg.norm(gens, axis=(1, 2)).max(initial=1.0)
-    link = np.maximum(power, power.T) > (tol * scale / 2) ** 2
-    # reach[i]: the clusters joined to cluster i; one row per component
-    reach = link | np.eye(len(sizes), dtype=bool)
-    for _ in range(len(sizes).bit_length()):
-        reach = reach @ reach
-    parts, stored = [], 0
-    for inside in reach[reach.argmax(axis=1) == np.arange(len(sizes))]:
-        at, rows, cols, null = _component_null(gq, label, inside, link,
-                                               tol * scale)
-        basis = None
-        if null is not None:
-            stored += len(null) * len(at) ** 2
-            _check_bytes(f"the commutant bases on C^{n}", stored)
-            basis = np.zeros((len(null), len(at), len(at)), dtype=complex)
-            basis[:, rows, cols] = null
-        parts.append((at, basis))
-    return q, parts
+    gens /= np.linalg.norm(gens, axis=(1, 2)).max(initial=1.0)
+    w = probe.complex_normal(k)
+    w /= np.abs(w).sum() or 1.0
+    omega = 1.0 + probe.generator.random(n)  # a weight per cluster
+    while True:
+        sizes = np.diff(starts + [n])
+        g = q.conj().T @ (np.tensordot(w, gens, axes=1) @ q)
+        strength = np.add.reduceat(np.add.reduceat(
+            np.abs(g) ** 2, starts, axis=0), starts, axis=1)
+        link = np.maximum(strength, strength.T) > (tol / 2) ** 2
+        # reach[i]: the clusters joined to cluster i; one row per component
+        reach = link | np.eye(len(sizes), dtype=bool)
+        for _ in range(len(sizes).bit_length()):
+            reach = reach @ reach
+        sectors, splits = [], {}
+        for comp in map(np.flatnonzero, reach[
+                reach.argmax(axis=1) == np.arange(len(sizes))]):
+            d, m = len(comp), sizes[comp[0]]
+            rows = np.concatenate([np.arange(starts[a], starts[a] + sizes[a])
+                                   for a in comp])
+            # a view when the component is one cluster
+            gc = g[rows[0]:rows[-1] + 1, rows[0]:rows[-1] + 1] if d == 1 \
+                else g[rows[:, None], rows]
+            y = np.conjugate(gc.T, order="C")  # so += below needs no buffer
+            y += gc
+            y *= 0.5
+            if d > 1:  # G Omega G^H + G^H Omega G
+                weight = np.repeat(omega[comp], sizes[comp])
+                y += (gc * weight) @ gc.conj().T + \
+                    gc.conj().T @ (gc * weight[:, None])
+            for a, lo in zip(comp, np.cumsum(sizes[comp]) - sizes[comp]):
+                block = y[lo:lo + sizes[a], lo:lo + sizes[a]]
+                np.einsum("ii->i", block)[...] -= np.trace(block) / len(block)
+                if np.vecdot(block, block).real.sum() > tol ** 2:
+                    splits[a] = block
+            if any(a in splits for a in comp):
+                continue
+            if (sizes[comp] != m).any():
+                raise DegenerateDecompositionError(
+                    f"linked clusters of h have sizes {sizes[comp].tolist()}")
+            if d == 1:
+                sectors.append((1, q[:, rows]))
+                continue
+            frames = _frames(g, rows.reshape(d, m), np.where(
+                link[comp[:, None], comp], strength[comp[:, None], comp], 0))
+            f = (q[:, rows].reshape(n, d, m).transpose(1, 0, 2) @ frames
+                 ).transpose(1, 0, 2).reshape(n, d * m)
+            # every block of the component in the frames, in one product
+            nt = (f.conj().T @ gens @ f).reshape(k, d, m, d, m)
+            diag = np.einsum("kaibi->kabi", nt)
+            diag -= diag.mean(axis=3, keepdims=True)  # the scalar parts
+            off = np.sqrt((np.abs(nt) ** 2).sum(axis=(0, 2, 3, 4)))
+            for a in np.flatnonzero(off > tol):
+                x = np.einsum("k,b,kibj->ij", w, omega[comp], nt[:, a])
+                splits[comp[a]] = frames[a] @ (x + x.conj().T) @ \
+                    frames[a].conj().T
+            sectors.append((d, f.reshape(n, d, m).transpose(0, 2, 1).reshape(
+                n, m * d)))
+        if not splits:
+            return sectors
+        for a in sorted(splits, reverse=True):
+            lo, m = starts[a], sizes[a]
+            vecs, cuts = _split(splits[a], tol)
+            q[:, lo:lo + m] = q[:, lo:lo + m] @ vecs
+            starts[a + 1:a + 1] = [lo + c for c in cuts]
 
 
-def _part_dims(parts):
-    """The commutant dimension of each part of ``_commutant_parts``."""
-    return [len(at) ** 2 if basis is None else len(basis)
-            for at, basis in parts]
+def _frames(g, idx, weight):
+    """Unitary frames (d, m, m) of the clusters with rows ``idx`` (d, m)
+    in which G's blocks are scalars: the first is the identity, and each
+    other comes from the one it joins a maximum spanning tree of
+    ``weight`` from, by the polar factor of G's block between them."""
+    d, m = idx.shape
+    frames = np.empty((d, m, m), dtype=complex)
+    frames[0] = np.eye(m)
+    best, parent = weight[0].astype(float), np.zeros(d, dtype=int)
+    best[0] = -np.inf
+    joined = [0]
+    for _ in range(d - 1):
+        b = int(np.argmax(best))
+        u, _, vh = np.linalg.svd(g[idx[parent[b], :, None], idx[b]])
+        frames[b] = (u @ vh).conj().T @ frames[parent[b]]
+        joined.append(b)
+        best[b] = -np.inf
+        closer = weight[b] > best
+        closer[joined] = False
+        parent[closer], best[closer] = b, weight[b][closer]
+    return frames
 
 
-def _component_null(gq, label, inside, link, cut):
-    """Columns ``at`` of h's eigenbasis in the component ``inside``, the
-    positions (rows, cols) in them of its unknowns E_t, and orthonormal
-    coefficient rows of its null space, or None for all of them when
-    nothing links its cluster."""
-    at = np.flatnonzero(inside[label])
-    rows, cols = np.nonzero(label[at, None] == label[at])
-    kept = link[label[at, None], label[at]]
-    if not kept.any():
-        return at, rows, cols, None
-    k, m, count = len(gq), len(rows), int(kept.sum())
-    _check_bytes(f"a commutant component of {k} generators has {m} "
-                 "unknowns; its constraint system", k * (count + 1) * m)
-    pos = np.full(kept.shape, count)  # a last row collects the rest
-    pos[kept] = np.arange(count)
-    # a[k, :, t]: [g_k, E_t] on the kept entries, E_t at (rows[t], cols[t])
-    a = np.zeros((k, count + 1, m), dtype=complex)
-    unknown, gs = np.arange(m), gq[:, at[:, None], at]
-    a[:, pos[:, cols], unknown] = gs[:, :, rows]
-    a[:, pos[rows, :], unknown[:, None]] -= gs[:, cols, :]
-    a[:, count] = 0
-    # the null space of its R factor; the thin SVD of the tall system
-    # would also build its left factor, which nothing reads
-    r = np.linalg.qr(a.reshape(-1, m), mode="r")
-    del a
-    _, s, vh = np.linalg.svd(r, full_matrices=False)
-    return at, rows, cols, vh[s <= cut].conj()
-
-
-def _check_bytes(what, items):
-    if 16 * items > linalg.MAX_ARRAY_BYTES:
-        raise InputShapeError(f"{what} needs {16 * items} bytes, above "
-                              f"the limit of {linalg.MAX_ARRAY_BYTES} bytes")
+def _split(y, tol):
+    """Eigenvectors of Hermitian y and the cuts of its ascending spectrum
+    at gaps above 10 tol of its spread."""
+    evals, vecs = np.linalg.eigh(y)
+    cuts = (np.flatnonzero(np.diff(evals) > 10 * tol * (evals[-1] - evals[0]))
+            + 1).tolist()
+    if not cuts:
+        raise DegenerateDecompositionError(
+            f"a cluster of {len(y)} eigenvectors of h holds blocks that are "
+            "not scalar, and their spectrum has no gap to split it at")
+    return vecs, cuts
 
 
 def _eigen_clusters(evals, noise):
@@ -424,7 +468,8 @@ def _tensor_factor(action, tol):
     tol * max(1, ||g||), with r irreducible; else None.  Tries d | n from
     d = 1 (scalars), m = n / d >= 2, each screened by g[d:, :d] in O(n d);
     r_k is the mean diagonal block.  The first d that fits decides: a
-    1 x 1 r is irreducible, a larger one when its commutant is scalars.
+    1 x 1 r is irreducible, a larger one when it is one sector of
+    multiplicity 1.
     """
     n, gens = action.dim, action.generators
     limits = [tol * max(1.0, *linalg.frob_each(g[None])) for g in gens]
@@ -442,8 +487,8 @@ def _tensor_factor(action, tol):
             if power.sum() + linalg.frob(diag - factors[-1]) ** 2 > lim ** 2:
                 break
         else:
-            if d > 1 and sum(_part_dims(_commutant_parts(GroupAction(
-                    dim=d, generators=tuple(factors)), tol)[1])) > 1:
+            if d > 1 and [s[0] for s in _sectors(GroupAction(
+                    dim=d, generators=tuple(factors)), tol)] != [d]:
                 return None
             eye = np.eye(n, dtype=complex)
             return IsotypicBlock(label=0, irrep_dim=d, multiplicity=m,
@@ -454,155 +499,29 @@ def _tensor_factor(action, tol):
 def isotypic_decompose(action, rng, tol=None):
     """Decompose V into isotypic sectors E_lambda (x) R_lambda.
 
-    The eigenspaces of a random Hermitian element x of the commutant
-    are generically single copies of an irreducible.  x is drawn, and
-    split, one part of ``_commutant_parts`` at a time: a cluster that
-    nothing links is one sector of a character; in a linked component,
-    slices of its basis rotated into x's eigenbasis span the
-    intertwiners, and a slice's squared norm is the dimension of that
-    hom space: above 1/2 it puts two copies in one isomorphism class,
-    and one power step from its largest row gives the map that
-    assembles the factor basis, rotated back through q once.  Sectors
-    are labelled by x's eigenvalue on their first copy, ascending.  A G0
-    that is 1_m (x) r in the given basis with r irreducible
-    (``_tensor_factor``) is one sector, with no split.  Retries with
-    fresh randomness when the spectrum fails the health checks, and
-    raises ``DegenerateDecompositionError`` after five failed attempts.
+    The sectors are those of ``_sectors``, labelled in ascending order
+    of a key drawn from ``rng``: the least eigenvalue of the Hermitian
+    part of A = tr_R(fb^H r fb) / d for one complex Gaussian r on V,
+    which is x's eigenvalue on the sector's first copy for the random
+    commutant element x that r projects to.  A G0 that is 1_m (x) r in
+    the given basis with r irreducible (``_tensor_factor``) is one
+    sector, with no split.
     """
     tol = linalg.TOL_INPUT if tol is None else tol
     block = _tensor_factor(action, tol)
     if block is not None:
         return [block]
-
-    comm = _commutant_parts(action, tol)
-    for attempt in range(5):
-        try:
-            return _decompose_once(action, comm, rng.child(attempt), tol)
-        except DegenerateDecompositionError as err:
-            last_error = err
-    raise DegenerateDecompositionError(
-        f"no clean sector split after 5 attempts: {last_error}")
-
-
-def _eigen_split(gq, comm, rng):
-    """Eigenspaces of a random Hermitian element x of the commutant.
-
-    Returns, per part of ``comm`` (generators ``gq`` in its basis q),
-    x's ascending eigenvalues, its eigenvectors on the part's columns of
-    q and the index ranges [lo, hi) of its eigenvalue clusters.
-    """
-    q, parts = comm
-    # x projects a complex Gaussian r onto the commutant: the complex
-    # coefficients <C_k, r> (a real span can be degenerate: conjugate
-    # characters collide) are iid standard normal in every orthonormal
-    # basis, so x does not depend on the one the solver returned.  The
-    # parts are orthogonal: each projects its block of q^H r q.
-    r = q.conj().T @ rng.complex_normal((len(q),) * 2) @ q
-    x, spectra = np.zeros_like(r), []
-    for at, basis in parts:
-        block = r[at[:, None], at]
-        if basis is not None:
-            block = np.tensordot(np.tensordot(basis.conj(), block, axes=2),
-                                 basis, axes=1)
-        x[at[:, None], at] = block = 0.5 * (block + block.conj().T)
-        spectra.append(np.linalg.eigh(block))
-    # Inside one irreducible line the eigenvalue is degenerate up to how
-    # far x fails to commute with the generators.  That residual, not
-    # tol, sets the cluster gap: merging two lines is fatal here, and a
-    # gap of 1e2 * tol would merge them at loose tolerances.  The floor
-    # covers rounding in eigh.  Each part is cut at the whole spectrum's
-    # gap, 1e2 * noise in units of its scale.
-    scale = max(1.0, *(float(np.max(np.abs(e))) for e, _ in spectra))
-    noise = max(linalg.frob_each(x @ gq - gq @ x).max(initial=0.0) / scale,
-                1e-12)
-    return [(evals, vecs, _eigen_clusters(evals / scale, noise))
-            for evals, vecs in spectra]
-
-
-def _decompose_once(action, comm, rng, tol):
-    """One split of V, x drawn from ``rng``, on ``_commutant_parts``."""
-    q, parts = comm
-    gq = q.conj().T @ np.reshape(action.generators, (-1, len(q), len(q))) @ q
-    norms = np.maximum(1.0, linalg.frob_each(gq))
-    sectors = []  # (x's eigenvalue on the first copy, d, factor basis)
-    for (at, basis), (evals, vecs, bounds) in zip(
-            parts, _eigen_split(gq, comm, rng)):
-        sectors += [(evals[lo], d, q[:, at] @ fb) for lo, d, fb in
-                    _component_sectors(gq[:, at[:, None], at], basis, vecs,
-                                       bounds, norms, tol)]
-    sectors.sort(key=lambda sector: sector[0])
-    # every cluster is in one sector of its size: dims sum to n
+    r = rng.child(0).complex_normal((action.dim,) * 2)
+    keyed = []
+    for d, fb in _sectors(action, tol):
+        m = fb.shape[1] // d
+        a = np.einsum("aibi->ab", (fb.conj().T @ r @ fb).reshape(m, d, m, d))
+        keyed.append((np.linalg.eigvalsh(a + a.conj().T)[0] / d, d, fb))
+    keyed.sort(key=lambda sector: sector[0])
     return [IsotypicBlock(label=label, irrep_dim=d,
                           multiplicity=fb.shape[1] // d,
                           projector=fb @ fb.conj().T, factor_basis=fb)
-            for label, (_, d, fb) in enumerate(sectors)]
-
-
-def _component_sectors(gs, basis, evecs, bounds, norms, tol):
-    """(first column, d, factor basis) of each sector of one part, in its
-    own coordinates: ``gs`` the generators, ``basis`` the commutant (None:
-    the generators are one scalar) and ``evecs`` x's eigenvectors."""
-    if basis is None:
-        return [(0, 1, evecs)]
-    starts = [lo for lo, _ in bounds]
-    sizes = [hi - lo for lo, hi in bounds]
-    clusters = [evecs[:, lo:hi] for lo, hi in bounds]
-
-    # Invariance: no generator may move a cluster's columns off its block.
-    power = np.add.reduceat(np.add.reduceat(np.abs(
-        evecs.conj().T @ gs @ evecs) ** 2, starts, axis=1), starts, axis=2)
-    np.einsum("kaa->ka", power)[...] = 0
-    if (np.sqrt(power.sum(axis=1)) > 1e3 * tol * norms[:, None]).any():
-        raise DegenerateDecompositionError(
-            "eigenspace of commutant element is not invariant")
-
-    # x's spectral projectors lie in End_G(V), so the slice Q_b^H C Q_a of
-    # the orthonormal commutant basis C (one |comm| x d_b d_a matrix) has
-    # singular values 1 on Hom_G(a, b) and 0 elsewhere: its squared norm
-    # is dim Hom_G(a, b), 1 on a single irreducible copy (2 or 4 on a
-    # merged one) and 0 or 1 between two copies.  The basis is rotated
-    # one cluster row Q_b^H C evecs at a time, never as a second stack.
-    first = []  # the first cluster of each cluster's class
-    links = {}  # cluster index -> intertwiner from its class's first one
-    for b, d in enumerate(sizes):
-        row = (clusters[b].conj().T @ basis) @ evecs
-        if linalg.frob(row[..., slice(*bounds[b])]) ** 2 >= 1.5:
-            raise DegenerateDecompositionError(
-                "cluster is not irreducible (merged eigenvalues)")
-        first.append(b)
-        for a in range(b):
-            s = row[..., slice(*bounds[a])]
-            if first[a] == a and sizes[a] == d and linalg.frob(s) ** 2 > 0.5:
-                # one power step from the largest row: the top right
-                # singular vector to first order in the noise
-                s = s.reshape(len(basis), d * d)
-                r = s[np.argmax(linalg.frob_each(s))]
-                links[b] = (s.T @ (s.conj() @ r)).reshape(d, d)
-                first[b] = a
-                break
-
-    sectors = []
-    for top in dict.fromkeys(first):
-        cls = [b for b, f in enumerate(first) if f == top]
-        d, mult = sizes[top], len(cls)
-        maps = [clusters[top]]
-        for idx in cls[1:]:
-            m = links[idx]
-            m = m / np.sqrt(np.trace(m.conj().T @ m).real / d)
-            if linalg.frob(m.conj().T @ m - np.eye(d)) > 1e3 * tol:
-                raise DegenerateDecompositionError(
-                    "intertwiner failed to normalize to an isometry")
-            maps.append(clusters[idx] @ m)
-        fb = np.hstack(maps)
-        # Block-Kronecker test: fb^H g fb = 1_mult (x) rho(g) for every g.
-        gb = (fb.conj().T @ gs @ fb).reshape(-1, mult, d, mult, d)
-        diag = np.einsum("kaiaj->kaij", gb)
-        diag -= diag[:, :1].copy()
-        if (linalg.frob_each(gb) > 1e3 * tol * norms).any():
-            raise DegenerateDecompositionError(
-                "factor basis failed the block-Kronecker test")
-        sectors.append((starts[top], d, fb))
-    return sectors
+            for label, (_, d, fb) in enumerate(keyed)]
 
 
 def dual_sum(g):

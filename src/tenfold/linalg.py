@@ -42,14 +42,13 @@ TOL_EIG = 1e-10
 TOL_DEDUP = 1e-8
 
 # Largest array, in bytes, that a sampler draw (size * n^2 * 16 for
-# complex128), a commutant basis (dense, or the component bases stored) or
-# system, a group closure or one matrix of a spec's dimension may take;
-# larger ones are refused before they are allocated (InputShapeError,
-# GroupTooLargeError, SpecFileError).  Measured peaks (one BLAS thread)
-# of ``stats --class`` at 1.05e9 bytes of samples: 2.1 GB for A(256) and
-# circular AIII(128,128), 2.8 GB for D(128), about 2.7 times the draw, so
-# a draw at the cap fits an 8 GB machine.  The commutant solve peaks at
-# 2.3 to 2.8 times a component's system, a dense basis at 1.0 times itself.
+# complex128), a dense commutant basis, a group closure or one matrix of
+# a spec's dimension may take; larger ones are refused before they are
+# allocated (InputShapeError, GroupTooLargeError, SpecFileError).
+# Measured peaks (one BLAS thread) of ``stats --class`` at 1.05e9 bytes
+# of samples: 2.1 GB for A(256) and circular AIII(128,128), 2.8 GB for
+# D(128), about 2.7 times the draw, so a draw at the cap fits an 8 GB
+# machine.  A dense commutant basis peaks at 1.0 times itself.
 MAX_ARRAY_BYTES = 1 << 30
 
 _MASK64 = (1 << 64) - 1

@@ -4,10 +4,10 @@ Everything here deliberately avoids the library's own algorithms:
 multiplicities come from explicit irreducible matrices and characters,
 self-duality types from character sums over squared elements,
 commutants and hom spaces from the full Kronecker constraint system
-(and the span of the component-wise commutant solve from one
-block-diagonal system, which shares the library's generic element and
-clusters), isotypic sectors from one SVD per commutant slice (sharing
-the library's random commutant element and its clusters),
+(and from one block-diagonal system, which shares the library's
+generic element and clusters), isotypic sectors from one SVD per
+commutant slice (with the random commutant element that keys the
+library's sector labels),
 group closures from a linear duplicate scan, tangent dimensions from
 brute-force real-linear constraint solving, the double-commutator
 closure test from every triple of basis elements, wedge products from
@@ -195,8 +195,7 @@ def commutant_oracle(generators, tol=1e-8):
 def commutant_span_oracle(generators, tol=1e-8):
     """Commutant basis from one block-diagonal system, O(k n^2 M^2).
 
-    The one system that ``grouprep.commutant_basis`` splits into
-    connected block components: every block-diagonal entry in the
+    The commutant as one system: every block-diagonal entry in the
     eigenbasis of the library's generic element h, with h's eigenvalue
     clusters, goes into one k n^2 x M system (M = sum m_i^2), with no
     block dropped, and the right singular vectors of its QR R
@@ -257,8 +256,9 @@ def eigen_split_oracle(action, comm, rng):
     Returns x's eigenvectors, the index ranges [lo, hi) of its eigenvalue
     clusters, and the singular-value cut that separates intertwiners
     from rounding in the commutant slices read by ``slice_hom_oracle``.
-    The same x and clusters as ``grouprep._eigen_split`` for the same
-    ``rng``.
+    For the same ``rng``, x projects the same complex Gaussian r onto
+    the commutant as the one ``grouprep.isotypic_decompose`` keys its
+    sectors with.
     """
     r = rng.complex_normal((action.dim,) * 2)
     coeff = np.tensordot(comm, r.conj(), axes=2).conj()
@@ -287,14 +287,15 @@ def slice_hom_oracle(row, cols, cut):
 def decompose_oracle(action, comm, rng, tol):
     """Isotypic sectors from one SVD per slice, cluster by cluster.
 
-    The per-pair form of ``grouprep._decompose_once``, counting hom
-    spaces by singular values above a cut rather than by slice norms:
-    each cluster's own slice, then its slice towards each earlier
+    The eigenspaces of a random Hermitian commutant element x, grouped
+    by isomorphism, with hom spaces counted by singular values above a
+    cut: each cluster's own slice, then its slice towards each earlier
     class's first cluster of the same size, in class order, is
     factorized on its own, and the invariance and block-Kronecker tests
-    run one generator at a time with ``np.kron``.  Its x is the
-    library's for the same ``rng``, so the split, not the random
-    element, is the thing compared.
+    run one generator at a time with ``np.kron``.  The sectors are
+    labelled by x's eigenvalue on their first copy, the key that
+    ``grouprep.isotypic_decompose`` sorts by for the same ``rng``, so
+    the labels compare.
     """
     n = action.dim
     gens = list(action.generators)
@@ -690,6 +691,28 @@ def spin(two_j):
     jx = (up + up.T) / 2
     jy = (up - up.T) / 2j
     return [1j * jx, 1j * jy, 1j * np.diag(m)]
+
+
+def su3():
+    """Anti-Hermitian su(3) generators i lambda_a / 2 on C^3, from the
+    Gell-Mann matrices lambda_a."""
+    lam = np.zeros((8, 3, 3), dtype=complex)
+    for a, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        lam[2 * a, i, j] = lam[2 * a, j, i] = 1
+        lam[2 * a + 1, i, j], lam[2 * a + 1, j, i] = -1j, 1j
+    lam[6] = np.diag([1.0, -1.0, 0.0])
+    lam[7] = np.diag([1.0, 1.0, -2.0]) / np.sqrt(3)
+    return list(0.5j * lam)
+
+
+def adjoint(gens):
+    """The adjoint representation of a Lie algebra with orthogonal
+    generators of equal norm: ad(t_a) t_c = [t_a, t_c] in the coordinates
+    of the t_b."""
+    basis = np.array(gens)
+    unit = np.vdot(basis[0], basis[0]).real
+    return [np.array([[np.vdot(tb, a @ tc - tc @ a) / unit for tc in basis]
+                      for tb in basis]) for a in basis]
 
 
 def in_random_basis(gens, seed):

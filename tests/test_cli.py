@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import in_random_basis, spin
+from oracles import in_random_basis, spin, su3
 from tenfold import ensembles, errors, focklab, linalg, verify
 from tenfold.cli import build_parser, main
 from tenfold.grouprep import PAULI_X, PAULI_Y
@@ -233,6 +233,17 @@ class TestRejectedEnsembleInputs:
         assert captured.err == ("input error: --bins 101 needs about 16160 "
                                 "bytes, above the limit of 16000 bytes\n")
 
+    def test_negative_bins_exit_two_before_drawing(self, monkeypatch, capsys):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a spectrum was drawn")
+
+        monkeypatch.setattr(ensembles, "sample_gaussian", no_draw)
+        assert main(["stats", "--class", "A", "--dims", "4", "--count", "10",
+                     "--bins", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: --bins must not be negative\n"
+
 
 class TestStatsCommand:
     def test_poisson_control(self, capsys):
@@ -414,26 +425,41 @@ for path in sys.argv[4:]:
 """
 
 
+def lie_spec(gens, seed):
+    """G0 the Lie algebra of ``gens``, in a Haar-random basis."""
+    gens = in_random_basis(gens, seed)
+    spec = trivial_spec(dim=gens[0].shape[0])
+    spec["g0"] = {"mode": "lie-algebra",
+                  "generators": [pairs(g) for g in gens]}
+    return spec
+
+
 def test_classify_does_not_depend_on_blas_threads(tmp_path):
     root = Path(__file__).resolve().parents[1]
     # 47 trivial lines and one sign line in a random basis: the sector
-    # order comes from x's eigenvalues, one component at a time
+    # order comes from x's eigenvalues; spin 1/2 49 times: its two
+    # clusters of 49 are carried onto each other by a polar factor
     reflection = write_spec(tmp_path, reflection_spec(48))
+    spin_half = write_spec(tmp_path, lie_spec(
+        [np.kron(np.eye(49), g) for g in spin(1)], 49), "spin-half.json")
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         run = subprocess.run(
             [sys.executable, "-c", _CLASSIFY_SPECS, str(root / "perfbench"),
-             str(root / "src"), str(tmp_path / threads), reflection],
+             str(root / "src"), str(tmp_path / threads), reflection,
+             spin_half],
             capture_output=True, text=True, env=env)
         assert run.returncode == 0, run.stderr
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
-    *_, blocks, code = outputs[0].splitlines()
-    assert code == "exit 0"
+    *_, blocks, code, spin_blocks, spin_code = outputs[0].splitlines()
+    assert code == spin_code == "exit 0"
     assert sorted((b["d"], b["m"]) for b in json.loads(blocks)["blocks"]) \
         == [(1, 1), (1, 47)]
+    assert [(b["d"], b["m"]) for b in json.loads(spin_blocks)["blocks"]] \
+        == [(2, 49)]
 
 
 class TestParserReuse:
@@ -642,23 +668,18 @@ class TestSpecTolerance:
 
 
 class TestCommutantCap:
-    def test_oversized_commutant_exits_two(self, tmp_path, capsys):
-        # spin 1 forty times links its three clusters of 40: a system of
-        # 3 generators x (4 * 40^2 + 1) rows x 3 * 40^2 unknowns, 1.47 GB
-        spec = trivial_spec(dim=120)
-        gens = in_random_basis([np.kron(np.eye(40), g) for g in spin(2)], 3)
-        spec["g0"] = {"mode": "lie-algebra",
-                      "generators": [pairs(g) for g in gens]}
-        path = write_spec(tmp_path, spec)
-        assert main(["classify", path]) == 2
-        assert "constraint system needs 1474790400 bytes, above the limit " \
-            "of 1073741824 bytes" in capsys.readouterr().err
+    def test_spin_one_forty_times_classifies(self, tmp_path, capsys):
+        # three linked clusters of 40: no commutant system is formed
+        path = write_spec(tmp_path, lie_spec(
+            [np.kron(np.eye(40), g) for g in spin(2)], 3))
+        assert main(["classify", path, "--json"]) == 0
+        blocks = json.loads(capsys.readouterr().out)["blocks"]
+        assert [(b["d"], b["m"]) for b in blocks] == [(3, 40)]
 
-    def test_oversized_stored_bases_exit_two(self, tmp_path, capsys,
-                                             monkeypatch):
-        # spin 1/2 twice at three charges: three components, each a
-        # system of 2304 bytes and a basis of 4 matrices of 4 x 4 (1024
-        # bytes); the third basis takes the stored total over the cap
+    def test_three_charges_classify_under_a_small_cap(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # spin 1/2 twice at three charges: three sectors, each two linked
+        # clusters of 2; nothing the decomposition holds is capped
         sx, sy = (np.kron(np.eye(3), np.kron(p / 2, np.eye(2)))
                   for p in (PAULI_X, PAULI_Y))
         charge = np.diag(np.repeat(np.arange(3.0), 4))
@@ -668,12 +689,18 @@ class TestCommutantCap:
                       "generators": [pairs(g) for g in gens]}
         path = write_spec(tmp_path, spec)
         monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 3000)
-        assert main(["classify", path]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "input error: the commutant bases on C^12 needs 3072 bytes, "
-            "above the limit of 3000 bytes\n")
+        assert main(["classify", path, "--json"]) == 0
+        blocks = json.loads(capsys.readouterr().out)["blocks"]
+        assert [(b["d"], b["m"]) for b in blocks] == [(2, 2)] * 3
+
+    def test_su3_fundamental_and_dual_is_unsupported_tenfold(self, tmp_path):
+        # 3 + 3bar: two complex irreducibles of dimension 3, no entry in
+        # the tenfold table
+        gens = [np.kron(np.diag([1.0, 0.0]), g) +
+                np.kron(np.diag([0.0, 1.0]), g.conj()) for g in su3()]
+        path = write_spec(tmp_path, lie_spec(gens, 4))
+        assert main(["classify", path]) == 0
+        assert main(["classify", path, "--tenfold"]) == 4
 
     def test_reflection_on_c96_classifies(self, tmp_path, capsys):
         # two clusters that nothing links: 95 copies of the trivial

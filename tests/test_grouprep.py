@@ -16,8 +16,7 @@ from tenfold.errors import (DegenerateDecompositionError,
                             GroupTooLargeError, InputShapeError,
                             SymmetryConsistencyError, UnsupportedModeError)
 from tenfold.grouprep import (PAULI_X, PAULI_Y, PAULI_Z, GroupAction,
-                              IsotypicBlock,
-                              _eigen_split, close_group,
+                              IsotypicBlock, close_group,
                               commutant_basis, fs_indicator,
                               isotypic_decompose,
                               lie_algebra_action, self_duality_type,
@@ -423,16 +422,6 @@ class TestComponentSolve:
         b = basis.reshape(len(basis), -1)
         assert linalg.frob(b @ b.conj().T - np.eye(len(basis))) <= 1e-10
 
-    def test_one_way_block_joins_its_clusters(self):
-        # h = c_1 g_1 + c_2 g_2 + h.c. is diag(1, 2, 3) up to a factor,
-        # and only the block from cluster 0 into cluster 1 is nonzero
-        c = linalg.RngStream(grouprep._PROBE_SEED).complex_normal(2)
-        e21 = np.zeros((3, 3), dtype=complex)
-        e21[1, 0] = 1
-        gens = [np.diag([1.0, 2.0, 3.0]) - (c[1] / c[0]) * e21, e21]
-        basis = commutant_basis(GroupAction(dim=3, generators=tuple(gens)))
-        assert len(basis) == len(oracles.commutant_oracle(gens)) == 2
-
     def test_reflection_forms_no_system(self, monkeypatch):
         # every block of a reflection is scalar in the eigenbasis of a
         # multiple of it: the basis is written without a solve, and the
@@ -451,18 +440,6 @@ class TestComponentSolve:
             tracemalloc.stop()
         assert len(basis) == 31 ** 2 + 1
         assert peak <= 2.5 * basis.nbytes
-
-    def test_oversized_component_refused(self, monkeypatch):
-        # spin 1 four times: its basis, 48 matrices of 12 x 12, fits in
-        # 120 kB; the system of its one component, rows of 4 linked 4 x 4
-        # blocks of 3 generators (and one cleared row) by 48 unknowns,
-        # does not
-        gens = [np.kron(np.eye(4), g) for g in spin(2)]
-        action = lie_algebra_action(in_random_basis(gens, 5))
-        monkeypatch.setattr(linalg, "MAX_ARRAY_BYTES", 120_000)
-        with pytest.raises(InputShapeError, match="constraint system needs "
-                           "149760 bytes, above the limit of 120000 bytes"):
-            commutant_basis(action)
 
 
 class TestIsotypicDecompose:
@@ -709,21 +686,17 @@ class TestLieAlgebraMode:
 
 
 class TestSliceIntertwiners:
-    """Hom spaces read from the commutant against the Kronecker solve."""
+    """Hom spaces between the sectors' copies against the Kronecker solve."""
 
     @staticmethod
     def _action(name, seed, tol):
         rng = linalg.RngStream(seed)
         gens, finite = _random_setting(name, rng)
         if tol is not None:
-            noisy = []
-            for g in gens:
-                z = rng.complex_normal(g.shape)
-                z = z - z.conj().T
-                noisy.append(g + 0.1 * tol * z / linalg.frob(z))
-            gens = noisy
+            # anti-Hermitian noise for a group too: only the generators
+            # enter the split
+            gens = _noisy(gens, False, tol, rng)
         if finite:
-            # only the generators enter the commutant and the split
             return GroupAction(dim=gens[0].shape[0], generators=tuple(gens))
         return lie_algebra_action(gens, tol)
 
@@ -731,33 +704,20 @@ class TestSliceIntertwiners:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("tol", [None, 1e-4])
     def test_dim_hom_matches_kronecker_oracle(self, name, seed, tol):
+        # every copy of a sector carries the same irreducible, and the
+        # irreducibles of two sectors are not isomorphic
         action = self._action(name, seed, tol)
         tol = linalg.TOL_INPUT if tol is None else tol
-        comm = commutant_basis(action, tol)
-        q, parts = grouprep._commutant_parts(action, tol)
-        gq = q.conj().T @ np.array(action.generators) @ q
-        splits = _eigen_split(gq, (q, parts), linalg.RngStream(seed).child(9))
-        # x's eigenvectors and clusters, part after part, on all of V
-        evecs = np.hstack([q[:, at] @ vecs
-                           for (at, _), (_, vecs, _) in zip(parts, splits)])
-        offsets = np.cumsum([0] + [len(at) for at, _ in parts])
-        bounds = [(lo + o, hi + o) for o, (_, _, part) in zip(offsets, splits)
-                  for lo, hi in part]
-        reps = [[evecs[:, lo:hi].conj().T @ g @ evecs[:, lo:hi]
-                 for g in action.generators] for lo, hi in bounds]
-        # the squared slice norm is dim Hom_G(a, b), off by the noise only
-        bound = 1e-12 if tol == linalg.TOL_INPUT else 1e-6
-        nonzero = 0
-        for b, (lo, hi) in enumerate(bounds):
-            row = (evecs[:, lo:hi].conj().T @ comm) @ evecs
-            for a, cols in enumerate(bounds):
-                norm2 = linalg.frob(row[..., slice(*cols)]) ** 2
-                got = round(norm2)
-                assert abs(norm2 - got) <= bound
-                assert got == len(oracles.hom_space_oracle(reps[a], reps[b],
-                                                           tol))
-                nonzero += got > 0
-        assert nonzero > len(bounds)  # some pair of copies is isomorphic
+        blocks = isotypic_decompose(action, linalg.RngStream(seed), tol)
+        copies = [[[fb.conj().T @ g @ fb for g in action.generators]
+                   for fb in np.split(b.factor_basis, b.multiplicity, axis=1)]
+                  for b in blocks]
+        for a, first in enumerate(copies):
+            for b, others in enumerate(copies):
+                for rep in others:
+                    assert len(oracles.hom_space_oracle(first[0], rep, tol)) \
+                        == (a == b)
+        assert sum(b.dim for b in blocks) == action.dim
 
     def test_spin_15_twice_in_a_random_basis(self):
         gens = [np.kron(np.eye(2), g) for g in spin(30)]
@@ -782,49 +742,36 @@ class TestBatchedDecompose:
     """One batched pass against the per-slice decomposition oracle."""
 
     @staticmethod
-    def _assert_oracle_sectors(action, tol, seed, early_splits=0):
-        """The library's split against the oracle's, attempt by attempt.
+    def _assert_oracle_sectors(action, tol, seed, clean=None):
+        """The library's sectors against the oracle's.
 
-        The oracle clusters x's whole spectrum, and so can merge
-        eigenvalues of two components; the library clusters each component
-        apart.  Where the oracle fails, the library fails too, except on
-        ``early_splits`` attempts, where it must split V into the
-        oracle's sectors of its first good attempt: their order depends on
-        x, and the sectors themselves only to the noise (the generators
-        are known to tol), so each projector is within tol^2 of a
-        distinct oracle sector.
+        On exact inputs (``clean`` None) the oracle draws the library's
+        x for the same seed, so the labels agree and each projector is
+        within 1e-10 of the oracle's.  On noisy ones each projector lies
+        within tol of a distinct sector of the same shape in the
+        oracle's split of the noise-free ``clean`` action: the
+        generators are known to tol, and sectors whose keys lie within
+        the noise may swap labels.
         """
-        comm = commutant_basis(action, tol)
-        parts = grouprep._commutant_parts(action, tol)
-        early = []  # the library's splits of attempts the oracle failed
-        for attempt in range(5):
-            try:
-                want = oracles.decompose_oracle(
-                    action, comm, linalg.RngStream(seed).child(attempt), tol)
-            except DegenerateDecompositionError:
-                try:
-                    early.append(grouprep._decompose_once(
-                        action, parts, linalg.RngStream(seed).child(attempt),
-                        tol))
-                except DegenerateDecompositionError:
-                    pass
-                continue
-            got = grouprep._decompose_once(
-                action, parts, linalg.RngStream(seed).child(attempt), tol)
+        got = isotypic_decompose(action, linalg.RngStream(seed), tol)
+        ref, ref_tol = (action, tol) if clean is None else \
+            (clean, linalg.TOL_INPUT)
+        want = oracles.decompose_oracle(ref, commutant_basis(ref, ref_tol),
+                                        linalg.RngStream(seed).child(0),
+                                        ref_tol)
+        if clean is None:
             assert [(b.irrep_dim, b.multiplicity) for b in got] == \
                 [(b.irrep_dim, b.multiplicity) for b in want]
             for b, w in zip(got, want):
                 assert linalg.frob(b.projector - w.projector) <= 1e-10
-            assert len(early) == early_splits
-            for blocks in early:
-                matches = [[i for i, w in enumerate(want)
-                            if (b.irrep_dim, b.multiplicity) ==
-                            (w.irrep_dim, w.multiplicity) and
-                            linalg.frob(b.projector - w.projector) <= tol ** 2]
-                           for b in blocks]
-                assert sorted(matches) == [[i] for i in range(len(want))]
             return got
-        raise AssertionError("no attempt split the space")
+        matches = [[i for i, w in enumerate(want)
+                    if (b.irrep_dim, b.multiplicity) ==
+                    (w.irrep_dim, w.multiplicity) and
+                    linalg.frob(b.projector - w.projector) <= tol]
+                   for b in got]
+        assert sorted(matches) == [[i] for i in range(len(want))]
+        return got
 
     @pytest.mark.parametrize("workload", ["classify-wide",
                                           "classify-big-group"])
@@ -849,13 +796,11 @@ class TestBatchedDecompose:
         rng = linalg.RngStream(31)
         gens, finite = _random_setting(name, rng)
         noisy = _noisy(gens, finite, tol, rng)
-        action = (GroupAction(dim=gens[0].shape[0],
-                              generators=tuple(noisy)) if finite
-                  else lie_algebra_action(noisy, tol))
-        # at tol 3e-3 the oracle's attempt 0 merges eigenvalues of two
-        # components of su2 and of u1, which the library splits
-        early = int(tol == 3e-3 and name in ("su2", "u1"))
-        self._assert_oracle_sectors(action, tol, 37, early)
+        action, clean = ((GroupAction(dim=gens[0].shape[0],
+                                      generators=tuple(g)) if finite
+                          else lie_algebra_action(g, tol))
+                         for g in (noisy, gens))
+        self._assert_oracle_sectors(action, tol, 37, clean)
 
     @pytest.mark.parametrize("n", [32, 48])
     def test_reflection(self, n):
@@ -873,46 +818,66 @@ class TestBatchedDecompose:
         got = self._assert_oracle_sectors(action, linalg.TOL_INPUT, j)
         assert [(b.irrep_dim, b.multiplicity) for b in got] == [(2 * j + 1, 2)]
 
-    @pytest.mark.parametrize("name", ["S3", "Q8", "su2", "S4"])
-    def test_one_svd_per_cluster_size(self, name, monkeypatch):
-        gens, finite = _random_setting(name, linalg.RngStream(41))
-        action = close_group(gens) if finite else lie_algebra_action(gens)
-        comm = commutant_basis(action)
-        parts = grouprep._commutant_parts(action, linalg.TOL_INPUT)
-        calls = []
-        svd = np.linalg.svd
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
+class TestTransport:
+    """Sectors read off h's eigenclusters by transport: merged clusters
+    are split, and no linear system is solved."""
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
-        blocks = grouprep._decompose_once(action, parts,
-                                          linalg.RngStream(43),
-                                          linalg.TOL_INPUT)
-        assert sum(b.dim for b in blocks) == action.dim
-        assert not calls  # slice norms count the hom spaces
-        oracles.decompose_oracle(action, comm, linalg.RngStream(43),
-                                 linalg.TOL_INPUT)
-        assert calls  # the counter sees the oracle's SVDs
+    @pytest.mark.parametrize("pieces", [
+        [(spin(2), 2), (spin(4), 3)],  # spins 1 and 2: unequal clusters
+        [(spin(2), 2), (spin(4), 2)],  # spins 1 and 2, two copies each
+    ], ids=["spins-1x2-2x3", "spins-1x2-2x2"])
+    def test_shared_weights_match_oracle(self, pieces):
+        action = lie_algebra_action(in_random_basis(_stack(pieces), 5))
+        got = TestBatchedDecompose._assert_oracle_sectors(
+            action, linalg.TOL_INPUT, 6)
+        assert sorted((b.irrep_dim, b.multiplicity) for b in got) == \
+            sorted((gens[0].shape[0], mult) for gens, mult in pieces)
 
-    def test_reflection_peak_stays_below_the_basis(self):
-        # 31 trivial lines and one sign line in a random basis: the
-        # commutant holds 962 matrices of 32 x 32 (15 MB)
-        action = close_group(_reflection(32))
-        comm = commutant_basis(action)
-        parts = grouprep._commutant_parts(action, linalg.TOL_INPUT)
+    def test_su3_adjoint_twice_is_real(self):
+        # the zero weight of the adjoint is 2-dimensional: its cluster of
+        # 4 is split in two
+        gens = [np.kron(np.eye(2), g) for g in oracles.adjoint(oracles.su3())]
+        action = lie_algebra_action(in_random_basis(gens, 7))
+        (block,) = TestBatchedDecompose._assert_oracle_sectors(
+            action, linalg.TOL_INPUT, 8)
+        assert (block.irrep_dim, block.multiplicity) == (8, 2)
+        assert self_duality_type(action, block) == \
+            _oracle_self_duality(action, block, linalg.TOL_INPUT) == 1
+
+    def test_su3_fundamental_and_its_dual_are_complex(self):
+        gens = [_stack([([g], 1), ([g.conj()], 1)])[0] for g in oracles.su3()]
+        action = lie_algebra_action(in_random_basis(gens, 9))
+        blocks = TestBatchedDecompose._assert_oracle_sectors(
+            action, linalg.TOL_INPUT, 10)
+        assert [(b.irrep_dim, b.multiplicity) for b in blocks] == [(3, 1)] * 2
+        for b in blocks:
+            assert self_duality_type(action, b) == \
+                _oracle_self_duality(action, b, linalg.TOL_INPUT) == 0
+
+    def test_spin_half_49_times_solves_no_system(self, monkeypatch):
+        gens = in_random_basis([np.kron(np.eye(49), g) for g in spin(1)], 11)
+        action = lie_algebra_action(gens)
+
+        def no_system(*args, **kwargs):
+            raise AssertionError("a linear system was factorized")
+
+        for name in ("qr", "solve", "lstsq", "pinv"):
+            monkeypatch.setattr(np.linalg, name, no_system)
         tracemalloc.start()
         try:
-            blocks = grouprep._decompose_once(action, parts,
-                                              linalg.RngStream(47),
-                                              linalg.TOL_INPUT)
+            (block,) = isotypic_decompose(action, linalg.RngStream(12))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sorted((b.irrep_dim, b.multiplicity) for b in blocks) == \
-            [(1, 1), (1, 31)]
-        assert peak < 0.25 * comm.nbytes
+        assert (block.irrep_dim, block.multiplicity) == (2, 49)
+        assert peak < 8 << 20
+
+    def test_spin_two_30_times(self):
+        gens = in_random_basis([np.kron(np.eye(30), g) for g in spin(4)], 13)
+        (block,) = isotypic_decompose(lie_algebra_action(gens),
+                                      linalg.RngStream(14))
+        assert (block.irrep_dim, block.multiplicity) == (5, 30)
 
 
 class TestTensorFactor:
