@@ -130,11 +130,22 @@ def sample_gaussian(spec, rng, size=None):
     """Draw from the Gaussian ensemble of ``spec.label``.
 
     Returns an (n, n) matrix, or a stacked (size, n, n) array when
-    ``size`` is given.  Structural constraints hold exactly.  The block
-    form and the twists of T and P in the family's row choose the
-    construction.
+    ``size`` is given.  Structural constraints hold exactly.  A draw
+    that overflows (sigma near the float limit) raises
+    ``InputShapeError``.
     """
     _check_draw(spec, "gaussian", size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _gaussian_draw(spec, rng, size)
+    if not np.isfinite(h).all():
+        raise InputShapeError(f"sigma {spec.sigma!r} overflows the Gaussian "
+                              f"draw to non-finite entries")
+    return h
+
+
+def _gaussian_draw(spec, rng, size):
+    """The draw of ``sample_gaussian``: the block form and the twists of
+    T and P in the family's row choose the construction."""
     lab, sigma = spec.label, spec.sigma
     fam = FAMILY[lab.family]
     twists = {name: tw for name, tw, _, _ in fam.constraints}

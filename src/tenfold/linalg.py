@@ -48,7 +48,11 @@ TOL_DEDUP = 1e-8
 # Measured peaks (one BLAS thread) of ``stats --class`` at 1.05e9 bytes
 # of samples: 2.1 GB for A(256) and circular AIII(128,128), 2.8 GB for
 # D(128), about 2.7 times the draw, so a draw at the cap fits an 8 GB
-# machine.  A dense commutant basis peaks at 1.0 times itself.
+# machine.  A dense commutant basis peaks at 1.0 times itself.  Writing
+# a draw adds one row block of text at a time, not a multiple of the
+# draw (``specfile`` formats at most 2^16 floats at once): ``sample
+# --class A --dims 1024 --count 1`` peaks at 76 MB max RSS (gaussian,
+# 70 MB for the draw alone) and 120 MB (circular, as the draw alone).
 MAX_ARRAY_BYTES = 1 << 30
 
 _MASK64 = (1 << 64) - 1

@@ -8,6 +8,7 @@ errors from the setting validation.
 """
 
 import contextlib
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -84,12 +85,6 @@ def _parse_matrix(raw, dim, field):
                 raise SpecFileError(field, f"entry ({i}, {j}) {problem}")
             flat += entry
     return np.array(flat, dtype=float).view(complex).reshape(dim, dim)
-
-
-def matrix_to_pairs(m):
-    """Encode a complex matrix as nested [re, im] pairs."""
-    m = np.ascontiguousarray(m, dtype=complex)
-    return m.view(float).reshape(*m.shape, 2).tolist()
 
 
 def parse_spec_data(data):
@@ -207,16 +202,57 @@ def parse_spec(path):
 
 
 _HEADER = "# tenfold sample "
+# Floats per written row block: the writer's transient strings and
+# arrays stay under 10 MB whatever the record size.
+_BLOCK_FLOATS = 1 << 16
+
+
+@functools.lru_cache(maxsize=64)
+def _block_template(cols, rows):
+    """The ``%s`` template of ``rows`` rows of ``cols`` [re, im] pairs,
+    in the layout of ``json.dumps`` with separators (",", ":")."""
+    row = "[" + ",".join(["[%s,%s]"] * cols) + "]"
+    return ",".join([row] * rows)
+
+
+def _block_text(values, template):
+    """``template`` filled with the shortest repr of each float.
+
+    Hermiticity, T, C and S make entries repeat in magnitude; when at
+    least a quarter of the floats repeat one, each distinct |x| is
+    formatted once and a sign prefixed where it is set (repr(-x) is
+    "-" + repr(x), -0.0 included), else every float is formatted.
+    """
+    mags, where = np.unique(np.abs(values), return_inverse=True)
+    if 4 * (values.size - mags.size) < values.size:
+        return template % tuple(values.tolist())  # %s of a float is repr
+    texts = list(map(float.__repr__, mags.tolist()))
+    table = np.array(texts + ["-" + t for t in texts], dtype=object)
+    return template % tuple(
+        table[where + mags.size * np.signbit(values)].tolist())
 
 
 def write_samples(fh, family, dims, kind, seed, matrices):
-    """One header line, then one matrix per line as nested [re, im] JSON."""
+    """One header line, then one matrix per line as nested [re, im] JSON,
+    the bytes of ``json.dumps`` with separators (",", ":"), written in
+    row blocks of at most ``_BLOCK_FLOATS`` floats.  A record that is not
+    finite raises ``SpecFileError`` before anything is written."""
+    records = [np.ascontiguousarray(m, dtype=complex) for m in matrices]
+    for i, m in enumerate(records):
+        _require(np.isfinite(m).all(), f"record[{i}]",
+                 "must hold finite numbers")
     dims_text = ",".join(str(d) for d in dims)
     fh.write(f"{_HEADER}class={family} dims={dims_text} kind={kind} "
              f"seed={seed}\n")
-    for m in matrices:
-        fh.write(json.dumps(matrix_to_pairs(m), separators=(",", ":")))
-        fh.write("\n")
+    for m in records:
+        floats = m.view(float)
+        rows = max(1, _BLOCK_FLOATS // floats.shape[1])
+        for start in range(0, len(floats), rows):
+            block = floats[start:start + rows]
+            fh.write("," if start else "[")
+            fh.write(_block_text(block.ravel(),
+                                 _block_template(m.shape[1], len(block))))
+        fh.write("]\n")
 
 
 def read_samples(path):

@@ -12,8 +12,9 @@ group closures from a linear duplicate scan, tangent dimensions from
 brute-force real-linear constraint solving, the double-commutator
 closure test from every triple of basis elements, wedge products from
 permutation sorting on index tuples, Fock operators and the Fock-space
-checks from dense 2^N x 2^N matrices with Fock lifts from minors, and
-spacing ratios from a plain loop.
+checks from dense 2^N x 2^N matrices with Fock lifts from minors,
+spacing ratios from a plain loop, and sample-file records as nested
+[re, im] lists for ``json.dumps``.
 """
 
 from dataclasses import dataclass
@@ -551,6 +552,12 @@ def spacing_ratios_oracle(levels, drop_tol=1e-12):
     kept = [b - a for a, b in zip(levels[:-1], levels[1:])
             if b - a >= drop_tol * span]
     return [min(s, t) / max(s, t) for s, t in zip(kept[:-1], kept[1:])]
+
+
+def matrix_to_pairs(m):
+    """Encode a complex matrix as nested [re, im] pairs."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(*m.shape, 2).tolist()
 
 
 def slater_overlap(us, vs):

@@ -10,11 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import in_random_basis, spin, su3
+from oracles import in_random_basis, matrix_to_pairs, spin, su3
 from tenfold import ensembles, errors, focklab, linalg, verify
 from tenfold.cli import build_parser, main
 from tenfold.grouprep import PAULI_X, PAULI_Y
-from tenfold.specfile import matrix_to_pairs
 
 
 def pairs(mat):
@@ -171,6 +170,26 @@ class TestRejectedEnsembleInputs:
         assert main(["sample", "--class", "AI", "--dims", "2", "--sigma",
                      sigma]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_overflowing_sigma_sample_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "s.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sample", "--class", "A", "--dims", "3", "--sigma",
+                         "1e308", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sigma 1e+308" in captured.err
+        assert not out.exists()
+
+    def test_overflowing_sigma_stats_exits_two(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stats", "--class", "A", "--dims", "3", "--count",
+                         "2", "--sigma", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sigma 1e+308" in captured.err
 
     def test_stats_count_zero_exits_two(self, capsys):
         assert main(["stats", "--class", "A", "--dims", "4", "--count",

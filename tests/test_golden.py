@@ -24,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import matrix_to_pairs
 from tenfold import linalg
 from tenfold.cli import main
-from tenfold.specfile import matrix_to_pairs
 
 GOLDEN = Path(__file__).with_name("golden_outputs.txt")
 

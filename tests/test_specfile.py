@@ -2,18 +2,22 @@
 
 import io
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import matrix_to_pairs
+from tenfold import specfile
 from tenfold.antiunitary import parity
-from tenfold.classifier import label
-from tenfold.ensembles import EnsembleSpec, sample_gaussian
+from tenfold.classifier import FAMILIES, label
+from tenfold.ensembles import EnsembleSpec, sample_circular, sample_gaussian
 from tenfold.errors import (NotInvolutiveError, SpecFileError,
                             SymmetryConsistencyError)
 from tenfold.linalg import RngStream
-from tenfold.specfile import (_parse_matrix, matrix_to_pairs, parse_spec,
-                              parse_spec_data, read_samples, write_samples)
+from tenfold.specfile import (_parse_matrix, parse_spec, parse_spec_data,
+                              read_samples, write_samples)
 
 
 def pairs(mat):
@@ -224,6 +228,14 @@ class TestSampleFiles:
             "[[[-0.0,5e-324],[2.2250738585072014e-308,-7.0]],"
             "[[3.0,-0.0],[1e-310,0.0]]]"]
 
+    def test_nonfinite_record_refused_before_the_header(self):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = complex(0.0, np.inf)
+        buf = io.StringIO()
+        with pytest.raises(SpecFileError, match=r"record\[1\]"):
+            write_samples(buf, "A", (2,), "gaussian", 1, [np.eye(2), m])
+        assert buf.getvalue() == ""
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("[[1, 2]]\n")
@@ -236,3 +248,79 @@ class TestSampleFiles:
                         "seed=0\nnot-json\n")
         with pytest.raises(SpecFileError):
             read_samples(path)
+
+
+def _draw(family, dims, kind, size):
+    spec = EnsembleSpec(label(family, *dims), kind=kind)
+    sampler = sample_gaussian if kind == "gaussian" else sample_circular
+    return sampler(spec, RngStream(5), size=size)
+
+
+def _records(matrices):
+    """The record lines the reference formatter writes."""
+    return "".join(json.dumps(matrix_to_pairs(m), separators=(",", ":")) +
+                   "\n" for m in matrices)
+
+
+def _mismatch(matrices):
+    """None when ``write_samples`` writes the reference records, else
+    the first differing offset with the text around it on both sides
+    (short, where an assert of the whole text would diff megabytes)."""
+    buf = io.StringIO()
+    write_samples(buf, "A", (1,), "gaussian", 5, matrices)
+    got, want = buf.getvalue().partition("\n")[2], _records(matrices)
+    if got == want:
+        return None
+    at = len(os.path.commonprefix([got, want]))
+    lo = max(0, at - 30)
+    return at, got[lo:at + 30], want[lo:at + 30]
+
+
+class TestWriterBytes:
+    """``write_samples`` writes the bytes of ``json.dumps`` record by
+    record, whether a record's floats repeat in magnitude or not."""
+
+    # matrix dimension 5, 6 or 8
+    SMALL = {"A": (5,), "AI": (5,), "AII": (6,), "C": (3,), "CI": (3,),
+             "D": (3,), "DIII": (4,), "AIII": (2, 3), "BDI": (3, 3),
+             "CII": (2, 4)}
+
+    @pytest.mark.parametrize("kind", ["gaussian", "circular"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("block", [1, 40, 1 << 16])
+    def test_every_class_and_block_size(self, family, kind, block,
+                                        monkeypatch):
+        # a block of 1 float holds one row; 40 floats hold 4 rows of a
+        # 5 x 5 record (one row left over) and split a 6 x 6 or 8 x 8
+        # record exactly; the default holds the whole record
+        monkeypatch.setattr(specfile, "_BLOCK_FLOATS", block)
+        draws = _draw(family, self.SMALL[family], kind, 3)
+        assert _mismatch(draws) is None
+
+    @pytest.mark.parametrize("kind", ["gaussian", "circular"])
+    @pytest.mark.parametrize("family, dims", [("D", (200,)), ("A", (256,))])
+    def test_records_of_several_blocks(self, family, dims, kind):
+        # D(200): 400 rows of 800 floats, four blocks of 81 rows and one
+        # of 76; A(256): rows of 512 floats split exactly at row 128
+        draws = _draw(family, dims, kind, 1)
+        assert _mismatch(draws) is None
+
+    def test_repeated_and_signed_magnitudes(self):
+        # every magnitude repeats, with both signs and signed zeros
+        m = np.array([[1.5, -1.5, 0.0, -0.0], [-0.0, 0.1, -0.1, 1.5]])
+        m = m + 1j * m[::-1]
+        assert _mismatch([m, -m, m.T]) is None
+
+    @pytest.mark.parametrize("kind", ["gaussian", "circular"])
+    def test_peak_memory_is_bounded_per_block(self, kind, tmp_path):
+        # bounded by one row block, where nested lists of the whole
+        # record and its one string peak at 55-57 MB
+        draws = _draw("A", (512,), kind, 1)
+        with open(tmp_path / "a.txt", "w", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                write_samples(fh, "A", (512,), kind, 5, draws)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 16e6
