@@ -96,11 +96,12 @@ def cmd_stats(args):
         stack, kind = np.asarray(matrices), meta["kind"]
         adj = stack.conj().swapaxes(1, 2)
         # the eigensolver that kind picks needs Hermitian or unitary records
-        if kind == "gaussian":
-            resid = (linalg.frob_each(stack - adj) /
-                     np.maximum(1.0, linalg.frob_each(stack)))
-        else:
-            resid = linalg.frob_each(adj @ stack - np.eye(stack.shape[1]))
+        with np.errstate(over="ignore", invalid="ignore"):  # norms past 1e308
+            if kind == "gaussian":
+                resid = (linalg.frob_each(stack - adj) /
+                         np.maximum(1.0, linalg.frob_each(stack)))
+            else:
+                resid = linalg.frob_each(adj @ stack - np.eye(stack.shape[1]))
         bad = np.flatnonzero(~(resid <= linalg.input_tol()))
         if bad.size:
             raise SpecFileError(f"record[{bad[0]}]", "must be Hermitian" if
@@ -119,6 +120,14 @@ def cmd_stats(args):
         spectra = _spectra(args.kind, _draw(args, rng)[1])
     else:
         raise InputShapeError("need --in, --poisson, or --class/--dims")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf
+        bad = np.flatnonzero(~np.isfinite(spectra[:, -1] - spectra[:, 0]))
+    if bad.size and args.infile:
+        raise SpecFileError(f"record[{bad[0]}]", "its eigenvalues or their "
+                            "range overflow to non-finite values")
+    if bad.size:
+        raise InputShapeError(f"sigma {args.sigma:g} overflows the spectra "
+                              "to non-finite values")
     stats = ensembles.pooled_spacing_ratios(spectra)
     lines = [f"# tenfold stats seed={rng.seed}",
              "statistic,value,stderr",

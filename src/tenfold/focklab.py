@@ -80,14 +80,9 @@ class SignedPerm:
     def adjoint(self):
         return SignedPerm(self.mask, np.conj(self.sign[self._sources()]))
 
-    def add_to(self, dense, coeff=1.0):
-        """Scatter-add ``coeff`` times this operator into ``dense``."""
-        rows = np.arange(len(self.sign))
-        dense[rows, rows ^ self.mask] += coeff * self.sign
-
     def dense(self):
         out = np.zeros((len(self.sign),) * 2, dtype=self.sign.dtype)
-        self.add_to(out)
+        out[np.arange(len(self.sign)), self._sources()] += self.sign
         return out
 
 

@@ -231,33 +231,30 @@ def eig_hermitian(h):
     return HermitianEigenSystem(values=values, vectors=vectors)
 
 
-def haar_unitary(n, rng):
-    """Draw an n x n unitary from the Haar measure (CUE).
-
-    A complex Ginibre matrix is orthonormalized and each column is
-    rescaled by the phase of the corresponding R-diagonal entry; without
-    that phase correction the output would not be Haar distributed.
-    """
-    if n < 1:
-        raise InputShapeError("dimension must be at least 1")
-    z = rng.complex_normal((n, n))
+def _haar_qr(z):
+    """Q of z = QR, each column rescaled by the phase of its R-diagonal
+    entry (a real z's sign; 1 for a zero entry), which makes Q Haar for a
+    Ginibre z (Mezzadri, Notices AMS 54 (2007) 592)."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    q *= d / np.abs(d)
+    return q
+
+
+def haar_unitary(n, rng):
+    """Draw an n x n unitary from the Haar measure (CUE)."""
+    if n < 1:
+        raise InputShapeError("dimension must be at least 1")
+    return _haar_qr(rng.complex_normal((n, n)))
 
 
 def haar_orthogonal(n, rng, special=False):
     """Haar-distributed element of O(n), or of SO(n) if ``special``."""
     if n < 1:
         raise InputShapeError("dimension must be at least 1")
-    z = rng.normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
-    d[d == 0] = 1.0
-    q = q * np.sign(d)
+    q = _haar_qr(rng.normal((n, n)))
     if special and np.linalg.det(q) < 0:
-        q = q.copy()
         q[:, -1] = -q[:, -1]
     return q
 
@@ -271,13 +268,8 @@ def symplectic_form(n):
 
 
 def haar_symplectic_unitary(n2, rng, j):
-    """Haar-distributed element of USp(n2) for the ±1-paired form ``j``.
-
-    Columns of a quaternion Ginibre matrix are orthonormalized in
-    quaternion arithmetic: each computed column v gets the partner
-    -J conj(v), which keeps the result inside USp of the standard form
-    J.  Its rows and columns are then permuted onto ``j``'s pairs.
-    """
+    """Haar-distributed element of USp(n2) for the ±1-paired form ``j``:
+    a draw for the standard form J, permuted onto ``j``'s pairs."""
     if n2 < 2 or n2 % 2:
         raise InputShapeError("symplectic dimension must be even and >= 2")
     if np.shape(j) != (n2, n2):
@@ -286,23 +278,26 @@ def haar_symplectic_unitary(n2, rng, j):
     return _haar_usp_standard(n2 // 2, rng)[np.ix_(src, src)]
 
 
+def _partners(v):
+    """-J conj(v) for the columns v of C^(2n), J = symplectic_form(n)."""
+    n = len(v) // 2
+    return np.concatenate([-v[n:], v[:n]]).conj()
+
+
 def _haar_usp_standard(n, rng):
-    j = symplectic_form(n)
+    """Haar draw [v | -J conj(v)] in USp(2n) of the standard form J.
+
+    v is the first n columns of a quaternion Ginibre matrix, the
+    projection (m + J conj(m) J^T)/2 of a complex one, orthonormalized in
+    quaternion arithmetic.  As -J conj(v) is orthogonal to v, that is one
+    QR of the columns v_k, each followed by its partner -J conj(v_k)."""
     m = rng.complex_normal((2 * n, 2 * n))
-    m = 0.5 * (m + j @ m.conj() @ j.T)  # project onto quaternion matrices
-    basis = []
-    for k in range(n):
-        v = m[:, k]
-        for w in basis:
-            v = v - w * (w.conj() @ v)
-        v = v / np.linalg.norm(v)
-        basis.append(v)
-        basis.append(-j @ v.conj())
-    cols = np.empty((2 * n, 2 * n), dtype=complex)
-    for k in range(n):
-        cols[:, k] = basis[2 * k]
-        cols[:, n + k] = basis[2 * k + 1]
-    return cols
+    z = np.empty((2 * n, 2 * n), dtype=complex)
+    z[:, 0::2] = 0.5 * (m[:, :n] + _partners(-m[:, n:]))
+    del m
+    z[:, 1::2] = _partners(z[:, 0::2])
+    v = _haar_qr(z)[:, 0::2]
+    return np.concatenate([v, _partners(v)], axis=1)
 
 
 def _symplectic_permutation(j):

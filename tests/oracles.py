@@ -631,16 +631,66 @@ def one_body_oracle(fock, w, z):
     return h
 
 
+def haar_unitary_inline(n, rng):
+    """Haar unitary by the phase-corrected QR written out in full."""
+    z = rng.complex_normal((n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r).copy()
+    d[d == 0] = 1.0
+    return q * (d / np.abs(d))
+
+
+def haar_orthogonal_inline(n, rng, special=False):
+    """Haar element of O(n), or SO(n), by the sign-corrected QR written
+    out in full."""
+    z = rng.normal((n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r).copy()
+    d[d == 0] = 1.0
+    q = q * np.sign(d)
+    if special and np.linalg.det(q) < 0:
+        q = q.copy()
+        q[:, -1] = -q[:, -1]
+    return q
+
+
+def haar_usp_gram_schmidt(n, rng):
+    """Haar draw [v | -J conj(v)] in USp(2n) of the standard form J by
+    quaternionic Gram-Schmidt, one column and its partner at a time."""
+    j = linalg.symplectic_form(n)
+    m = rng.complex_normal((2 * n, 2 * n))
+    m = 0.5 * (m + j @ m.conj() @ j.T)  # project onto quaternion matrices
+    basis = []
+    for k in range(n):
+        v = m[:, k]
+        for w in basis:
+            v = v - w * (w.conj() @ v)
+        v = v / np.linalg.norm(v)
+        basis.append(v)
+        basis.append(-j @ v.conj())
+    cols = np.empty((2 * n, 2 * n), dtype=complex)
+    for k in range(n):
+        cols[:, k] = basis[2 * k]
+        cols[:, n + k] = basis[2 * k + 1]
+    return cols
+
+
+def _scatter_add(dense, op, coeff):
+    """Add ``coeff`` times the SignedPerm ``op`` into ``dense``."""
+    rows = np.arange(len(op.sign))
+    dense[rows, rows ^ op.mask] += coeff * op.sign
+
+
 def lift_one_body_loop(fock, w, z):
     """Sum W a^dag a + (Z a^dag a^dag + h.c.)/2 by a loop over the mode
     pairs, one scatter-add per signed-permutation term."""
     h = np.zeros((fock.dim, fock.dim), dtype=complex)
     for k in range(fock.n_modes):
         for l in range(fock.n_modes):
-            (fock.create[k] @ fock.annihilate[l]).add_to(h, w[k, l])
+            _scatter_add(h, fock.create[k] @ fock.annihilate[l], w[k, l])
             pair = fock.create[k] @ fock.create[l]
-            pair.add_to(h, 0.5 * z[k, l])
-            pair.adjoint().add_to(h, 0.5 * np.conj(z[k, l]))
+            _scatter_add(h, pair, 0.5 * z[k, l])
+            _scatter_add(h, pair.adjoint(), 0.5 * np.conj(z[k, l]))
     return h
 
 

@@ -397,6 +397,21 @@ def test_two_to_one_check_fails_on_a_lift_off_by_pi(argv, monkeypatch,
             line.startswith("PASS")] == ["FAIL fock.covering-two-to-one"]
 
 
+def test_usp_draw_fails_exactly_the_symplectic_membership_checks(
+        monkeypatch, capsys):
+    # a plain Haar unitary in place of the USp draw leaves the symplectic
+    # form unpreserved; the checks that see it fail, and only they
+    monkeypatch.setattr(linalg, "_haar_usp_standard",
+                        lambda n, rng: linalg.haar_unitary(2 * n, rng))
+    assert main(["verify", "--all-classes", "--level", "full"]) == 5
+    *results, _ = capsys.readouterr().out.splitlines()
+    assert sorted(line.split(":")[0] for line in results
+                  if not line.startswith("PASS")) == [
+        "FAIL ensembles.circular-membership",
+        "FAIL symspace.cartan-membership",
+        "FAIL symspace.geodesic-involution"]
+
+
 def test_closed_stdout_ends_with_exit_zero():
     # the reader stops after 10 bytes of a sample stream of some 7 MB
     run = subprocess.Popen(
@@ -965,6 +980,35 @@ def test_sample_write_error_exits_two(capsys):
     assert main(_sample_out("/dev/full")) == 2
     assert capsys.readouterr() == (
         "", "error: --out: cannot write /dev/full: No space left on device\n")
+
+
+@pytest.mark.parametrize("family,dims", [("AIII", "4,4"), ("BDI", "8,8")])
+def test_stats_of_spectra_overflowing_under_sigma_exits_two(family, dims,
+                                                           capsys):
+    # the draw is finite but its eigenvalues overflow to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["stats", "--class", family, "--dims", dims, "--count",
+                     "3", "--sigma", "1e308", "--bins", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: sigma 1e+308 ")
+
+
+def test_stats_of_a_record_with_an_overflowing_spectrum_exits_two(tmp_path,
+                                                                 capsys):
+    # finite and Hermitian, but its largest eigenvalue is about 2.6e308
+    h = 1e308 * (np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1))
+    argv = _stats_in(tmp_path, json.dumps(pairs(np.diag([1.0, 2, 3, 4]))),
+                     json.dumps(pairs(h)),
+                     header=_SAMPLE_HEADER.format(n=4, kind="gaussian"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: record[1]: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_valid_records_pass_the_kind_check(tmp_path, capsys):

@@ -28,10 +28,7 @@ ALLOWED = {
 
 # Parameters with a default that no call in the scanned files sets, with
 # why they stay.
-UNSET_ALLOWED = {
-    "focklab.SignedPerm.add_to(coeff)": "the reference Hamiltonian "
-                                        "tests/oracles.py builds sets it",
-}
+UNSET_ALLOWED = {}
 
 
 def _used_names(tree):

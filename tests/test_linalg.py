@@ -1,6 +1,7 @@
 """Tests for the dense linear algebra foundation."""
 
 import numpy as np
+import oracles
 import pytest
 
 from tenfold import linalg, symspace
@@ -142,6 +143,43 @@ class TestHaarOrthogonalSymplectic:
         want = p @ linalg._haar_usp_standard(n, RngStream(seed)) @ p.T
         got = haar_symplectic_unitary(n2, RngStream(seed), j)
         assert got.tobytes() == want.tobytes()
+
+
+def _paired_form(p, q):
+    """Symplectic form J on C^p (+) J on C^q: CII's Jpq, or J for q = 0."""
+    j = np.zeros((p + q, p + q))
+    j[:p, :p] = symplectic_form(p // 2)
+    j[p:, p:] = symplectic_form(q // 2)
+    return j
+
+
+class TestHaarQR:
+    """Every Haar draw is one phase-corrected QR."""
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_unitary_and_orthogonal_keep_the_inline_draws(self, n):
+        assert np.array_equal(haar_unitary(n, RngStream(n)),
+                              oracles.haar_unitary_inline(n, RngStream(n)))
+        for special in (False, True):
+            got = haar_orthogonal(n, RngStream(n), special)
+            want = oracles.haar_orthogonal_inline(n, RngStream(n), special)
+            assert got.dtype == want.dtype == float
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n2", range(2, 25, 2))
+    def test_symplectic_matches_gram_schmidt(self, n2):
+        for p in range(2, n2 + 1, 2):
+            j = _paired_form(p, n2 - p)
+            src = linalg._symplectic_permutation(j)
+            for seed in range(3):
+                want = oracles.haar_usp_gram_schmidt(n2 // 2, RngStream(seed))
+                got = haar_symplectic_unitary(n2, RngStream(seed), j)
+                assert np.abs(got - want[np.ix_(src, src)]).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_partner_columns_are_exact(self, n):
+        u = linalg._haar_usp_standard(n, RngStream(n))
+        assert np.array_equal(u[:, n:], -symplectic_form(n) @ u[:, :n].conj())
 
 
 class TestFrobEach:
