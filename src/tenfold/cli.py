@@ -153,13 +153,23 @@ def _report(results):
     return 0
 
 
+def _refuse_flags(form, flags):
+    """Exit 2 naming the first given flag that this verify form ignores."""
+    for flag, given in flags:
+        if given:
+            raise InputShapeError(f"{flag} does not apply to verify {form}")
+
+
 def cmd_verify(args):
     if args.spec:
+        _refuse_flags("SPEC", [("--all-classes", args.all_classes),
+                               ("--level", args.level)])
         parsed = parse_spec(args.spec)
         return _report(verify.run_setting_checks(parsed,
                                                  _tenfold_mode(args, parsed)))
     if args.all_classes:
-        return _report(verify.run_checks(args.level))
+        _refuse_flags("--all-classes", [("--tenfold", args.tenfold)])
+        return _report(verify.run_checks(args.level or "fast"))
     raise InputShapeError("need a spec path or --all-classes")
 
 
@@ -215,7 +225,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run invariant suites")
     p.add_argument("spec", nargs="?", default=None)
     p.add_argument("--all-classes", action="store_true")
-    p.add_argument("--level", choices=("fast", "full"), default="fast")
+    p.add_argument("--level", choices=("fast", "full"), default=None)
     p.add_argument("--tenfold", action="store_true")
     p.set_defaults(func=cmd_verify)
 

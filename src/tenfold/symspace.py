@@ -176,48 +176,47 @@ def ambient_algebra(pair):
     basis = np.concatenate([1j * e[:, :, None] * e[:, None, :], skew, sym])
     if pair.ambient == "symplectic-unitary":
         form = pair.ambient_form
-        return _orthonormal_span(
-            list(0.5 * (basis + form @ basis.conj() @ form.conj().T)), n)
+        usp = 0.5 * (basis + form @ basis.conj() @ form.conj().T)
+        u, _, rank = linalg._rank_svd(linalg._vec_real(usp).T)
+        return list(linalg._unvec_real(u[:, :rank].T, n))
     return list(basis)
-
-
-def _orthonormal_span(mats, n):
-    if not mats:
-        return []
-    u, _, rank = linalg._rank_svd(linalg._vec_real(np.array(mats)).T)
-    return list(linalg._unvec_real(u[:, :rank].T, n))
 
 
 def tangent_split(lab):
     """Split the ambient algebra into tau eigenspaces k (+1) and p (-1).
+
+    tau acts once on the orthonormal ambient stack X; the eigenvectors of
+    its real matrix T_ij = Re <X_i, tau X_j>, an orthogonal involution to
+    ``TOL_INPUT``, contracted with X give orthonormal bases of k and p.
 
     For the group-type families both lists are copies of the Lie algebra
     itself, standing for the diagonal and anti-diagonal of the doubled
     model; their bracket relations hold because the algebra closes.
     """
     pair = involution(lab)
-    n = pair.matrix_dim
     ambient = ambient_algebra(pair)
     if pair.group_type:
         return TangentDecomposition(label=lab, k_basis=tuple(ambient),
                                     p_basis=tuple(ambient))
-    plus, minus = [], []
-    for x in ambient:
-        dt = pair.tau(x)
-        plus.append(0.5 * (x + dt))
-        minus.append(0.5 * (x - dt))
-    k_basis = _orthonormal_span(plus, n)
-    p_basis = _orthonormal_span(minus, n)
-    if len(k_basis) + len(p_basis) != len(ambient):
-        raise InputShapeError("eigenspace dimensions do not add up; "
-                              "involution is inconsistent")
+    x = np.array(ambient)
+    vx = linalg._vec_real(x)
+    t = vx @ linalg._vec_real(pair.tau(x)).T
+    signs, vectors = np.linalg.eigh(t)
+    tol = linalg.input_tol()
+    if not (np.abs(t - t.T).max() <= tol and
+            np.abs(np.abs(signs) - 1.0).max() <= tol):
+        raise InputShapeError("tau is not an orthogonal involution of the "
+                              "ambient algebra; involution is inconsistent")
+    n = pair.matrix_dim
+    k_basis = linalg._unvec_real(vectors[:, signs > 0].T @ vx, n)
+    p_basis = linalg._unvec_real(vectors[:, signs < 0].T @ vx, n)
     return TangentDecomposition(label=lab, k_basis=tuple(k_basis),
                                 p_basis=tuple(p_basis))
 
 
 @dataclass(frozen=True)
 class ClosureResult:
-    """Outcome of the double-commutator closure test."""
+    """Outcome of ``closure_check`` (root-sum-square bound, passed at 1e-9)."""
 
     passed: bool
     max_residual: float
@@ -233,11 +232,12 @@ def closure_check(p_basis):
     [x, [y, z]] is linear in w = [y, z], so the test runs on k' =
     span [p, p]: the normalized brackets B = [y, z] / (|y| |z|), y < z,
     are compressed by one thin SVD B = U S V^T, and ``max_residual`` is
-    the largest operator 2-norm over x of c -> P_off [x / |x|, U S c].
-    As every bracket is B e_yz with a unit vector e_yz, this bounds each
-    relative triple residual |P_off [x, [y, z]]| / (|x| |y| |z|) from
-    above.  Singular values below numpy's ``matrix_rank`` threshold are
-    cut; 2 s_(r+1) (|ad x| <= 2 |x|) keeps the bound.
+    the largest Frobenius norm over x of c -> P_off [x / |x|, U S c]:
+    with nothing cut, exactly the root-sum-square over y < z of the
+    relative triple residuals |P_off [x, [y, z]]| / (|x| |y| |z|), so at
+    least the worst of them and at most sqrt(d (d - 1) / 2) times it.
+    Singular values below numpy's ``matrix_rank`` threshold are cut;
+    2 s_(r+1) (|ad x| <= 2 |x|) keeps the bound.
     """
     mats = np.array(p_basis, dtype=complex)
     if not len(mats):
@@ -251,6 +251,6 @@ def closure_check(p_basis):
     w = linalg._unvec_real((u[:, :rank] * s[:rank]).T, n)
     x = unit[:, None]
     off = linalg.off_span(mats, x @ w - w @ x)
-    worst = float(np.linalg.norm(off, ord=2, axis=(1, 2)).max()) + \
+    worst = float(linalg.frob_each(off).max()) + \
         2.0 * float(s[rank:].max(initial=0.0))
     return ClosureResult(passed=worst <= 1e-9, max_residual=worst)

@@ -10,7 +10,8 @@ commutant slice (with the random commutant element that keys the
 library's sector labels),
 group closures from a linear duplicate scan, tangent dimensions from
 brute-force real-linear constraint solving, the double-commutator
-closure test from every triple of basis elements, wedge products from
+closure test from every triple of basis elements, tangent splits from
+one SVD span per tau eigenspace, wedge products from
 permutation sorting on index tuples, Fock operators and the Fock-space
 checks from dense 2^N x 2^N matrices with Fock lifts from minors,
 spacing ratios from a plain loop, and sample-file records as nested
@@ -22,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import expm
-from tenfold import grouprep, linalg
+from tenfold import grouprep, linalg, symspace
 from tenfold.errors import DegenerateDecompositionError
 
 
@@ -404,6 +405,47 @@ def closure_oracle(p_basis):
                     worst = rel
                     worst_triple = (ix, iy, iz)
     return worst, worst_triple
+
+
+def closure_rss_oracle(p_basis):
+    """Largest root-sum-square over x of the relative triple residuals
+    ||P_off [x, [y, z]]|| / (|x| |y| |z|), y < z, from the triple loop."""
+    mats = [np.asarray(m, dtype=complex) for m in p_basis]
+    span = np.stack([_vec_real(m) for m in mats], axis=1)
+    q = np.linalg.svd(span, full_matrices=False)[0]
+    q = q[:, :np.linalg.matrix_rank(span)]
+    worst = 0.0
+    for x in mats:
+        total = 0.0
+        for iy, y in enumerate(mats):
+            for z in mats[iy + 1:]:
+                v = _vec_real(x @ (y @ z - z @ y) - (y @ z - z @ y) @ x)
+                scale = max(np.linalg.norm(x) * np.linalg.norm(y) *
+                            np.linalg.norm(z), 1e-300)
+                total += (np.linalg.norm(v - q @ (q.T @ v)) / scale) ** 2
+        worst = max(worst, np.sqrt(total))
+    return worst
+
+
+def _svd_span(mats, n):
+    a = np.stack([_vec_real(m) for m in mats], axis=1)
+    u = np.linalg.svd(a, full_matrices=False)[0][:, :np.linalg.matrix_rank(a)]
+    return [(c[:n * n] + 1j * c[n * n:]).reshape(n, n) for c in u.T]
+
+
+def tangent_split_oracle(lab):
+    """k and p as the spans of (X + tau X) / 2 and (X - tau X) / 2 over
+    the ambient basis, tau applied one element at a time, each span
+    orthonormalized by a thin SVD cut at its rank.  Group-type families
+    give the ambient algebra twice."""
+    pair = symspace.involution(lab)
+    ambient = symspace.ambient_algebra(pair)
+    if pair.group_type:
+        return ambient, ambient
+    images = [pair.tau(x) for x in ambient]
+    n = pair.matrix_dim
+    return (_svd_span([(x + t) / 2 for x, t in zip(ambient, images)], n),
+            _svd_span([(x - t) / 2 for x, t in zip(ambient, images)], n))
 
 
 # ---------------------------------------------------------------------------

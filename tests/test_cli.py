@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import in_random_basis, matrix_to_pairs, spin, su3
-from tenfold import ensembles, errors, focklab, linalg, verify
+from tenfold import ensembles, errors, focklab, linalg, symspace, verify
 from tenfold.cli import build_parser, main
 from tenfold.grouprep import PAULI_X, PAULI_Y
 
@@ -369,6 +369,19 @@ class TestVerifyCommand:
         path = write_spec(tmp_path, spec)
         assert main(["verify", path]) == 3
 
+    @pytest.mark.parametrize("flags,stray", [
+        (["SPEC", "--all-classes"], "--all-classes"),
+        (["SPEC", "--level", "full"], "--level"),
+        (["--all-classes", "--tenfold"], "--tenfold")])
+    def test_flag_that_does_not_apply_exits_two(self, flags, stray, tmp_path,
+                                                capsys):
+        path = write_spec(tmp_path, trivial_spec())
+        assert main(["verify"] + [path if f == "SPEC" else f
+                                  for f in flags]) == 2
+        captured = capsys.readouterr()
+        assert f"{stray} does not apply" in captured.err
+        assert captured.out == ""
+
 
 class TestFockVerifyCommand:
     def test_small_run(self, capsys):
@@ -395,6 +408,22 @@ def test_two_to_one_check_fails_on_a_lift_off_by_pi(argv, monkeypatch,
     assert summary == "failed invariants: fock.covering-two-to-one"
     assert [line.split(":")[0] for line in results if not
             line.startswith("PASS")] == ["FAIL fock.covering-two-to-one"]
+
+
+@pytest.mark.parametrize("passed,check", [
+    (False, "symspace.wegner-closure"),
+    (True, "symspace.closure-negative-control")])
+def test_closure_checks_fail_on_a_constant_closure_verdict(
+        passed, check, monkeypatch, capsys):
+    # a closure test that fails every span fails the tangent spaces, one
+    # that passes every span passes the generic negative control
+    monkeypatch.setattr(symspace, "closure_check", lambda p_basis:
+                        symspace.ClosureResult(passed, 0.0 if passed else 1.0))
+    assert main(["verify", "--all-classes", "--level", "full"]) == 5
+    *results, summary = capsys.readouterr().out.splitlines()
+    assert summary == f"failed invariants: {check}"
+    assert [line.split(":")[0] for line in results if not
+            line.startswith("PASS")] == [f"FAIL {check}"]
 
 
 def test_usp_draw_fails_exactly_the_symplectic_membership_checks(

@@ -1,8 +1,10 @@
 """The batched closure test against the triple-loop oracle.
 
-``closure_check`` reports the operator norm of x -> P_off [x, k'] over
-the normalized brackets k' = span [p, p]; every per-triple residual of
-the oracle is one column of that operator, so in exact arithmetic
+``closure_check`` reports the largest Frobenius norm over x of x ->
+P_off [x, k'] on the normalized brackets k' = span [p, p], which is the
+root-sum-square of the per-triple residuals of the oracle when no
+singular value is cut; every one of them is a column of that operator,
+so in exact arithmetic
 
     oracle <= new <= sqrt(d (d - 1) / 2) * oracle.
 
@@ -117,3 +119,37 @@ def test_one_element_basis():
     oracle, result = assert_matches_oracle(
         _generic(np.random.default_rng(4), 3, 1))
     assert oracle == result.max_residual == 0.0 and result.passed
+
+
+def _generic_uncut(seed):
+    """The span of test_generic_spans, when its d (d - 1) / 2 normalized
+    brackets are linearly independent, so no singular value is cut."""
+    rng = np.random.default_rng([seed, 11])
+    n = int(rng.integers(2, 5))
+    d = int(rng.integers(2, min(7, n * n)))
+    mats = _generic(rng, n, d)
+    unit = [m / np.linalg.norm(m) for m in mats]
+    y, z = np.triu_indices(d, 1)
+    brackets = np.stack([np.concatenate([b.real.ravel(), b.imag.ravel()])
+                         for b in (unit[i] @ unit[j] - unit[j] @ unit[i]
+                                   for i, j in zip(y, z))], axis=1)
+    return mats if np.linalg.matrix_rank(brackets) == len(y) else None
+
+
+UNCUT_SEEDS = [seed for seed in range(20) if _generic_uncut(seed)]
+
+
+@pytest.mark.parametrize("family,dims", CASES,
+                         ids=[f"{f}{d}" for f, d in CASES])
+def test_tangent_residual_is_the_root_sum_square(family, dims):
+    p_basis = tangent_split(label(family, *dims)).p_basis
+    if p_basis:
+        assert abs(closure_check(p_basis).max_residual -
+                   oracles.closure_rss_oracle(p_basis)) <= ROUNDOFF
+
+
+@pytest.mark.parametrize("seed", UNCUT_SEEDS)
+def test_generic_residual_is_the_root_sum_square(seed):
+    p_basis = _generic_uncut(seed)
+    assert abs(closure_check(p_basis).max_residual -
+               oracles.closure_rss_oracle(p_basis)) <= ROUNDOFF

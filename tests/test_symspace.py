@@ -3,20 +3,40 @@
 import numpy as np
 import pytest
 
+import oracles
 from tenfold import linalg
 from tenfold.classifier import compatible_space, label
 from tenfold.ensembles import EnsembleSpec, sample_gaussian
 from tenfold.errors import InputShapeError, NotInManifoldError
 from tenfold.linalg import haar_unitary, symplectic_form
-from tenfold.symspace import (ambient_algebra, cartan_embed, closure_check,
-                              geodesic_inversion, in_space, involution,
-                              tangent_split)
+from tenfold.symspace import (CartanPair, ambient_algebra, cartan_embed,
+                              closure_check, geodesic_inversion, in_space,
+                              involution, tangent_split)
 
 ALL_LABELS = (
     label("A", 3), label("AI", 3), label("AII", 4),
     label("C", 2), label("CI", 2), label("D", 2), label("DIII", 3),
     label("AIII", 1, 2), label("BDI", 2, 2), label("CII", 2, 2),
 )
+
+
+def _count_calls(monkeypatch):
+    """Count CartanPair.tau calls and SVDs, also those that numpy makes
+    inside its own linalg functions, such as a 2-norm."""
+    counts = {"tau": 0, "svd": 0}
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(CartanPair, "tau", counted("tau", CartanPair.tau))
+    svd = counted("svd", np.linalg.svd)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg._linalg, "svd", svd)
+    return counts
+
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -229,6 +249,35 @@ class TestTangentSplit:
             assert val.real < -1e-6  # nonzero tangent has negative square
 
 
+    @pytest.mark.parametrize("lab", ALL_LABELS, ids=str)
+    def test_spans_match_the_svd_split(self, lab):
+        def projector(basis):
+            q = linalg._vec_real(np.array(basis)).T
+            return q @ q.T
+
+        split = tangent_split(lab)
+        k_ref, p_ref = oracles.tangent_split_oracle(lab)
+        for new, ref in ((split.k_basis, k_ref), (split.p_basis, p_ref)):
+            assert len(new) == len(ref)
+            if ref:
+                assert np.abs(projector(new) -
+                              projector(ref)).max() <= 1e-12
+
+    def test_inconsistent_involution_rejected(self, monkeypatch):
+        tau = CartanPair.tau
+        monkeypatch.setattr(CartanPair, "tau",
+                            lambda self, u: 0.5 * tau(self, u))
+        with pytest.raises(InputShapeError,
+                           match="involution is inconsistent"):
+            tangent_split(label("AI", 3))
+
+    def test_one_tau_call_and_no_svd(self, monkeypatch):
+        counts = _count_calls(monkeypatch)
+        split = tangent_split(label("DIII", 4))
+        assert (split.dim_k, split.dim_p) == (16, 12)
+        assert counts == {"tau": 1, "svd": 0}
+
+
 class TestClosureCheck:
     def test_hermitian_tangent_closes(self, rng):
         split = tangent_split(label("A", 3))
@@ -250,6 +299,13 @@ class TestClosureCheck:
     def test_empty_rejected(self):
         with pytest.raises(InputShapeError):
             closure_check([])
+
+    def test_two_svds(self, monkeypatch):
+        p_basis = tangent_split(label("C", 3)).p_basis
+        assert len(p_basis) == 21
+        counts = _count_calls(monkeypatch)
+        assert closure_check(p_basis).passed
+        assert counts["svd"] == 2
 
 
 class TestAmbientAlgebra:
