@@ -80,25 +80,27 @@ class SectorPairing:
 def sector_action(op, blocks, tol=None):
     """Partition of sector labels into fixed points and swapped pairs.
 
-    Transports each sector projector with the anti-unitary and matches
-    the image against the list; an image matching no projector means the
-    operator is not a symmetry of this decomposition.
+    With F = [F_1 | ... | F_k], w[a, b] = ||(F^H u conj(F))_ab||_F^2 is
+    how much of sector b the operator sends into sector a.  b goes to a =
+    argmax w[:, b] when both have one (irrep_dim, multiplicity) and
+    2 sum_{a' != a} w[a', b] <= (tol dim_b)^2, i.e. ||T P_b T^-1 - P_a||_F
+    <= tol dim_b; else the operator is no symmetry of the decomposition.
     """
     tol = linalg.TOL_INPUT if tol is None else tol
     fixed = []
     swapped = []
     images = {}
-    for block in blocks:
-        p = op.conjugate_linear(block.projector)
-        target = None
-        for other in blocks:
-            if linalg.frob(p - other.projector) <= tol * block.dim:
-                target = other.label
-                break
-        if target is None:
+    f = np.hstack([b.factor_basis for b in blocks])
+    starts = np.cumsum([0] + [b.dim for b in blocks[:-1]])
+    w = linalg.block_weights(f.conj().T @ op.u @ np.conj(f), starts)
+    for b, block in enumerate(blocks):
+        a = int(np.argmax(w[:, b]))
+        shape = (block.irrep_dim, block.multiplicity)
+        if (blocks[a].irrep_dim, blocks[a].multiplicity) != shape or \
+                2 * np.delete(w[:, b], a).sum() > (tol * block.dim) ** 2:
             raise SymmetryConsistencyError(
-                f"image of sector {block.label} matches no sector projector")
-        images[block.label] = target
+                f"image of sector {block.label} matches no sector")
+        images[block.label] = blocks[a].label
     for label, target in images.items():
         if images.get(target) != label:
             raise SymmetryConsistencyError("sector pairing is not an "
@@ -136,10 +138,9 @@ def transfer_T(block, op, tol=None):
     fb = block.factor_basis
     m, d = block.multiplicity, block.irrep_dim
     restricted = op.u @ np.conj(fb)
-    if linalg.frob(restricted - block.projector @ restricted) > \
-            tol * np.sqrt(block.dim):
-        raise SymmetryConsistencyError("sector is not fixed by the operator")
     ub = fb.conj().T @ restricted
+    if linalg.frob(restricted - fb @ ub) > tol * np.sqrt(block.dim):
+        raise SymmetryConsistencyError("sector is not fixed by the operator")
 
     r = ub.reshape(m, d, m, d).transpose(0, 2, 1, 3).reshape(m * m, d * d)
     _, s, vh = np.linalg.svd(r, full_matrices=False)

@@ -469,8 +469,14 @@ def _classify(base, rng, tenfold):
     if t is not None and len(blocks) > 1:
         pairs = {lam: mu for pair in sector_action(t, blocks, tol).swapped
                  for lam, mu in (pair, pair[::-1])}
-    moved = has_c and len(blocks) > 1 and any(linalg.frob(
-        s @ b.projector @ s - b.projector) > tol * b.dim for b in blocks)
+    moved = False
+    if has_c:  # S moves sector b: 2 sum_{a != b} ||Y_ab||^2 > (tol dim_b)^2
+        at = np.cumsum([0] + [b.dim for b in blocks])  # columns of F
+        f = np.hstack([b.factor_basis for b in blocks])
+        y = f.conj().T @ s @ f
+        off = linalg.block_weights(y, at[:-1])
+        np.fill_diagonal(off, 0)
+        moved = (2 * off.sum(axis=0) > (tol * np.diff(at)) ** 2).any()
     if tenfold and (None in types or pairs or moved):
         raise _unsupported(*found)
     if tenfold and len(blocks) > 1:  # a charge joins its dual charge
@@ -486,9 +492,6 @@ def _classify(base, rng, tenfold):
         group = [b] if mu == b.label else [b, blocks[mu]]
         m, eps = sum(c.multiplicity for c in group), {"eps_t": eps_t}
         if not tenfold and len(group) == 2:  # a pair of sectors T swaps
-            if m != 2 * b.multiplicity:
-                raise SymmetryConsistencyError("swapped sectors with "
-                                               "unequal multiplicity")
             m, family = b.multiplicity, SIGNATURE["u1", None, False]
         else:
             tt = transfer_T(b, t, tol) if t is not None and (
@@ -504,9 +507,9 @@ def _classify(base, rng, tenfold):
                 eps.update(eps_alpha=tt.eps_alpha, eps_beta=tt.eps_beta)
         dims = (m,)
         if has_c:  # (p, q): the signs of S on the entry's factor bases
-            fb = np.hstack([c.factor_basis for c in group])
-            h = s if len(blocks) == 1 else fb.conj().T @ s @ fb
-            p = int(np.sum(np.linalg.eigvalsh(h) > 0))
+            rows = np.concatenate([np.arange(at[c.label], at[c.label + 1])
+                                   for c in group])
+            p = int(np.sum(np.linalg.eigvalsh(y[rows[:, None], rows]) > 0))
             dims = (p, m - p)
         entries.append(BlockEntry(tuple(c.label for c in group), b.irrep_dim,
                                   m, label(family, *dims), **eps))

@@ -68,7 +68,7 @@ class GroupAction:
 
 @dataclass(frozen=True, eq=False)
 class IsotypicBlock:
-    """One sector of the isotypic decomposition.
+    """One sector of the isotypic decomposition, as its factor basis.
 
     ``factor_basis`` columns identify the sector with E (x) R; column
     j*d + k is the image of (e_j tensor r_k), so the multiplicity index
@@ -79,12 +79,16 @@ class IsotypicBlock:
     label: int
     irrep_dim: int
     multiplicity: int
-    projector: np.ndarray
     factor_basis: np.ndarray
 
     @property
     def dim(self):
         return self.irrep_dim * self.multiplicity
+
+    @property
+    def projector(self):
+        """Projector fb fb^H onto the sector, n x n, formed on each read."""
+        return self.factor_basis @ self.factor_basis.conj().T
 
     def rep_basis(self):
         """Orthonormal basis of the model copy of R inside V."""
@@ -354,8 +358,7 @@ def _sectors(action, tol):
     while True:
         sizes = np.diff(starts + [n])
         g = q.conj().T @ (np.tensordot(w, gens, axes=1) @ q)
-        strength = np.add.reduceat(np.add.reduceat(
-            np.abs(g) ** 2, starts, axis=0), starts, axis=1)
+        strength = linalg.block_weights(g, starts)
         link = np.maximum(strength, strength.T) > (tol / 2) ** 2
         # reach[i]: the clusters joined to cluster i; one row per component
         reach = link | np.eye(len(sizes), dtype=bool)
@@ -490,9 +493,8 @@ def _tensor_factor(action, tol):
             if d > 1 and [s[0] for s in _sectors(GroupAction(
                     dim=d, generators=tuple(factors)), tol)] != [d]:
                 return None
-            eye = np.eye(n, dtype=complex)
             return IsotypicBlock(label=0, irrep_dim=d, multiplicity=m,
-                                 projector=eye, factor_basis=eye)
+                                 factor_basis=np.eye(n, dtype=complex))
     return None
 
 
@@ -519,8 +521,7 @@ def isotypic_decompose(action, rng, tol=None):
         keyed.append((np.linalg.eigvalsh(a + a.conj().T)[0] / d, d, fb))
     keyed.sort(key=lambda sector: sector[0])
     return [IsotypicBlock(label=label, irrep_dim=d,
-                          multiplicity=fb.shape[1] // d,
-                          projector=fb @ fb.conj().T, factor_basis=fb)
+                          multiplicity=fb.shape[1] // d, factor_basis=fb)
             for label, (_, d, fb) in enumerate(keyed)]
 
 

@@ -146,6 +146,13 @@ def frob_each(stack):
     return np.sqrt(np.vecdot(flat, flat))  # |z|^2 = re^2 + im^2
 
 
+def block_weights(x, starts):
+    """w[a, b] = ||x_ab||_F^2, the blocks of square ``x`` cut at the
+    ascending row and column offsets ``starts`` (the first is 0)."""
+    return np.add.reduceat(np.add.reduceat(
+        np.abs(x) ** 2, starts, axis=0), starts, axis=1)
+
+
 def is_hermitian(a, tol=None):
     tol = input_tol() if tol is None else tol
     a = np.asarray(a)

@@ -7,7 +7,8 @@ commutants and hom spaces from the full Kronecker constraint system
 (and from one block-diagonal system, which shares the library's
 generic element and clusters), isotypic sectors from one SVD per
 commutant slice (with the random commutant element that keys the
-library's sector labels),
+library's sector labels), sector pairings by matching each transported
+projector against every sector projector,
 group closures from a linear duplicate scan, tangent dimensions from
 brute-force real-linear constraint solving, the double-commutator
 closure test from every triple of basis elements, tangent splits from
@@ -24,7 +25,9 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg import expm
 from tenfold import grouprep, linalg, symspace
-from tenfold.errors import DegenerateDecompositionError
+from tenfold.antiunitary import SectorPairing
+from tenfold.errors import (DegenerateDecompositionError,
+                            SymmetryConsistencyError)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +354,40 @@ def decompose_oracle(action, comm, rng, tol):
                 raise DegenerateDecompositionError(
                     "factor basis failed the block-Kronecker test")
         blocks.append(grouprep.IsotypicBlock(
-            label=label, irrep_dim=d, multiplicity=mult,
-            projector=fb @ fb.conj().T, factor_basis=fb))
+            label=label, irrep_dim=d, multiplicity=mult, factor_basis=fb))
     if sum(b.dim for b in blocks) != n:
         raise DegenerateDecompositionError("sector dimensions do not sum to "
                                            "the space dimension")
     return blocks
+
+
+def sector_action_oracle(op, blocks, tol=None):
+    """Sector pairing from dense projectors: each one transported by the
+    anti-unitary and matched against the others, O(k n^3 + k^2 n^2)."""
+    tol = linalg.TOL_INPUT if tol is None else tol
+    fixed = []
+    swapped = []
+    images = {}
+    for block in blocks:
+        p = op.conjugate_linear(block.projector)
+        target = None
+        for other in blocks:
+            if linalg.frob(p - other.projector) <= tol * block.dim:
+                target = other.label
+                break
+        if target is None:
+            raise SymmetryConsistencyError(
+                f"image of sector {block.label} matches no sector projector")
+        images[block.label] = target
+    for label, target in images.items():
+        if images.get(target) != label:
+            raise SymmetryConsistencyError("sector pairing is not an "
+                                           "involution")
+        if target == label:
+            fixed.append(label)
+        elif label < target:
+            swapped.append((label, target))
+    return SectorPairing(fixed=tuple(fixed), swapped=tuple(swapped))
 
 
 def close_group_oracle(generators, tol_dedup=1e-8):

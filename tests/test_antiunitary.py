@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+import oracles
 from tenfold import linalg
 from tenfold.antiunitary import (AntiUnitaryOp, parity, sector_action,
                                  transfer_T)
-from tenfold.errors import NotInvolutiveError, NotPureTensorError
-from tenfold.grouprep import (PAULI_X, PAULI_Y, PAULI_Z, close_group,
-                              fs_indicator, isotypic_decompose)
+from tenfold.errors import (NotInvolutiveError, NotPureTensorError,
+                            SymmetryConsistencyError)
+from tenfold.grouprep import (PAULI_X, PAULI_Y, PAULI_Z, IsotypicBlock,
+                              close_group, fs_indicator, isotypic_decompose,
+                              lie_algebra_action)
 from tenfold.linalg import haar_unitary, symplectic_form
 
 Z3_SHIFT = np.roll(np.eye(3), 1, axis=0).astype(complex)
@@ -74,6 +77,51 @@ class TestSectorAction:
         t = AntiUnitaryOp(np.kron(np.eye(2), 1j * PAULI_Y))
         pairing = sector_action(t, blocks)
         assert pairing.fixed == (0,)
+
+    @pytest.mark.parametrize("group_name", sorted(oracles.GROUPS))
+    @pytest.mark.parametrize("t_parity", [1, -1])
+    def test_matches_projector_oracle(self, group_name, t_parity, rng):
+        sub = rng.child(2 * sorted(oracles.GROUPS).index(group_name) +
+                        (t_parity > 0))
+        gens, tmat, _ = oracles.build_threefold_case(group_name, sub,
+                                                     t_parity)
+        w = haar_unitary(gens[0].shape[0], sub)
+        blocks = isotypic_decompose(
+            close_group([w @ g @ w.conj().T for g in gens]), sub)
+        t = AntiUnitaryOp(w @ tmat @ w.T)
+        assert sector_action(t, blocks) == \
+            oracles.sector_action_oracle(t, blocks)
+
+    def test_u1_dual_pair_matches_projector_oracle(self, rng):
+        # charges +-1 and +-2 are swapped by T, charge 0 is fixed
+        charges = np.array([1.0, 1.0, -1.0, -1.0, 2.0, -2.0, 0.0])
+        swap = np.eye(7)[[2, 3, 0, 1, 5, 4, 6]]
+        w = haar_unitary(7, rng)
+        blocks = isotypic_decompose(lie_algebra_action(
+            [w @ (1j * np.diag(charges)) @ w.conj().T]), rng)
+        t = AntiUnitaryOp(w @ swap @ w.T)
+        pairing = sector_action(t, blocks)
+        assert pairing == oracles.sector_action_oracle(t, blocks)
+        assert len(pairing.fixed) == 1 and len(pairing.swapped) == 2
+
+    def test_operator_off_the_decomposition_rejected(self, rng):
+        blocks = isotypic_decompose(close_group([Z3_SHIFT]), rng)
+        t = AntiUnitaryOp(haar_unitary(3, rng))
+        with pytest.raises(SymmetryConsistencyError,
+                           match="matches no sector"):
+            sector_action(t, blocks)
+
+    def test_swap_of_sectors_with_unequal_shapes_rejected(self):
+        # equal dimension 2, but (irrep_dim, multiplicity) (1, 2) and
+        # (2, 1): their projectors are swapped, their structures are not
+        eye = np.eye(4, dtype=complex)
+        blocks = [IsotypicBlock(label=0, irrep_dim=1, multiplicity=2,
+                                factor_basis=eye[:, :2]),
+                  IsotypicBlock(label=1, irrep_dim=2, multiplicity=1,
+                                factor_basis=eye[:, 2:])]
+        t = AntiUnitaryOp(eye[[2, 3, 0, 1]])
+        with pytest.raises(SymmetryConsistencyError):
+            sector_action(t, blocks)
 
 
 class TestTransferT:
@@ -154,13 +202,22 @@ class TestTransferT:
         # an operator that does not intertwine the sector structure
         from tenfold.grouprep import trivial_action, IsotypicBlock
         fake = IsotypicBlock(label=0, irrep_dim=2, multiplicity=2,
-                             projector=np.eye(4),
                              factor_basis=np.eye(4, dtype=complex))
         # generic symmetric unitary: T^2 = +1 but not a pure tensor
         u = haar_unitary(4, rng)
         t = AntiUnitaryOp(u @ u.T)
         with pytest.raises(NotPureTensorError):
             transfer_T(fake, t)
+
+    def test_moved_sector_rejected(self, rng):
+        # complex conjugation swaps the two complex characters of Z3
+        blocks = isotypic_decompose(close_group([Z3_SHIFT]), rng)
+        t = AntiUnitaryOp(np.eye(3))
+        moved = [b for b in blocks
+                 if b.label not in sector_action(t, blocks).fixed][0]
+        with pytest.raises(SymmetryConsistencyError,
+                           match="sector is not fixed by the operator"):
+            transfer_T(moved, t)
 
 
 class TestBilinearFormType:

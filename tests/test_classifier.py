@@ -1,5 +1,7 @@
 """Tests for the threefold/tenfold decision procedure and Nambu promotion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -191,6 +193,22 @@ class TestClassifyThreefold:
         brute = oracles.compatible_dimension(
             setting.dim, oracles.setting_constraints_hilbert(setting))
         assert predicted == brute
+
+    def test_many_sectors_hold_no_projector_each(self, rng):
+        # 128 charges, each its own sector: what is held at once stays a
+        # few n x n matrices, never one per sector
+        n = 128
+        setting = hilbert_setting(
+            lie_algebra_action([1j * np.diag(np.arange(1.0, n + 1))]),
+            AntiUnitaryOp(np.eye(n)))
+        tracemalloc.start()
+        try:
+            report = classify_threefold(setting, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.entries) == n
+        assert peak < 16 * n * n * np.dtype(complex).itemsize
 
 
 @pytest.mark.parametrize("classify", [classify_threefold, classify_tenfold])

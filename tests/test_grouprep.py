@@ -644,7 +644,7 @@ class TestSelfDualityType:
         action = lie_algebra_action([w @ np.kron(np.eye(2), g) @ w.conj().T
                                      for g in spin(two_j)])
         block = IsotypicBlock(label=0, irrep_dim=d, multiplicity=2,
-                              projector=np.eye(2 * d), factor_basis=w)
+                              factor_basis=w)
         want = -1 if two_j % 2 else 1
         assert self_duality_type(action, block) == want
         if two_j <= 8:
@@ -658,7 +658,6 @@ class TestSelfDualityType:
         d = len(charges)
         action = lie_algebra_action([1j * np.diag(charges)])
         block = IsotypicBlock(label=0, irrep_dim=d, multiplicity=1,
-                              projector=np.eye(d),
                               factor_basis=np.eye(d, dtype=complex))
         with pytest.raises(DegenerateDecompositionError,
                            match="not irreducible"):
