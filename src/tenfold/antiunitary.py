@@ -132,7 +132,8 @@ def transfer_T(block, op, tol=None):
     within a relative 1e-8 of the largest modulus) real positive, which
     makes the output deterministic.  A second singular value above
     ``tol`` times the first signals an inconsistent input and raises
-    ``NotPureTensorError``.
+    ``NotPureTensorError``.  eps_T is T^2's sign on the sector block ub;
+    the parities of alpha and beta refuse a ub conj(ub) that is not +-1.
     """
     tol = linalg.TOL_INPUT if tol is None else tol
     fb = block.factor_basis
@@ -169,7 +170,7 @@ def transfer_T(block, op, tol=None):
     beta = AntiUnitaryOp(u_beta, tol)
     eps_a = parity(alpha, tol)
     eps_b = parity(beta, tol)
-    eps_t = parity(op, tol)
+    eps_t = 1 if np.trace(ub @ np.conj(ub)).real > 0 else -1
     if eps_a * eps_b != eps_t:
         raise SymmetryConsistencyError(
             "transferred parities violate eps_alpha * eps_beta = eps_T")

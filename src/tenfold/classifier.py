@@ -480,10 +480,11 @@ def _classify(base, rng, tenfold):
     if tenfold and (None in types or pairs or moved):
         raise _unsupported(*found)
     if tenfold and len(blocks) > 1:  # a charge joins its dual charge
-        chi = {b.label: [b.irrep_matrix(g)[0, 0] for g in g0.generators]
-               for b, kind in zip(blocks, types) if kind == "u1"}
-        pairs = {lam: mu for lam in chi for mu in chi if np.allclose(
-            chi[mu], np.conj(chi[lam]), rtol=0, atol=tol)}
+        u1 = [b for b, kind in zip(blocks, types) if kind == "u1"]
+        chi = np.array([[b.irrep_matrix(g)[0, 0] for g in g0.generators]
+                        for b in u1])  # one row per u1 sector
+        pairs = {u1[lam].label: u1[mu].label for lam, mu in np.argwhere(
+            (np.abs(chi[:, None] - np.conj(chi)) <= tol).all(axis=-1))}
     entries = []
     for b, kind in zip(blocks, types):
         mu = pairs.get(b.label, b.label)

@@ -301,19 +301,13 @@ def nambu_generator(w, z):
     # Action on the coefficient space of (a_1..a_N, a^dag_1..a^dag_N):
     # -i[H, a_m] = i sum_l W_ml a_l - i sum_k Z_km a^dag_k
     # -i[H, a^dag_m] = -i sum_l conj(Z)_ml a_l - i sum_k W_km a^dag_k
-    g = np.zeros((2 * n, 2 * n), dtype=complex)
-    g[:n, :n] = 1j * w.T
-    g[n:, :n] = -1j * z
-    g[:n, n:] = -1j * z.conj().T
-    g[n:, n:] = -1j * w
-    # Change of coefficient basis to interleaved Majoranas.
-    t = np.zeros((2 * n, 2 * n), dtype=complex)
-    for m in range(n):
-        t[2 * m, m] = 0.5
-        t[2 * m + 1, m] = -0.5j
-        t[2 * m, n + m] = 0.5
-        t[2 * m + 1, n + m] = 0.5j
-    a = t @ g @ np.linalg.inv(t)
+    # so with G11 = i W^t, G12 = -i Z^dag, G21 = -i Z and G22 = -i W, the
+    # Majoranas c_2m = a_m + a^dag_m, c_2m+1 = i(a_m - a^dag_m) give A's
+    # 2 x 2 block of modes (m, l) as b[:, :, m, l].
+    g11, g12, g21, g22 = 1j * w.T, -1j * z.conj().T, -1j * z, -1j * w
+    b = 0.5 * np.array([[g11 + g12 + g21 + g22, 1j * (g11 - g12 + g21 - g22)],
+                        [1j * (g21 + g22 - g11 - g12), g11 - g12 - g21 + g22]])
+    a = b.transpose(2, 0, 3, 1).reshape(2 * n, 2 * n)
     if linalg.frob(a.imag) > 1e-12 * max(1.0, linalg.frob(a)):
         raise InputShapeError("Majorana generator failed to come out real")
     return a.real

@@ -8,12 +8,14 @@ commutants and hom spaces from the full Kronecker constraint system
 generic element and clusters), isotypic sectors from one SVD per
 commutant slice (with the random commutant element that keys the
 library's sector labels), sector pairings by matching each transported
-projector against every sector projector,
+projector against every sector projector, dual charges by one
+``np.allclose`` per pair of characters,
 group closures from a linear duplicate scan, tangent dimensions from
 brute-force real-linear constraint solving, the double-commutator
 closure test from every triple of basis elements, tangent splits from
 one SVD span per tau eigenspace, wedge products from
-permutation sorting on index tuples, Fock operators and the Fock-space
+permutation sorting on index tuples, the Majorana generator from
+the 2N x 2N change of coefficient basis, Fock operators and the Fock-space
 checks from dense 2^N x 2^N matrices with Fock lifts from minors,
 spacing ratios from a plain loop, and sample-file records as nested
 [re, im] lists for ``json.dumps``.
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.linalg import expm
 from tenfold import grouprep, linalg, symspace
 from tenfold.antiunitary import SectorPairing
-from tenfold.errors import (DegenerateDecompositionError,
+from tenfold.errors import (DegenerateDecompositionError, InputShapeError,
                             SymmetryConsistencyError)
 
 
@@ -390,6 +392,14 @@ def sector_action_oracle(op, blocks, tol=None):
     return SectorPairing(fixed=tuple(fixed), swapped=tuple(swapped))
 
 
+def dual_pairs_oracle(chi, tol):
+    """Each complex charge's dual: ``chi`` maps a u1 sector's label to
+    its characters, one per generator; one ``np.allclose`` per ordered
+    pair, the last matching mu winning for each lambda."""
+    return {lam: mu for lam in chi for mu in chi if np.allclose(
+        chi[mu], np.conj(chi[lam]), rtol=0, atol=tol)}
+
+
 def close_group_oracle(generators, tol_dedup=1e-8):
     """Breadth-first closure with a linear scan over all elements."""
     dim = generators[0].shape[0]
@@ -702,6 +712,33 @@ def one_body_oracle(fock, w, z):
             h += 0.5 * np.conj(z[k, l]) * \
                 (fock.annihilate[l] @ fock.annihilate[k])
     return h
+
+
+def nambu_generator_oracle(w, z):
+    """Majorana generator A of the quadratic Hamiltonian of (w, z), by
+    the 2N x 2N change of coefficient basis t and the product t g t^-1."""
+    w = np.asarray(w, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    n = w.shape[0]
+    # Action on the coefficient space of (a_1..a_N, a^dag_1..a^dag_N):
+    # -i[H, a_m] = i sum_l W_ml a_l - i sum_k Z_km a^dag_k
+    # -i[H, a^dag_m] = -i sum_l conj(Z)_ml a_l - i sum_k W_km a^dag_k
+    g = np.zeros((2 * n, 2 * n), dtype=complex)
+    g[:n, :n] = 1j * w.T
+    g[n:, :n] = -1j * z
+    g[:n, n:] = -1j * z.conj().T
+    g[n:, n:] = -1j * w
+    # Change of coefficient basis to interleaved Majoranas.
+    t = np.zeros((2 * n, 2 * n), dtype=complex)
+    for m in range(n):
+        t[2 * m, m] = 0.5
+        t[2 * m + 1, m] = -0.5j
+        t[2 * m, n + m] = 0.5
+        t[2 * m + 1, n + m] = 0.5j
+    a = t @ g @ np.linalg.inv(t)
+    if linalg.frob(a.imag) > 1e-12 * max(1.0, linalg.frob(a)):
+        raise InputShapeError("Majorana generator failed to come out real")
+    return a.real
 
 
 def haar_unitary_inline(n, rng):

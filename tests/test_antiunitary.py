@@ -209,6 +209,16 @@ class TestTransferT:
         with pytest.raises(NotPureTensorError):
             transfer_T(fake, t)
 
+    @pytest.mark.parametrize("m, d", [(2, 1), (1, 2)])
+    def test_sector_not_squaring_to_a_sign_rejected(self, m, d):
+        # u conj(u) = diag(-i, i) on a fixed sector of C^3, on its
+        # multiplicity factor (m = 2) or on its irreducible one (d = 2)
+        u = np.array([[0, 1, 0], [1j, 0, 0], [0, 0, 1]])
+        block = IsotypicBlock(label=0, irrep_dim=d, multiplicity=m,
+                              factor_basis=np.eye(3, dtype=complex)[:, :2])
+        with pytest.raises(NotInvolutiveError):
+            transfer_T(block, AntiUnitaryOp(u))
+
     def test_moved_sector_rejected(self, rng):
         # complex conjugation swaps the two complex characters of Z3
         blocks = isotypic_decompose(close_group([Z3_SHIFT]), rng)

@@ -1,13 +1,14 @@
 """Tests for the threefold/tenfold decision procedure and Nambu promotion."""
 
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
 import oracles
-from tenfold import classifier, linalg
+from tenfold import antiunitary, classifier, linalg
 from tenfold.antiunitary import AntiUnitaryOp, parity
 from tenfold.classifier import (build_nambu, canonical_setting,
                                 classify_tenfold, classify_threefold,
@@ -15,9 +16,9 @@ from tenfold.classifier import (build_nambu, canonical_setting,
                                 nambu_form, trivial_action)
 from tenfold.errors import (InputShapeError, SymmetryConsistencyError,
                             UnsupportedConfigurationError)
-from tenfold.grouprep import (PAULI_X, PAULI_Y, PAULI_Z, close_group,
-                              lie_algebra_action, spin_half_action,
-                              u1_charge_action)
+from tenfold.grouprep import (PAULI_X, PAULI_Y, PAULI_Z, IsotypicBlock,
+                              close_group, lie_algebra_action,
+                              spin_half_action, u1_charge_action)
 from tenfold.linalg import RngStream, haar_unitary, symplectic_form
 
 TEN_CANONICAL = (
@@ -167,7 +168,9 @@ class TestClassifyThreefold:
     @pytest.mark.parametrize("t_parity", [None, 1, -1])
     def test_randomized_against_character_oracle(self, group_name, t_parity,
                                                  rng):
-        sub = rng.child(hash((group_name, t_parity)) % 1000)
+        # crc32, not hash(): str hashes are salted per process
+        sub = rng.child(zlib.crc32(f"{group_name},{t_parity}".encode())
+                        % 1000)
         gens, tmat, expected = oracles.build_threefold_case(group_name, sub,
                                                             t_parity)
         n = gens[0].shape[0]
@@ -209,6 +212,27 @@ class TestClassifyThreefold:
             tracemalloc.stop()
         assert len(report.entries) == n
         assert peak < 16 * n * n * np.dtype(complex).itemsize
+
+    def test_t_squares_once_on_v_and_per_sector_after(self, rng,
+                                                     monkeypatch):
+        # T^2 = +-1 is checked on V by validate_setting and _classify;
+        # transfer_T reads each sector's sign from its own block, so every
+        # other parity is of a sector-sized factor
+        n = 128
+        dims = []
+
+        def recording(op, tol=None):
+            dims.append(op.dim)
+            return parity(op, tol)
+        monkeypatch.setattr(antiunitary, "parity", recording)
+        monkeypatch.setattr(classifier, "parity", recording)
+        setting = hilbert_setting(
+            lie_algebra_action([1j * np.diag(np.arange(1.0, n + 1))]),
+            AntiUnitaryOp(np.eye(n)))
+        report = classify_threefold(setting, rng)
+        assert [e.eps_alpha for e in report.entries] == [1] * n
+        assert dims.count(n) == 2
+        assert set(dims) == {1, n}
 
 
 @pytest.mark.parametrize("classify", [classify_threefold, classify_tenfold])
@@ -425,6 +449,43 @@ class TestMultiSectorTenfold:
             nambu.dim, oracles.setting_constraints_nambu(nambu, n))
         assert sum(compatible_space(e.class_label).tangent_dim
                    for e in report.entries) == brute
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_dual_pairing_keeps_the_last_match_of_the_allclose_oracle(
+        case, monkeypatch):
+    # one forged sector per charge, repeats included, so a lambda can
+    # match two mu and the last one must win; one U(1) generator or two
+    # (a pair must match in both), each charge off its integer by noise
+    # within tol / 2 (and one near miss); charge 0 is real, every fifth
+    # case has no charged sector and the next one a single one
+    tol = 1e-6
+    gen = RngStream(32).child(case).generator
+    k = gen.integers(4, 9)
+    ints = gen.integers(-3, 4, size=(gen.integers(1, 3), k))
+    ints[:, :4] = [0, 0, 0, 0] if case % 5 == 0 else \
+        [gen.integers(1, 4), 0, 0, 0] if case % 5 == 1 else [2, -2, -2, -2]
+    if case % 5 < 2:
+        ints[:, 4:] = 0
+    ints[:, ints[0] == 0] = 0
+    qs = ints + tol * gen.uniform(-0.45, 0.45, size=ints.shape)
+    qs[:, 3] -= 2 * tol * (case % 5 > 1)  # a near miss, 1.1-2.9 tol off
+    g0 = lie_algebra_action([1j * np.diag(q) for q in qs])
+    blocks = [IsotypicBlock(label=i, irrep_dim=1, multiplicity=1,
+                            factor_basis=np.eye(k)[:, i:i + 1])
+              for i in range(k)]
+    monkeypatch.setattr(classifier, "isotypic_decompose",
+                        lambda *args, **kw: blocks)
+    monkeypatch.setattr(classifier, "self_duality_type",
+                        lambda g0, b, tol: int(ints[0, b.label] == 0))
+    chi = {i: list(1j * qs[:, i]) for i in range(k) if ints[0, i] != 0}
+    assert len(chi) == {0: 0, 1: 1}.get(case % 5, len(chi))
+    pairs = oracles.dual_pairs_oracle(chi, tol)
+    want = [(b.label,) if pairs.get(b.label, b.label) == b.label else
+            (b.label, pairs[b.label]) for b in blocks
+            if pairs.get(b.label, b.label) >= b.label]
+    report = classify_tenfold(hilbert_setting(g0, tol=tol))
+    assert [e.sector_labels for e in report.entries] == want
 
 
 _SPIN_HALF_X2 = spin_half_action(4)

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import in_random_basis, matrix_to_pairs, spin, su3
-from tenfold import ensembles, errors, focklab, linalg, symspace, verify
+from tenfold import (antiunitary, ensembles, errors, focklab, linalg,
+                     symspace, verify)
 from tenfold.cli import build_parser, main
 from tenfold.grouprep import PAULI_X, PAULI_Y
 
@@ -408,6 +409,24 @@ def test_two_to_one_check_fails_on_a_lift_off_by_pi(argv, monkeypatch,
     assert summary == "failed invariants: fock.covering-two-to-one"
     assert [line.split(":")[0] for line in results if not
             line.startswith("PASS")] == ["FAIL fock.covering-two-to-one"]
+
+
+def test_pure_tensor_check_fails_on_a_negated_alpha(monkeypatch, capsys):
+    # -alpha (x) beta misses the sector block by twice its norm, with
+    # every parity as it was
+    transfer = verify.transfer_T
+
+    def negated(block, op, tol=None):
+        tt = transfer(block, op, tol)
+        return antiunitary.TransferredT(
+            antiunitary.AntiUnitaryOp(-tt.alpha.u), tt.beta,
+            tt.eps_alpha, tt.eps_beta)
+    monkeypatch.setattr(verify, "transfer_T", negated)
+    assert main(["verify", "--all-classes"]) == 5
+    *results, summary = capsys.readouterr().out.splitlines()
+    assert summary == "failed invariants: transfer.pure-tensor"
+    assert [line.split(":")[0] for line in results if not
+            line.startswith("PASS")] == ["FAIL transfer.pure-tensor"]
 
 
 @pytest.mark.parametrize("passed,check", [

@@ -357,6 +357,22 @@ class TestCoveringCheck:
         assert np.allclose(a, -a.T, atol=1e-12)
         assert a.dtype == float
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_nambu_generator_matches_basis_change_oracle(self, n, rng):
+        w = sample_gaussian(EnsembleSpec(label("A", n)), rng)
+        z = random_skew(n, rng)
+        ref = oracles.nambu_generator_oracle(w, z)
+        assert linalg.frob(nambu_generator(w, z) - ref) <= \
+            1e-12 * max(1.0, linalg.frob(ref))
+
+    def test_nambu_generator_rejects_non_hermitian_w(self, rng):
+        # a non-Hermitian W leaves the generator complex in both forms
+        w = rng.complex_normal((3, 3))
+        z = random_skew(3, rng)
+        for form in (nambu_generator, oracles.nambu_generator_oracle):
+            with pytest.raises(InputShapeError, match="come out real"):
+                form(w, z)
+
     def test_non_quadratic_rejected(self, rng):
         fock = build_fock(2)
         num = np.diag(fock.occupation).astype(complex)
