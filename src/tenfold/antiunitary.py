@@ -87,29 +87,25 @@ def sector_action(op, blocks, tol=None):
     <= tol dim_b; else the operator is no symmetry of the decomposition.
     """
     tol = linalg.TOL_INPUT if tol is None else tol
-    fixed = []
-    swapped = []
-    images = {}
     f = np.hstack([b.factor_basis for b in blocks])
-    starts = np.cumsum([0] + [b.dim for b in blocks[:-1]])
-    w = linalg.block_weights(f.conj().T @ op.u @ np.conj(f), starts)
-    for b, block in enumerate(blocks):
-        a = int(np.argmax(w[:, b]))
-        shape = (block.irrep_dim, block.multiplicity)
-        if (blocks[a].irrep_dim, blocks[a].multiplicity) != shape or \
-                2 * np.delete(w[:, b], a).sum() > (tol * block.dim) ** 2:
-            raise SymmetryConsistencyError(
-                f"image of sector {block.label} matches no sector")
-        images[block.label] = blocks[a].label
-    for label, target in images.items():
-        if images.get(target) != label:
-            raise SymmetryConsistencyError("sector pairing is not an "
-                                           "involution")
-        if target == label:
-            fixed.append(label)
-        elif label < target:
-            swapped.append((label, target))
-    return SectorPairing(fixed=tuple(fixed), swapped=tuple(swapped))
+    shapes = np.array([(b.irrep_dim, b.multiplicity) for b in blocks])
+    labels, dims = np.array([b.label for b in blocks]), shapes.prod(axis=1)
+    w = linalg.block_weights(f.conj().T @ op.u @ np.conj(f),
+                             np.cumsum(dims) - dims)
+    image, sector = w.argmax(axis=0), np.arange(len(blocks))
+    w[image, sector] = 0  # off target, summed: total - target cancels
+    bad = (shapes[image] != shapes).any(axis=1) | \
+        (2 * w.sum(axis=0) > (tol * dims) ** 2)
+    if bad.any():
+        raise SymmetryConsistencyError(
+            f"image of sector {labels[bad.argmax()]} matches no sector")
+    if (image[image] != sector).any():
+        raise SymmetryConsistencyError("sector pairing is not an involution")
+    target = labels[image]
+    ahead = labels < target
+    return SectorPairing(fixed=tuple(labels[image == sector].tolist()),
+                         swapped=tuple(zip(labels[ahead].tolist(),
+                                           target[ahead].tolist())))
 
 
 @dataclass(frozen=True, eq=False)

@@ -245,6 +245,8 @@ def main(argv=None):
         for flag in ("count", "trials"):
             if getattr(args, flag, 1) < 1:
                 raise InputShapeError(f"--{flag} must be at least 1")
+        if not 0 <= (getattr(args, "seed", None) or 0) < 1 << 64:
+            raise SpecFileError("--seed", "must be an integer in [0, 2^64)")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

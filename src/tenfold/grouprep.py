@@ -21,7 +21,8 @@ the pairing R -> R*.
 Cost.  No linear system is formed: one eigendecomposition of h, then
 per round of refinement (one, unless h is degenerate) the blocks of
 one generic element, O(n^3), and of the k generators in the frames of
-each component of n_c dimensions, O(k n_c^3).  1_m (x) r is O(k n^2).
+each component of n_c dimensions, O(k n_c^3); the components are found
+in one pass over the links between clusters.  1_m (x) r is O(k n^2).
 ``close_group`` closes a group of order N breadth-first, a level at a
 time: O(k N) products of dim x dim matrices, one batched matmul per
 level, and duplicates found through a sorted scalar key, O(k N log N)
@@ -348,9 +349,11 @@ def _sectors(action, tol):
     h = (probe.complex_normal(k) @ gens.reshape(k, n * n)).reshape(n, n)
     evals, q = np.linalg.eigh(h + h.conj().T)
     del h
-    # the generators are only known to tol; a merged cluster is split
-    # below, a split one is never merged
-    starts = [lo for lo, _ in _eigen_clusters(evals, tol)]
+    # the generators are only known to tol, so neighbours split where
+    # their gap exceeds 1e2 tol max(1, max|lambda|); a merged cluster is
+    # split below, a split one is never merged
+    gap = 1e2 * tol * max(1.0, float(np.max(np.abs(evals))))
+    starts = [0] + (np.flatnonzero(np.diff(evals) > gap) + 1).tolist()
     gens /= np.linalg.norm(gens, axis=(1, 2)).max(initial=1.0)
     w = probe.complex_normal(k)
     w /= np.abs(w).sum() or 1.0
@@ -360,13 +363,8 @@ def _sectors(action, tol):
         g = q.conj().T @ (np.tensordot(w, gens, axes=1) @ q)
         strength = linalg.block_weights(g, starts)
         link = np.maximum(strength, strength.T) > (tol / 2) ** 2
-        # reach[i]: the clusters joined to cluster i; one row per component
-        reach = link | np.eye(len(sizes), dtype=bool)
-        for _ in range(len(sizes).bit_length()):
-            reach = reach @ reach
         sectors, splits = [], {}
-        for comp in map(np.flatnonzero, reach[
-                reach.argmax(axis=1) == np.arange(len(sizes))]):
+        for comp in _components(link):
             d, m = len(comp), sizes[comp[0]]
             rows = np.concatenate([np.arange(starts[a], starts[a] + sizes[a])
                                    for a in comp])
@@ -417,6 +415,22 @@ def _sectors(action, tol):
             starts[a + 1:a + 1] = [lo + c for c in cuts]
 
 
+def _components(link):
+    """Connected components of the symmetric boolean ``link`` by least
+    member, members ascending, in O(k + links) memory: each root hooks
+    onto the least root linked to it, then pointer jumping (Shiloach and
+    Vishkin, J. Algorithms 3 (1982) 57); a root is its least member."""
+    i, j = np.nonzero(link)
+    root = np.arange(len(link))
+    while (root[i] != root[j]).any():
+        np.minimum.at(root, np.maximum(root[i], root[j]),
+                      np.minimum(root[i], root[j]))
+        while (root[root] != root).any():
+            root = root[root]
+    order = np.argsort(root, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+
+
 def _frames(g, idx, weight):
     """Unitary frames (d, m, m) of the clusters with rows ``idx`` (d, m)
     in which G's blocks are scalars: the first is the identity, and each
@@ -451,19 +465,6 @@ def _split(y, tol):
             f"a cluster of {len(y)} eigenvectors of h holds blocks that are "
             "not scalar, and their spectrum has no gap to split it at")
     return vecs, cuts
-
-
-def _eigen_clusters(evals, noise):
-    """Index ranges [lo, hi) of the clusters of an ascending spectrum.
-
-    ``noise`` is how far, relative to the spectral scale max|lambda|
-    (at least 1), perturbations may have moved degenerate eigenvalues
-    apart; neighbours split where their gap exceeds 1e2 * noise * scale.
-    """
-    gap = 1e2 * noise * max(1.0, float(np.max(np.abs(evals))))
-    cuts = (np.flatnonzero(np.diff(evals) > gap) + 1).tolist()
-    bounds = [0] + cuts + [len(evals)]
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _tensor_factor(action, tol):

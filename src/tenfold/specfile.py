@@ -107,8 +107,8 @@ def parse_spec_data(data):
     _require(isinstance(tolerance, (int, float)) and 0 < tolerance < 1,
              "tolerance", "must be a number in (0, 1)")
     seed = data.get("seed", 0)
-    _require(type(seed) is int and seed >= 0, "seed",
-             "must be a non-negative integer")
+    _require(type(seed) is int and 0 <= seed < 1 << 64, "seed",
+             "must be an integer in [0, 2^64)")
 
     g0_raw = data.get("g0")
     _require(isinstance(g0_raw, dict), "g0", "must be an object")

@@ -217,7 +217,7 @@ def commutant_span_oracle(generators, tol=1e-8):
     h = sum(c * g for c, g in zip(coeff, gens))
     evals, q = np.linalg.eigh(h + h.conj().T)
     entries = [np.mgrid[lo:hi, lo:hi].reshape(2, -1)
-               for lo, hi in grouprep._eigen_clusters(evals, tol)]
+               for lo, hi in eigen_clusters(evals, tol)]
     rows, cols = np.hstack(entries)
     m = len(rows)
     unknown = np.arange(m)
@@ -257,6 +257,20 @@ def hom_space_oracle(rep_a, rep_b, tol):
     return [ns[:, j].reshape(db, da) for j in range(ns.shape[1])]
 
 
+def eigen_clusters(evals, noise):
+    """Index ranges [lo, hi) of the clusters of an ascending spectrum.
+
+    ``noise`` is how far, relative to the spectral scale max|lambda|
+    (at least 1), perturbations may have moved degenerate eigenvalues
+    apart; neighbours split where their gap exceeds 1e2 * noise * scale,
+    the rule of ``grouprep._sectors``.
+    """
+    gap = 1e2 * noise * max(1.0, float(np.max(np.abs(evals))))
+    cuts = (np.flatnonzero(np.diff(evals) > gap) + 1).tolist()
+    bounds = [0] + cuts + [len(evals)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def eigen_split_oracle(action, comm, rng):
     """Eigenspaces of a random Hermitian element x of the commutant.
 
@@ -275,7 +289,7 @@ def eigen_split_oracle(action, comm, rng):
     scale = max(1.0, float(np.max(np.abs(evals))))
     gens = np.reshape(action.generators, (-1, action.dim, action.dim))
     residual = linalg.frob_each(x @ gens - gens @ x).max(initial=0.0) / scale
-    bounds = grouprep._eigen_clusters(evals, max(residual, 1e-12))
+    bounds = eigen_clusters(evals, max(residual, 1e-12))
     return evecs, bounds, max(1e2 * residual, 1e-10)
 
 
@@ -361,6 +375,18 @@ def decompose_oracle(action, comm, rng, tol):
         raise DegenerateDecompositionError("sector dimensions do not sum to "
                                            "the space dimension")
     return blocks
+
+
+def components_closure_oracle(link):
+    """Connected components of a symmetric boolean matrix by transitive
+    closure, repeated squaring of link + 1: one row per component, at
+    its least member, components by least member and members
+    ascending; O(k^3 log k)."""
+    reach = link | np.eye(len(link), dtype=bool)
+    for _ in range(len(link).bit_length()):
+        reach = reach @ reach
+    return [np.flatnonzero(row) for row in
+            reach[reach.argmax(axis=1) == np.arange(len(link))]]
 
 
 def sector_action_oracle(op, blocks, tol=None):

@@ -124,6 +124,51 @@ class TestSectorAction:
             sector_action(t, blocks)
 
 
+class TestManySectorAction:
+    """Charges +-1 .. +-40 and 0 in a Haar-random basis w, one sector
+    each, against the projector oracle."""
+
+    CHARGES = np.arange(-40.0, 41.0)
+
+    @staticmethod
+    def _blocks(w, rng):
+        g = w @ (1j * np.diag(TestManySectorAction.CHARGES)) @ w.conj().T
+        return isotypic_decompose(lie_algebra_action([g]), rng)
+
+    @pytest.mark.parametrize("swap", [True, False], ids=["swap", "K"])
+    def test_matches_projector_oracle(self, swap, rng):
+        # the reversal swaps q with -q and fixes 0; K fixes every sector
+        n = len(self.CHARGES)
+        w = haar_unitary(n, rng)
+        blocks = self._blocks(w, rng)
+        t = AntiUnitaryOp(w @ np.eye(n)[::-1 if swap else 1] @ w.T)
+        pairing = sector_action(t, blocks)
+        assert pairing == oracles.sector_action_oracle(t, blocks)
+        assert (len(pairing.fixed), len(pairing.swapped)) == \
+            ((1, 40) if swap else (81, 0))
+
+    def test_first_of_two_bad_sectors_is_named(self, rng):
+        # K mixes the lines of charges -3 and 5 half and half: two
+        # sectors whose images match none
+        n = len(self.CHARGES)
+        w = haar_unitary(n, rng)
+        blocks = self._blocks(w, rng)
+        mix = np.eye(n)
+        i, j = np.flatnonzero(np.isin(self.CHARGES, (-3, 5)))
+        mix[np.ix_([i, j], [i, j])] = [[1, 1], [-1, 1]] / np.sqrt(2)
+        t = AntiUnitaryOp(w @ mix @ w.T)
+        fb = np.hstack([b.factor_basis for b in blocks])
+        charge = np.rint(np.diag(fb.conj().T @ w @ np.diag(self.CHARGES) @
+                                 w.conj().T @ fb).real)
+        first = min(b.label for b, q in zip(blocks, charge)
+                    if q in (-3, 5))
+        for action in (sector_action, oracles.sector_action_oracle):
+            with pytest.raises(SymmetryConsistencyError,
+                               match=f"^image of sector {first} matches "
+                                     "no sector"):
+                action(t, blocks)
+
+
 class TestTransferT:
     def test_one_dimensional_irrep_alpha_is_restriction(self, rng):
         from tenfold.grouprep import trivial_action

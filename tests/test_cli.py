@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import in_random_basis, matrix_to_pairs, spin, su3
-from tenfold import (antiunitary, ensembles, errors, focklab, linalg,
-                     symspace, verify)
+from tenfold import (antiunitary, ensembles, errors, focklab, grouprep,
+                     linalg, symspace, verify)
 from tenfold.cli import build_parser, main
 from tenfold.grouprep import PAULI_X, PAULI_Y
 
@@ -427,6 +427,33 @@ def test_pure_tensor_check_fails_on_a_negated_alpha(monkeypatch, capsys):
     assert summary == "failed invariants: transfer.pure-tensor"
     assert [line.split(":")[0] for line in results if not
             line.startswith("PASS")] == ["FAIL transfer.pure-tensor"]
+
+
+def test_projector_resolution_check_fails_on_a_doubled_projector(
+        monkeypatch, capsys):
+    # only that check reads a sector's projector; 2 fb fb^H leaves the
+    # sum of the projectors at twice the identity
+    monkeypatch.setattr(grouprep.IsotypicBlock, "projector", property(
+        lambda b: 2 * b.factor_basis @ b.factor_basis.conj().T))
+    assert main(["verify", "--all-classes"]) == 5
+    *results, summary = capsys.readouterr().out.splitlines()
+    assert summary == "failed invariants: group.projector-resolution"
+    assert [line.split(":")[0] for line in results if not
+            line.startswith("PASS")] == ["FAIL group.projector-resolution"]
+
+
+def test_commutant_dimension_check_fails_on_a_dropped_element(
+        monkeypatch, capsys):
+    # the cyclic action on C^3 loses one commutant element; the
+    # commutants of R + R* that self_duality_type reads are even-sized
+    basis = grouprep.commutant_basis
+    monkeypatch.setattr(grouprep, "commutant_basis", lambda action, tol=None:
+                        basis(action, tol)[:2 if action.dim == 3 else None])
+    assert main(["verify", "--all-classes"]) == 5
+    *results, summary = capsys.readouterr().out.splitlines()
+    assert summary == "failed invariants: group.commutant-dimension"
+    assert [line.split(":")[0] for line in results if not
+            line.startswith("PASS")] == ["FAIL group.commutant-dimension"]
 
 
 @pytest.mark.parametrize("passed,check", [
@@ -1020,6 +1047,50 @@ def test_malformed_input_exits_two_naming_the_field(probe, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field}: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+_SEED_ARGV = {
+    "classify": lambda t: ["classify", write_spec(t, trivial_spec()),
+                           "--json"],
+    "sample": lambda t: ["sample", "--class", "A", "--dims", "2"],
+    "stats": lambda t: ["stats", "--class", "A", "--dims", "3", "--count",
+                        "2"],
+    "fock-verify": lambda t: ["fock-verify", "--modes", "1", "--trials",
+                              "1"],
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1])
+@pytest.mark.parametrize("command", list(_SEED_ARGV))
+def test_seed_outside_64_bits_exits_two(command, seed, tmp_path, capsys):
+    # a seed was masked to 64 bits: 2^64 + 1 drew the samples of seed 1
+    assert main(_SEED_ARGV[command](tmp_path) + ["--seed", str(seed)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --seed: must be an integer in [0, 2^64)\n")
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1])
+def test_spec_seed_outside_64_bits_exits_two(seed, tmp_path, capsys):
+    assert main(_spec_argv(tmp_path, trivial_spec(seed=seed))) == 2
+    assert capsys.readouterr() == (
+        "", "error: seed: must be an integer in [0, 2^64)\n")
+
+
+@pytest.mark.parametrize("command", list(_SEED_ARGV))
+def test_largest_seed_runs_and_is_echoed(command, tmp_path, capsys):
+    top = str(2 ** 64 - 1)
+    assert main(_SEED_ARGV[command](tmp_path) + ["--seed", top]) == 0
+    out = capsys.readouterr().out
+    if command == "classify":
+        assert json.loads(out)["seed"] == 2 ** 64 - 1
+    elif command != "fock-verify":  # whose output names no seed
+        assert out.splitlines()[0].endswith(f" seed={top}")
+
+
+def test_largest_spec_seed_runs_and_is_echoed(tmp_path, capsys):
+    assert main(_spec_argv(tmp_path, trivial_spec(seed=2 ** 64 - 1)) +
+                ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2 ** 64 - 1
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),

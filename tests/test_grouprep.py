@@ -879,6 +879,58 @@ class TestTransport:
         assert (block.irrep_dim, block.multiplicity) == (5, 30)
 
 
+class TestManySectors:
+    """Long chains of linked clusters and many components, against the
+    construction they were built from."""
+
+    @pytest.mark.parametrize("two_j,m,k", [
+        (40, 2, 1), (40, 1, 200), (21, 3, 60), (8, 4, 150), (1, 6, 200)])
+    def test_spin_chain_beside_many_charges(self, two_j, m, k):
+        # spin j (x) C^m, whose 2j + 1 clusters are linked in a chain,
+        # plus the charges 1..k, in a Haar-random basis w
+        d, n = two_j + 1, m * (two_j + 1) + k
+        gens = [np.zeros((n, n), dtype=complex) for _ in range(4)]
+        for g, s in zip(gens, spin(two_j)):
+            g[:m * d, :m * d] = np.kron(np.eye(m), s)
+        gens[3][m * d:, m * d:] = 1j * np.diag(np.arange(1.0, k + 1))
+        w = linalg.haar_unitary(n, linalg.RngStream(two_j + k))
+        blocks = isotypic_decompose(lie_algebra_action(
+            [w @ g @ w.conj().T for g in gens]), linalg.RngStream(k))
+        # each sector against the one of the construction it lies in:
+        # the spin sector w[:, :m d], or the line of one charge
+        owner = [0] * (m * d) + list(range(1, k + 1))
+        want = [w[:, :m * d]] + [w[:, [m * d + c]] for c in range(k)]
+        found = []
+        for b in blocks:
+            weight = np.zeros(k + 1)
+            np.add.at(weight, owner, (np.abs(w.conj().T @ b.factor_basis)
+                                      ** 2).sum(axis=1))
+            found.append(int(weight.argmax()))
+            assert (b.irrep_dim, b.multiplicity) == \
+                ((d, m) if found[-1] == 0 else (1, 1))
+            basis = want[found[-1]]
+            assert linalg.frob(b.projector - basis @ basis.conj().T) <= 1e-8
+        assert sorted(found) == list(range(k + 1))
+
+    @pytest.mark.parametrize("k,links,seed", [
+        (1, 0, 0), (2, 1, 1), (50, 0, 2), (50, 30, 3), (200, 150, 4),
+        (300, 299, 5), (300, 600, 6)])
+    def test_components_match_the_transitive_closure(self, k, links, seed):
+        # random links, plus a chain through a shuffled order: the order
+        # that min-label propagation alone crosses slowest
+        gen = np.random.default_rng(seed)
+        link = np.zeros((k, k), dtype=bool)
+        a, b = gen.integers(0, k, size=(2, links))
+        link[a, b] = link[b, a] = True
+        chain = gen.permutation(k)[:gen.integers(0, k + 1)]
+        link[chain[1:], chain[:-1]] = link[chain[:-1], chain[1:]] = True
+        got = grouprep._components(link)
+        want = oracles.components_closure_oracle(link)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
 class TestTensorFactor:
     """G0 = 1_m (x) r in the given basis: one sector when r is irreducible,
     the generic split otherwise."""
