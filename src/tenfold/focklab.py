@@ -23,10 +23,11 @@ parity-even and every Majorana parity-odd, so exp(-iH) splits into two
 Michelsohn, Spin Geometry, ch. I), and U c_i U^dag into the two blocks
 between them, each the adjoint of the other.  ``covering_check``
 exponentiates each parity block through its eigendecomposition and
-forms only the even-to-odd one, one 2^(N-1)-sized product per Majorana:
-an eighth of the flops of the dense conjugation, a quarter of its
-memory.  Lift(S) keeps the particle number and C maps n particles to
-N - n, so ``twisted_ph_transfer_check`` works on the C(N, n)-sized
+forms only the even-to-odd one, one 2^(N-1)-sized product per Majorana
+pair c_2k, c_2k+1 (row by row they differ by a factor +-i): a sixteenth
+of the flops of the dense conjugation, a quarter of its memory.  Lift(S)
+keeps the particle number and C maps n particles to N - n, so
+``twisted_ph_transfer_check`` works on the C(N, n)-sized
 sector blocks of both, O(N sum_n C(N, n)^3) flops in place of N + 1
 dense products, and reads C conj(Lift(S)) as signed rows of Lift(S).
 """
@@ -42,14 +43,17 @@ from .errors import InputShapeError, NotQuadraticError
 MAX_MODES = 14
 # A 2^N x 2^N complex array takes 64 MB at N = 11 and 256 MB at N = 12.
 # fock-verify holds H, its exponentiated parity blocks and Lift(S)
-# dense.  With one BLAS thread on a 2-vCPU host, --modes 10 --trials 1
-# takes 1.6 s and peaks at 113 MB resident, --modes 11 8.5 s and
-# 328 MB, --modes 12 72 s and 1028 MB; N = 13 would need 4 GB.
+# dense.  With one BLAS thread on a shared 2-vCPU host, --modes 10
+# --trials 1 takes 0.83-0.88 s and peaks at 113 MB resident, --modes 11
+# 5.3 s and 328 MB, --modes 12 40 s and 1028 MB; N = 13 would need 4 GB.
 MAX_DENSE_MODES = 12
 # covering_check forms the images of the Majoranas of as many modes at
 # once as fit in this many entries (1 MB), and of at least one mode;
-# wedge takes this many pairs of basis states at a time (about 30 MB)
+# lift_unitary gathers at most this many entries (2 MB), and at least
+# one column; wedge takes this many pairs of basis states at a time
+# (about 30 MB)
 _BATCH_ENTRIES = 1 << 16
+_LIFT_ENTRIES = 2 * _BATCH_ENTRIES
 _WEDGE_PAIRS = 1 << 18
 
 
@@ -217,7 +221,9 @@ def lift_unitary(fock, s):
 
     The basis state e_S maps to (s e_{k_1}) ^ (s e_{k_2}) ^ ... with the
     modes of S ascending, i.e. column S is sum_k s_kj a_k^dag applied to
-    column S - {j}, j the lowest mode of S.
+    column S - {j}, j the lowest mode of S.  Per j that is one
+    contraction of s[:, j] with the N signed gathers a_k^dag of the
+    predecessor columns, a chunk of columns at a time.
     """
     _require_dense(fock)
     s = np.asarray(s, dtype=complex)
@@ -228,11 +234,27 @@ def lift_unitary(fock, s):
     out[fock.vacuum_index, fock.vacuum_index] = 1.0
     states = np.arange(fock.dim)
     lowest = states & -states
+    signs = np.stack([a.sign for a in fock.create])[..., None]
+    sources = states ^ np.array([a.mask for a in fock.create])[:, None]
+    # the chunks reuse two buffers: fresh ones took longer to fault in
+    # than the gathers took
+    step = min(fock.dim, max(1, _LIFT_ENTRIES // (n * fock.dim)))
+    gathered = np.empty(n * fock.dim * step, dtype=complex)
+    columns = np.empty(fock.dim * step, dtype=complex)
     for j in reversed(range(n)):
         cols = np.nonzero(lowest == 1 << j)[0]
-        prev = out[:, cols ^ (1 << j)]
-        out[:, cols] = sum(s[k, j] * (fock.create[k] @ prev)
-                           for k in range(n))
+        for i in range(0, len(cols), step):
+            chunk = cols[i:i + step]
+            # [k, b, c]: row b of a_k^dag applied to column c - {j}; the
+            # indices are in range, and "clip" spares take a buffered copy
+            terms = gathered[:n * fock.dim * len(chunk)].reshape(
+                n, fock.dim, -1)
+            np.take(out[:, chunk ^ (1 << j)], sources, axis=0, out=terms,
+                    mode="clip")
+            terms *= signs
+            image = columns[:fock.dim * len(chunk)]
+            np.matmul(s[:, j], terms.reshape(n, -1), out=image)
+            out[:, chunk] = image.reshape(fock.dim, -1)
     return out
 
 
@@ -359,7 +381,11 @@ def covering_check(fock, h_fock, w, z):
     each block exp(-i H) of size 2^(N-1), and every Majorana maps one
     parity to the other, so U c_i U^{-1} has only the two blocks
     X = U_e c_i U_o^{-1} and U_o c_i U_e^{-1} = X^dag.  Only X is
-    formed, for both Majoranas of several modes in one batched product:
+    formed, one 2^(N-1)-sized product per Majorana pair, for several
+    modes in one batched product: on the even rows with bit k clear
+    c_2k+1 is i c_2k and on the rest -i c_2k, so with A and B the parts
+    of U_e c_2k U_o^{-1} summed over those two sets of even states, X
+    is A + B for c_2k and i(A - B) for c_2k+1.
     M_ji = 2 Re tr(c_j X) / 2^N is real, and the span residual
     ||U c_i U^{-1} - sum_j M_ji c_j|| is sqrt(2) times X's.
     """
@@ -382,31 +408,52 @@ def covering_check(fock, h_fock, w, z):
     # c_2k and c_2k+1 share the mask 2^k: on even row r they hold
     # signs[k, :, r] in column partners[k, r] of the odd states
     signs = np.array([c.sign for c in c_ops]).reshape(n, 2, -1)[..., even]
+    conj_signs = signs.conj().transpose(0, 2, 1)
     partners = pos[even ^ masks[:, None]]
     half = len(even)
     rows = np.arange(half)
-    # the images of the Majoranas of ``per`` modes at a time, in two
-    # buffers reused by every batch: at N = 7, fresh arrays per batch
-    # took longer to fault in than the products took
+    # with the even rows sorted by bit k (clear on the rows of a_k, set
+    # on those of a_k^dag), A and B are the products of the first
+    # ``cut`` columns of U_e with the matching rows of c_2k U_o^dag, and
+    # of the rest.  The cut is the same for every mode, half / 2 from
+    # N = 2 on; at N = 1 the rest is empty.
+    order = np.argsort(even & masks[:, None] != 0, axis=1, kind="stable")
+    cut = np.count_nonzero(even & masks[0] == 0)
+    modes = np.arange(n)[:, None]
+    sorted_partners = partners[modes, order]
+    sorted_signs = signs[modes, 0, order][..., None]
+    # the images of the Majoranas of ``per`` modes at a time, in buffers
+    # reused by every batch: at N = 7, fresh arrays per batch took
+    # longer to fault in than the products took
     per = min(n, max(1, _BATCH_ENTRIES // (2 * half * half)))
     images = np.empty((per, 2, half, half), dtype=complex)
-    factors = np.empty_like(images)
+    lefts = np.empty(per * half * half, dtype=complex)
+    factors = np.empty((per, half, half), dtype=complex)
     m = np.zeros((2 * n, 2 * n))
     span_residual = 0.0
     for k in range(0, n, per):
         ks, count = slice(k, k + per), min(per, n - k)
-        image = images[:count]
-        # U_e c U_o^dag: c U_o^dag gathers signed rows of U_o^dag
-        np.multiply(u_odd_adj[partners[ks]][:, None],
-                    signs[ks, :, :, None], out=factors[:count])
-        np.matmul(u_even, factors[:count], out=image)
+        image, factor = images[:count], factors[:count]
+        # in mode k's sorted order, the columns of U_e and the rows of
+        # c_2k U_o^dag (signed rows of U_o^dag); the indices are in
+        # range, and "clip" spares take a buffered copy
+        left = lefts[:count * half * half].reshape(half, count, half)
+        np.take(u_even, order[ks], axis=1, out=left, mode="clip")
+        left = left.transpose(1, 0, 2)
+        np.take(u_odd_adj, sorted_partners[ks], axis=0, out=factor,
+                mode="clip")
+        factor *= sorted_signs[ks]
+        np.matmul(left[..., :cut], factor[:, :cut], out=image[:, 0])
+        np.matmul(left[..., cut:], factor[:, cut:], out=image[:, 1])
+        # A + B and i(A - B), with the spent factors as scratch
+        np.subtract(image[:, 0], image[:, 1], out=factor)
+        image[:, 0] += image[:, 1]
+        np.multiply(factor, 1j, out=image[:, 1])
         # M_ji = 2 Re tr(c_j^oe image) / 2^N, gathered for all j
         on_span = image[:, :, rows, partners]
-        coeff = 2 * np.einsum("kajr,jbr->kajb", on_span,
-                              signs.conj()).real / fock.dim
+        coeff = 2 * (on_span[..., None, :] @ conj_signs).real / fock.dim
         m[:, 2 * k:2 * (k + count)] = coeff.reshape(-1, 2 * n).T
-        image[:, :, rows, partners] = on_span - np.einsum(
-            "kajb,jbr->kajr", coeff, signs)
+        image[:, :, rows, partners] = on_span - (coeff @ signs)[..., 0, :]
         # the odd-to-even block is the adjoint: twice the squared norm
         parts = image.view(float)
         span_residual = max(span_residual, np.sqrt(2 * np.einsum(

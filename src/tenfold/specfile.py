@@ -10,6 +10,7 @@ errors from the setting validation.
 import contextlib
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -23,6 +24,11 @@ from .errors import InputShapeError, SpecFileError
 SCHEMA_VERSION = "1"
 # "none" is the trivial group, built as the finite group of order one.
 _MODES = ("none", "finite-group", "lie-algebra", "spin-half")
+# Parsing a spec file peaks at about 7 times its size (346 MB for a
+# 51 MB file, 1232 MB for 207 MB: one 1024 or 2048 matrix), so a larger
+# file than this is refused before it is read: its parse would pass
+# three times linalg.MAX_ARRAY_BYTES, the stage peak that cap accepts.
+MAX_SPEC_BYTES = 3 * linalg.MAX_ARRAY_BYTES // 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +199,15 @@ def _load_json(text, field):
 
 
 def parse_spec(path):
-    """Parse and validate a spec file from disk."""
+    """Parse and validate a spec file from disk; a file larger than
+    ``MAX_SPEC_BYTES`` is refused before it is read."""
+    try:
+        size = os.stat(path).st_size
+    except OSError:
+        size = 0  # _read_text names the problem
+    _require(size <= MAX_SPEC_BYTES, "$",
+             f"{path} has {size} bytes; a parse takes about 7 times the "
+             f"file size, so the limit is {MAX_SPEC_BYTES} bytes")
     return parse_spec_data(_load_json(_read_text(path), "$"))
 
 

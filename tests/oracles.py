@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import expm
-from tenfold import grouprep, linalg, symspace
+from tenfold import focklab, grouprep, linalg, symspace
 from tenfold.antiunitary import SectorPairing
 from tenfold.errors import (DegenerateDecompositionError, InputShapeError,
                             SymmetryConsistencyError)
@@ -830,6 +830,37 @@ def lift_one_body_loop(fock, w, z):
     return h
 
 
+def car_residual_loop(fock):
+    """Worst Frobenius norm of {a_k, a_l} and {a_k^dag, a_l} - d_kl, by
+    a loop over the mode pairs, two signed-permutation products each."""
+    worst = 0.0
+    for k, (adk, ak) in enumerate(zip(fock.create, fock.annihilate)):
+        for l, al in enumerate(fock.annihilate):
+            delta = 1.0 if k == l else 0.0
+            worst = max(worst,
+                        np.linalg.norm((ak @ al).sign + (al @ ak).sign),
+                        np.linalg.norm((adk @ al).sign + (al @ adk).sign
+                                       - delta))
+    return float(worst)
+
+
+def lift_unitary_loop(fock, s):
+    """Fock lift of ``s`` column by column: column S is sum_k s_kj
+    a_k^dag applied to column S - {j}, j the lowest mode of S, one
+    signed gather per (j, k)."""
+    s = np.asarray(s, dtype=complex)
+    out = np.zeros((fock.dim, fock.dim), dtype=complex)
+    out[0, 0] = 1.0
+    states = np.arange(fock.dim)
+    lowest = states & -states
+    for j in reversed(range(fock.n_modes)):
+        cols = np.nonzero(lowest == 1 << j)[0]
+        prev = out[:, cols ^ (1 << j)]
+        out[:, cols] = sum(s[k, j] * (fock.create[k] @ prev)
+                           for k in range(fock.n_modes))
+    return out
+
+
 def covering_oracle(fock, h_fock):
     """Rotation M with U c_i U^dag = sum_j M_ji c_j for U = exp(-i H),
     the worst residual of U c_i U^dag off the Majorana span, and M for
@@ -852,6 +883,36 @@ def covering_oracle(fock, h_fock):
 
     m, residual = rotation_of(u)
     return m, residual, rotation_of(-u)[0]
+
+
+def covering_image_loop(fock, h_fock):
+    """Rotation M and span residual of ``focklab.covering_check``, by one
+    2^(N-1)-sized product U_e c_i U_o^dag per Majorana c_i on the
+    fermion-parity blocks, with M and the residual read per Majorana."""
+    h_fock = np.asarray(h_fock, dtype=complex)
+    even = np.nonzero(fock.occupation % 2 == 0)[0]
+    odd = np.nonzero(fock.occupation % 2 == 1)[0]
+    pos = np.empty(fock.dim, dtype=np.int64)
+    pos[even], pos[odd] = np.arange(len(even)), np.arange(len(odd))
+    u_even = focklab._exp_i(h_fock[np.ix_(even, even)])
+    u_odd_adj = focklab._exp_i(h_fock[np.ix_(odd, odd)]).conj().T
+    c_ops = focklab.majorana_basis(fock)
+    rows = np.arange(len(even))
+    m = np.zeros((len(c_ops), len(c_ops)))
+    span_residual = 0.0
+    for i, c in enumerate(c_ops):
+        # c U_o^dag gathers signed rows of U_o^dag
+        image = u_even @ (c.sign[even][:, None] *
+                          u_odd_adj[pos[even ^ c.mask]])
+        for j, cj in enumerate(c_ops):
+            m[j, i] = 2 * np.sum(image[rows, pos[even ^ cj.mask]] *
+                                 np.conj(cj.sign[even])).real / fock.dim
+        for j, cj in enumerate(c_ops):
+            image[rows, pos[even ^ cj.mask]] -= m[j, i] * cj.sign[even]
+        # the odd-to-even block is the adjoint
+        span_residual = max(span_residual,
+                            np.sqrt(2) * np.linalg.norm(image))
+    return m, span_residual
 
 
 def twisted_transfer_oracle(fock, s):

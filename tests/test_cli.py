@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from oracles import in_random_basis, matrix_to_pairs, spin, su3
 from tenfold import (antiunitary, ensembles, errors, focklab, grouprep,
-                     linalg, symspace, verify)
+                     linalg, specfile, symspace, verify)
 from tenfold.cli import build_parser, main
 from tenfold.grouprep import PAULI_X, PAULI_Y
 
@@ -409,6 +409,33 @@ def test_two_to_one_check_fails_on_a_lift_off_by_pi(argv, monkeypatch,
     assert summary == "failed invariants: fock.covering-two-to-one"
     assert [line.split(":")[0] for line in results if not
             line.startswith("PASS")] == ["FAIL fock.covering-two-to-one"]
+
+
+def test_car_check_fails_on_a_creator_without_its_string(monkeypatch,
+                                                        capsys):
+    # a_3^dag without its Jordan-Wigner sign breaks the CAR; the
+    # Majorana images then leave the span, and the transfer identity
+    # fails, while C, its defining property and the 2 pi lift (a
+    # number-conserving H) are as they were
+    build = focklab.build_fock
+
+    def broken(n_modes):
+        fock = build(n_modes)
+        create = fock.create[:-1] + (focklab.SignedPerm(
+            fock.create[-1].mask, np.abs(fock.create[-1].sign)),)
+        return focklab.FockSpace(
+            n_modes=n_modes, dim=fock.dim, create=create,
+            annihilate=tuple(a.adjoint() for a in create),
+            occupation=fock.occupation)
+    monkeypatch.setattr(focklab, "build_fock", broken)
+    assert main(["fock-verify", "--modes", "4"]) == 5
+    *results, summary = capsys.readouterr().out.splitlines()
+    failed = ["fock.car", "fock.covering-generator", "fock.twisted-transfer"]
+    assert summary == "failed invariants: " + ", ".join(failed)
+    assert [line.split(":")[0] for line in results if not
+            line.startswith("PASS")] == ["FAIL " + name for name in failed]
+    assert "FAIL fock.covering-generator: raised NotQuadraticError" in \
+        results[3]
 
 
 def test_pure_tensor_check_fails_on_a_negated_alpha(monkeypatch, capsys):
@@ -960,6 +987,21 @@ class TestDimensionCap:
             "error: dimension: one 8193 x 8193 complex matrix needs "
             "1074003984 bytes, above the limit of 1073741824 bytes\n")
         assert peak < 1 << 20
+
+
+    @pytest.mark.parametrize("command", [["classify"], ["verify"]])
+    def test_oversized_file_exits_two_before_reading(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        # the limit patched to one byte under the file: refused by size,
+        # before the file is read
+        path = write_spec(tmp_path, trivial_spec())
+        size = os.path.getsize(path)
+        monkeypatch.setattr(specfile, "MAX_SPEC_BYTES", size - 1)
+        monkeypatch.setattr(specfile, "_read_text", None)
+        assert main(command + [path]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: $: {path} has {size} bytes; a parse takes about 7 "
+            f"times the file size, so the limit is {size - 1} bytes\n"))
 
 
 _SAMPLE_HEADER = "# tenfold sample class=A dims={n} kind={kind} seed=0"

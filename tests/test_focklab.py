@@ -552,6 +552,53 @@ class TestDenseReferences:
         got = lift_unitary(build_fock(n), s)
         assert linalg.frob(got - oracles.lift_minors_oracle(s)) <= 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lift_unitary_matches_the_column_loop(self, n, rng):
+        fock, s = build_fock(n), linalg.haar_unitary(n, rng)
+        assert linalg.frob(lift_unitary(fock, s) -
+                           oracles.lift_unitary_loop(fock, s)) <= 1e-14
+
+    def test_lift_unitary_chunks_change_nothing(self, rng, monkeypatch):
+        fock, s = build_fock(5), linalg.haar_unitary(5, rng)
+        whole = lift_unitary(fock, s)
+        monkeypatch.setattr(focklab, "_LIFT_ENTRIES", 1)
+        assert np.array_equal(lift_unitary(fock, s), whole)
+
+    def test_lift_unitary_peak_stays_near_its_output(self, rng):
+        fock, s = build_fock(10), linalg.haar_unitary(10, rng)
+        tracemalloc.start()
+        try:
+            out = lift_unitary(fock, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 16 << 20
+        assert peak < 1.25 * out.nbytes
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_covering_matches_the_per_majorana_loop(self, n, rng):
+        fock = build_fock(n)
+        w = sample_gaussian(EnsembleSpec(label("A", n)), rng)
+        z = random_skew(n, rng)
+        h = lift_one_body(fock, w, z)
+        record = covering_check(fock, h, w, z)
+        m, span_residual = oracles.covering_image_loop(fock, h)
+        assert linalg.frob(record.rotation - m) <= 1e-13
+        assert abs(record.span_residual - span_residual) <= 1e-13
+
+    def test_covering_batches_change_nothing(self, rng, monkeypatch):
+        # one mode per batch, and every mode in one batch
+        fock = build_fock(4)
+        w = sample_gaussian(EnsembleSpec(label("A", 4)), rng)
+        z = random_skew(4, rng)
+        h = lift_one_body(fock, w, z)
+        records = []
+        for entries in (1, 1 << 20):
+            monkeypatch.setattr(focklab, "_BATCH_ENTRIES", entries)
+            records.append(covering_check(fock, h, w, z))
+        assert np.array_equal(records[0].rotation, records[1].rotation)
+        assert records[0].span_residual == records[1].span_residual
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_covering_matches_dense_oracle(self, n, rng):
         fock = build_fock(n)

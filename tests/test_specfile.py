@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import matrix_to_pairs
-from tenfold import specfile
+from tenfold import linalg, specfile
 from tenfold.antiunitary import parity
 from tenfold.classifier import FAMILIES, label
 from tenfold.ensembles import EnsembleSpec, sample_circular, sample_gaussian
@@ -97,6 +97,28 @@ class TestParse:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SpecFileError):
             parse_spec(tmp_path / "absent.json")
+
+    def test_oversized_file_refused_before_reading(self, tmp_path,
+                                                   monkeypatch):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(minimal()))
+        size = path.stat().st_size
+        monkeypatch.setattr(specfile, "MAX_SPEC_BYTES", size)
+        assert parse_spec(path).setting.dim == 2
+
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(specfile, "_read_text", unread)
+        monkeypatch.setattr(specfile, "MAX_SPEC_BYTES", size - 1)
+        with pytest.raises(SpecFileError) as err:
+            parse_spec(path)
+        assert str(err.value) == (
+            f"$: {path} has {size} bytes; a parse takes about 7 times the "
+            f"file size, so the limit is {size - 1} bytes")
+
+    def test_file_limit_keeps_the_parse_within_three_array_caps(self):
+        assert specfile.MAX_SPEC_BYTES == 3 * linalg.MAX_ARRAY_BYTES // 7
 
     def test_tolerance_and_seed_carried(self):
         data = minimal(tolerance=1e-6, seed=42)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import oracles
 from tenfold import ensembles, focklab, linalg, symspace, verify
 from tenfold.classifier import classify_tenfold, hilbert_setting
 from tenfold.grouprep import close_group
@@ -87,6 +88,32 @@ def test_c2_sign_residual_equals_the_dense_square(n):
     resid = verify.c2_sign_residual(fock, mutant)
     assert resid > 1.0
     assert resid == linalg.frob(u @ np.conj(u) - diag)
+
+
+def with_creator(fock, k, sign):
+    """``fock`` with the signs of a_k^dag replaced, and a_k its adjoint."""
+    create = list(fock.create)
+    create[k] = focklab.SignedPerm(create[k].mask, sign)
+    return focklab.FockSpace(
+        n_modes=fock.n_modes, dim=fock.dim, create=tuple(create),
+        annihilate=tuple(a.adjoint() for a in create),
+        occupation=fock.occupation)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_car_residual_equals_the_pair_loop(n):
+    fock = focklab.build_fock(n)
+    top = fock.create[-1].sign
+    zeroed = top.copy()
+    zeroed[np.flatnonzero(zeroed)[0]] = 0.0
+    # the top creator without its Jordan-Wigner sign (the same operator
+    # at N = 1), and with the sign of its first row zeroed
+    for case, broken in ((fock, False),
+                         (with_creator(fock, n - 1, np.abs(top)), n > 1),
+                         (with_creator(fock, n - 1, zeroed), True)):
+        got = verify.car_residual(case)
+        assert got == oracles.car_residual_loop(case)
+        assert (got > 1.0) if broken else got == 0.0
 
 
 def test_fock_suite_at_one_mode_number():
