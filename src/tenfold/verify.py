@@ -267,14 +267,13 @@ def car_residual(fock):
     sign vectors of a_k a_l and a_k^dag a_l are gathered for all (k, l)
     at once; they hold integers, so every norm is exact.
     """
-    def stack(ops):
-        src = np.arange(fock.dim) ^ np.array([op.mask for op in ops])[:, None]
-        return np.stack([op.sign for op in ops]), src
-
-    (create, up), (annihilate, down) = stack(fock.create), \
-        stack(fock.annihilate)
+    rows = np.arange(fock.dim)
+    create = np.stack([op.sign for op in fock.create])
+    annihilate = np.stack([op.sign for op in fock.annihilate])
+    up = rows ^ np.array([op.mask for op in fock.create])[:, None]
+    down = rows ^ np.array([op.mask for op in fock.annihilate])[:, None]
     # [k, l, b]: row b of A_k B_l is A_k's sign at b times B_l's at b ^
-    # mask(A_k), and signs[:, src][l, k, b] is B_l's at src[k, b]
+    # mask(A_k), and signs[:, up][l, k, b] is B_l's at up[k, b]
     pairs = annihilate[:, None] * annihilate[:, down].transpose(1, 0, 2)
     hops = create[:, None] * annihilate[:, up].transpose(1, 0, 2) + \
         annihilate * create[:, down]

@@ -16,7 +16,9 @@ closure test from every triple of basis elements, tangent splits from
 one SVD span per tau eigenspace, wedge products from
 permutation sorting on index tuples, the Majorana generator from
 the 2N x 2N change of coefficient basis, Fock operators and the Fock-space
-checks from dense 2^N x 2^N matrices with Fock lifts from minors,
+checks from dense 2^N x 2^N matrices with Fock lifts from minors
+(and the CAR residual, Fock lifts and covering images from the former
+per-mode loops of the library),
 spacing ratios from a plain loop, and sample-file records as nested
 [re, im] lists for ``json.dumps``.
 """
