@@ -8,7 +8,6 @@ errors from the setting validation.
 """
 
 import contextlib
-import functools
 import json
 import os
 import sys
@@ -29,6 +28,19 @@ _MODES = ("none", "finite-group", "lie-algebra", "spin-half")
 # file than this is refused before it is read: its parse would pass
 # three times linalg.MAX_ARRAY_BYTES, the stage peak that cap accepts.
 MAX_SPEC_BYTES = 3 * linalg.MAX_ARRAY_BYTES // 7
+# Reading a sample file peaks at about twice its size (its text, its
+# lines and its matrices) plus about 4 times the record being decoded
+# (its nested lists).  Over the interpreter's 41 MB, `stats --in` peaks
+# at 84 MB for 46 MB of 0.7 MB records and at 240 MB for one record of
+# 44 MB, 2 x 44 + 3.5 x 44.  A file larger than this is refused before it
+# is read, and a record longer than half of what the file leaves of it
+# before it is decoded, so the read stays within three times
+# linalg.MAX_ARRAY_BYTES, the stage peak that cap accepts.
+MAX_SAMPLE_BYTES = 3 * linalg.MAX_ARRAY_BYTES // 2
+# Records shorter than this are decoded by orjson, longer ones by json:
+# orjson's own document of a record adds about 0.9 times its length to
+# the peak (+39 MB for a record of 44 MB).
+_ORJSON_RECORD_CHARS = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,13 +210,17 @@ def _load_json(text, field):
         raise SpecFileError(field, f"invalid JSON: {err}")
 
 
+def _file_size(path):
+    try:
+        return os.stat(path).st_size
+    except OSError:
+        return 0  # _read_text names the problem
+
+
 def parse_spec(path):
     """Parse and validate a spec file from disk; a file larger than
     ``MAX_SPEC_BYTES`` is refused before it is read."""
-    try:
-        size = os.stat(path).st_size
-    except OSError:
-        size = 0  # _read_text names the problem
+    size = _file_size(path)
     _require(size <= MAX_SPEC_BYTES, "$",
              f"{path} has {size} bytes; a parse takes about 7 times the "
              f"file size, so the limit is {MAX_SPEC_BYTES} bytes")
@@ -216,34 +232,63 @@ def parse_spec(path):
 
 
 _HEADER = "# tenfold sample "
-# Floats per written row block: the writer's transient strings and
-# arrays stay under 10 MB whatever the record size.
+# Floats per written row block: whatever the record size, the writer
+# holds about 7 MB at once (orjson's bytes of one block, the offsets of
+# its commas, the template around its rewritten floats and the text).
 _BLOCK_FLOATS = 1 << 16
 
 
-@functools.lru_cache(maxsize=64)
-def _block_template(cols, rows):
-    """The ``%s`` template of ``rows`` rows of ``cols`` [re, im] pairs,
-    in the layout of ``json.dumps`` with separators (",", ":")."""
-    row = "[" + ",".join(["[%s,%s]"] * cols) + "]"
-    return ",".join([row] * rows)
+def _token_cuts(raw, odd, cols):
+    """Offsets in the orjson text ``raw`` of a (rows, cols, 2) float block
+    around the tokens of the floats marked in ``odd``: 1, the start and
+    end of each token, then the offset of the outer "]".  A float that
+    orjson writes with an exponent is marked too."""
+    chars = np.frombuffer(raw, np.uint8)
+    commas = np.flatnonzero(chars == ord(","))
+    # exactly one comma lies between two floats, so float k has k before it
+    odd[np.searchsorted(commas, np.flatnonzero(chars == ord("e")))] = True
+    k = np.flatnonzero(odd)
+    # float k lies between separators k and k + 1 (the outer "[", the
+    # commas, the outer "]"), after the "[" of its pair and of its row
+    # when it opens them, before the "]" of those it closes
+    seps = np.concatenate(([0], commas, [len(raw) - 1]))
+    at = k % (2 * cols)
+    cuts = np.empty(2 * k.size + 2, int)
+    cuts[0], cuts[-1] = 1, len(raw) - 1
+    cuts[1:-1:2] = seps[k] + 1 + (at == 0) + (k % 2 == 0)
+    cuts[2:-1:2] = seps[k + 1] - (at == 2 * cols - 1) - (k % 2)
+    return cuts.tolist()
 
 
-def _block_text(values, template):
-    """``template`` filled with the shortest repr of each float.
+def _write_rows(fh, block):
+    """Write the rows of a (rows, cols, 2) float ``block`` joined by
+    commas, the bytes ``json.dumps`` with separators (",", ":") gives.
 
-    Hermiticity, T, C and S make entries repeat in magnitude; when at
-    least a quarter of the floats repeat one, each distinct |x| is
-    formatted once and a sign prefixed where it is set (repr(-x) is
-    "-" + repr(x), -0.0 included), else every float is formatted.
+    orjson writes the shortest round-trip digits of each float, as
+    ``repr`` does.  ``repr`` writes an exponent exactly for 0 < |x| < 1e-4
+    and |x| >= 1e16; those floats, and any that orjson writes with an
+    exponent, are written with ``repr`` through one ``%r`` template of
+    the text around them.  A block where most floats are such is written
+    with ``repr`` alone.
     """
-    mags, where = np.unique(np.abs(values), return_inverse=True)
-    if 4 * (values.size - mags.size) < values.size:
-        return template % tuple(values.tolist())  # %s of a float is repr
-    texts = list(map(float.__repr__, mags.tolist()))
-    table = np.array(texts + ["-" + t for t in texts], dtype=object)
-    return template % tuple(
-        table[where + mags.size * np.signbit(values)].tolist())
+    import orjson  # here, not at import: only sample files need it
+
+    flat = block.ravel()
+    mags = np.abs(flat)
+    odd = ((mags < 1e-4) & (mags > 0)) | (mags >= 1e16)
+    if 2 * np.count_nonzero(odd) > odd.size:
+        row = "[" + ",".join(["[%r,%r]"] * block.shape[1]) + "]"
+        fh.write(",".join([row] * len(block)) % tuple(flat.tolist()))
+        return
+    raw = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+    if not odd.any() and b"e" not in raw:
+        fh.write(raw[1:-1].decode())  # within the outer brackets
+        return
+    bounds = iter(_token_cuts(raw, odd, block.shape[1]))
+    text = raw.decode()
+    del raw  # one copy of the block's text less while the template is built
+    fh.write("%r".join([text[a:b] for a, b in zip(bounds, bounds)])
+             % tuple(flat[odd].tolist()))
 
 
 def write_samples(fh, family, dims, kind, seed, matrices):
@@ -259,19 +304,58 @@ def write_samples(fh, family, dims, kind, seed, matrices):
     fh.write(f"{_HEADER}class={family} dims={dims_text} kind={kind} "
              f"seed={seed}\n")
     for m in records:
-        floats = m.view(float)
-        rows = max(1, _BLOCK_FLOATS // floats.shape[1])
-        for start in range(0, len(floats), rows):
-            block = floats[start:start + rows]
+        pairs = m.view(float).reshape(*m.shape, 2)
+        rows = max(1, _BLOCK_FLOATS // (2 * m.shape[1]))
+        for start in range(0, len(pairs), rows):
             fh.write("," if start else "[")
-            fh.write(_block_text(block.ravel(),
-                                 _block_template(m.shape[1], len(block))))
+            _write_rows(fh, pairs[start:start + rows])
         fh.write("]\n")
+
+
+def _record_array(raw):
+    """``raw`` as an array when it is a square array of finite [re, im]
+    pairs of numbers, else None."""
+    arr = np.array(None)  # stays for a ragged record
+    with contextlib.suppress(ValueError):
+        arr = np.array(raw)
+    if (arr.dtype.kind in "biuf" and arr.ndim == 3 and arr.shape[2] == 2
+            and arr.shape[0] == arr.shape[1] and np.isfinite(arr).all()):
+        return arr
+    return None
+
+
+def _has_long_integer(line):
+    """Whether ``line`` holds a run of 19 digits that does not follow a
+    ".": every integer of magnitude 2^63 or more does, and no float that
+    json writes (below 1e16 it has at most 16 digits before the ".", and
+    an exponent has at most 3)."""
+    chars = np.frombuffer(line.encode(), np.uint8)
+    digit = (chars >= ord("0")) & (chars <= ord("9"))
+    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts = edges[::2][edges[1::2] - edges[::2] >= 19]
+    return bool((chars[starts - 1] != ord(".")).any())
 
 
 def read_samples(path):
     """Read a sample file; returns (metadata dict, list of matrices).
-    Records are square arrays of finite [re, im] pairs of numbers."""
+    Records are square arrays of finite [re, im] pairs of numbers.  A
+    file larger than ``MAX_SAMPLE_BYTES`` is refused before it is read,
+    a record longer than half of what the file leaves of that limit
+    before it is decoded.
+
+    A record shorter than ``_ORJSON_RECORD_CHARS`` is decoded by orjson.
+    Where orjson refuses it (NaN, Infinity, 1e309, a lone surrogate), or
+    its value fails the check or holds an |x| >= 2^63 written as an
+    integer (orjson reads an integer beyond 64 bits as a float, json as
+    an int that the check refuses), and for every longer record, ``json``
+    decodes it, so every record is read or refused as ``json`` reads it."""
+    import orjson  # here, not at import: only sample files need it
+
+    size = _file_size(path)
+    _require(size <= MAX_SAMPLE_BYTES, "$",
+             f"{path} has {size} bytes; reading a sample file takes about "
+             f"twice its size, so the limit is {MAX_SAMPLE_BYTES} bytes")
+    record_limit = (MAX_SAMPLE_BYTES - size) // 2
     lines = _read_text(path).splitlines()
     _require(lines and lines[0].startswith(_HEADER), "$",
              "missing sample header line")
@@ -282,14 +366,19 @@ def read_samples(path):
     matrices = []
     for line in filter(str.strip, lines[1:]):
         field = f"record[{len(matrices)}]"
-        raw = _load_json(line, field)
-        arr = np.array(None)  # stays for a ragged record
-        with contextlib.suppress(ValueError):
-            arr = np.array(raw)
-        _require(arr.dtype.kind in "biuf" and arr.ndim == 3 and
-                 arr.shape[2] == 2 and arr.shape[0] == arr.shape[1] and
-                 np.isfinite(arr).all(), field,
-                 "expected a square array of finite [re, im] number pairs")
+        _require(len(line) <= record_limit, field,
+                 f"has {len(line)} bytes; decoding a record takes about 4 "
+                 f"times its size besides twice the file's {size} bytes, "
+                 f"so the limit is {record_limit} bytes")
+        arr = None
+        if len(line) < _ORJSON_RECORD_CHARS:
+            with contextlib.suppress(orjson.JSONDecodeError):
+                arr = _record_array(orjson.loads(line))
+        if arr is None or (np.abs(arr).max() >= 2.0 ** 63
+                           and _has_long_integer(line)):
+            arr = _record_array(_load_json(line, field))
+            _require(arr is not None, field, "expected a square array of "
+                     "finite [re, im] number pairs")
         n = len(matrices[0]) if matrices else len(arr)
         _require(len(arr) == n, field,
                  f"expected a {n} x {n} matrix like the first record")

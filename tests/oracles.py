@@ -20,15 +20,19 @@ checks from dense 2^N x 2^N matrices with Fock lifts from minors
 (and the CAR residual, Fock lifts and covering images from the former
 per-mode loops of the library),
 spacing ratios from a plain loop, and sample-file records as nested
-[re, im] lists for ``json.dumps``.
+[re, im] lists for ``json.dumps`` (and the former sample-file writer,
+which formats every float with ``repr``, and reader, which decodes
+every record with ``json``).
 """
 
+import contextlib
+import functools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import expm
-from tenfold import focklab, grouprep, linalg, symspace
+from tenfold import focklab, grouprep, linalg, specfile, symspace
 from tenfold.antiunitary import SectorPairing
 from tenfold.errors import (DegenerateDecompositionError, InputShapeError,
                             SymmetryConsistencyError)
@@ -669,6 +673,82 @@ def matrix_to_pairs(m):
     """Encode a complex matrix as nested [re, im] pairs."""
     m = np.ascontiguousarray(m, dtype=complex)
     return m.view(float).reshape(*m.shape, 2).tolist()
+
+
+@functools.lru_cache(maxsize=64)
+def _block_template(cols, rows):
+    """The ``%s`` template of ``rows`` rows of ``cols`` [re, im] pairs,
+    in the layout of ``json.dumps`` with separators (",", ":")."""
+    row = "[" + ",".join(["[%s,%s]"] * cols) + "]"
+    return ",".join([row] * rows)
+
+
+def _block_text(values, template):
+    """``template`` filled with the shortest repr of each float.
+
+    Hermiticity, T, C and S make entries repeat in magnitude; when at
+    least a quarter of the floats repeat one, each distinct |x| is
+    formatted once and a sign prefixed where it is set (repr(-x) is
+    "-" + repr(x), -0.0 included), else every float is formatted.
+    """
+    mags, where = np.unique(np.abs(values), return_inverse=True)
+    if 4 * (values.size - mags.size) < values.size:
+        return template % tuple(values.tolist())  # %s of a float is repr
+    texts = list(map(float.__repr__, mags.tolist()))
+    table = np.array(texts + ["-" + t for t in texts], dtype=object)
+    return template % tuple(
+        table[where + mags.size * np.signbit(values)].tolist())
+
+
+def write_samples_repr(fh, family, dims, kind, seed, matrices):
+    """The former ``specfile.write_samples``: every float through
+    ``repr`` into a cached ``%s`` template per row-block shape."""
+    records = [np.ascontiguousarray(m, dtype=complex) for m in matrices]
+    for i, m in enumerate(records):
+        specfile._require(np.isfinite(m).all(), f"record[{i}]",
+                          "must hold finite numbers")
+    dims_text = ",".join(str(d) for d in dims)
+    fh.write(f"{specfile._HEADER}class={family} dims={dims_text} "
+             f"kind={kind} seed={seed}\n")
+    for m in records:
+        floats = m.view(float)
+        rows = max(1, specfile._BLOCK_FLOATS // floats.shape[1])
+        for start in range(0, len(floats), rows):
+            block = floats[start:start + rows]
+            fh.write("," if start else "[")
+            fh.write(_block_text(block.ravel(),
+                                 _block_template(m.shape[1], len(block))))
+        fh.write("]\n")
+
+
+def read_samples_json(path):
+    """The former ``specfile.read_samples``: every record through
+    ``json.loads``, and no limit on the file size."""
+    lines = specfile._read_text(path).splitlines()
+    specfile._require(lines and lines[0].startswith(specfile._HEADER), "$",
+                      "missing sample header line")
+    meta = dict(token.partition("=")[::2]
+                for token in lines[0][len(specfile._HEADER):].split())
+    specfile._require(meta.get("kind") in ("gaussian", "circular"), "kind",
+                      "must be gaussian or circular")
+    matrices = []
+    for line in filter(str.strip, lines[1:]):
+        field = f"record[{len(matrices)}]"
+        raw = specfile._load_json(line, field)
+        arr = np.array(None)  # stays for a ragged record
+        with contextlib.suppress(ValueError):
+            arr = np.array(raw)
+        specfile._require(
+            arr.dtype.kind in "biuf" and arr.ndim == 3 and
+            arr.shape[2] == 2 and arr.shape[0] == arr.shape[1] and
+            np.isfinite(arr).all(), field,
+            "expected a square array of finite [re, im] number pairs")
+        n = len(matrices[0]) if matrices else len(arr)
+        specfile._require(len(arr) == n, field,
+                          f"expected a {n} x {n} matrix like the first record")
+        matrices.append(arr.astype(float).view(complex)[..., 0])
+    specfile._require(matrices, "$", "sample file holds no records")
+    return meta, matrices
 
 
 def slater_overlap(us, vs):

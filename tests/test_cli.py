@@ -537,6 +537,20 @@ def test_cli_import_leaves_scipy_out():
     assert run.returncode == 0, run.stderr
 
 
+def test_orjson_is_imported_only_for_sample_files(tmp_path):
+    # classify and verify run without it; sample and stats --in load it
+    code = ("import sys\n"
+            "from tenfold.cli import main\n"
+            "assert main(['verify', '--all-classes']) == 0\n"
+            "assert 'orjson' not in sys.modules\n"
+            f"assert main(['sample', '--class', 'A', '--dims', '2', '--out', "
+            f"{str(tmp_path / 's.txt')!r}]) == 0\n"
+            "assert 'orjson' in sys.modules\n")
+    run = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 # Builds the classify benchmark specs of seeds 1-3 into argv[3] and prints
 # every classify output, with argv[1:3] the perfbench and src directories,
 # then the --json output of each spec in argv[4:].
@@ -1002,6 +1016,37 @@ class TestDimensionCap:
         assert capsys.readouterr() == ("", (
             f"error: $: {path} has {size} bytes; a parse takes about 7 "
             f"times the file size, so the limit is {size - 1} bytes\n"))
+
+    def test_oversized_sample_file_exits_two_before_reading(
+            self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "s.txt"
+        assert main(["sample", "--class", "A", "--dims", "3", "--out",
+                     str(path)]) == 0
+        size = os.path.getsize(path)
+        monkeypatch.setattr(specfile, "MAX_SAMPLE_BYTES", size - 1)
+        monkeypatch.setattr(specfile, "_read_text", None)
+        assert main(["stats", "--in", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: $: {path} has {size} bytes; reading a sample file "
+            f"takes about twice its size, so the limit is {size - 1} "
+            f"bytes\n"))
+
+    def test_oversized_sample_record_exits_two_before_decoding(
+            self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "s.txt"
+        assert main(["sample", "--class", "A", "--dims", "3", "--out",
+                     str(path)]) == 0
+        size = os.path.getsize(path)
+        record = len(path.read_text().splitlines()[1])
+        # the file fits; its record is one byte over half of what is left
+        monkeypatch.setattr(specfile, "MAX_SAMPLE_BYTES", size + 2 * record
+                            - 2)
+        monkeypatch.setattr(specfile, "_record_array", None)
+        assert main(["stats", "--in", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: record[0]: has {record} bytes; decoding a record "
+            f"takes about 4 times its size besides twice the file's {size} "
+            f"bytes, so the limit is {record - 1} bytes\n"))
 
 
 _SAMPLE_HEADER = "# tenfold sample class=A dims={n} kind={kind} seed=0"

@@ -4,10 +4,13 @@ import io
 import json
 import os
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
 from oracles import matrix_to_pairs
 from tenfold import linalg, specfile
 from tenfold.antiunitary import parity
@@ -346,3 +349,264 @@ class TestWriterBytes:
             finally:
                 tracemalloc.stop()
         assert peak < 16e6
+
+
+def _random_bit_record(rng, n, exponents=None):
+    """An n x n record of finite doubles from random bits, led by the
+    edge cases of the orjson/repr notations and their neighbours; with
+    ``exponents`` (lo, hi), each float's binary exponent is drawn from
+    [lo, hi) instead."""
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, np.finfo(float).max]
+    for x in (1e-4, 1e-5, 1e16):
+        edges += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+    edges += [-x for x in edges]
+    bits = rng.integers(0, 1 << 64, size=2 * n * n, dtype=np.uint64)
+    if exponents is not None:
+        biased = rng.integers(*exponents, size=bits.size) + 1023
+        bits = bits & ~np.uint64(0x7FF << 52) | biased.astype(np.uint64) << 52
+    floats = bits.view(float)
+    floats[~np.isfinite(floats)] = 1.5
+    floats[:len(edges)] = edges
+    return floats.view(complex).reshape(n, n)
+
+
+class TestWriterNotation:
+    """orjson's notation differs from ``repr`` for 0 < |x| < 1e-4 and
+    |x| >= 1e16, where ``repr`` writes an exponent; the writer rewrites
+    those floats, and only the tokens of those floats."""
+
+    def test_random_bit_doubles_match_json(self):
+        # 708^2 complex entries: 1 002 528 floats, about 96 % of them in
+        # one of the rewritten ranges, so every block of 46 rows is
+        # written by repr alone
+        m = _random_bit_record(np.random.default_rng(31), 708)
+        assert _mismatch([m]) is None
+
+    def test_mixed_notations_match_json(self):
+        # binary exponents -40 to 69: about 39 % of the 1 002 528 floats
+        # in the rewritten ranges, a share each block holds, so each is
+        # written by orjson with those floats' tokens rewritten
+        m = _random_bit_record(np.random.default_rng(32), 708, (-40, 70))
+        floats = np.abs(m.view(float))
+        share = np.mean(((floats < 1e-4) & (floats > 0)) | (floats >= 1e16))
+        assert 0.35 < share < 0.45
+        assert _mismatch([m]) is None
+
+    def test_exponents_orjson_writes_are_rewritten(self, monkeypatch):
+        # whatever the magnitude, a float that orjson writes with an
+        # exponent is written by repr
+        import orjson
+
+        monkeypatch.setattr(orjson, "dumps",
+                            lambda obj, option, dumps=orjson.dumps:
+                            dumps(obj, option=option).replace(b"1000.0",
+                                                              b"1e3"))
+        m = np.array([[1000.0 - 1000j, 2.5], [1e-5, 1000.0]])
+        assert _mismatch([m]) is None
+
+    @pytest.mark.parametrize("x, text", [
+        (9.99e-05, "9.99e-05"), (1e-06, "1e-06"), (1e16, "1e+16"),
+        (-1.7976931348623157e308, "-1.7976931348623157e+308"),
+        (1e-4, "0.0001"), (123456789012345.6, "123456789012345.6"),
+        (-5e-324, "-5e-324"), (-0.0, "-0.0")])
+    def test_each_notation_as_repr(self, x, text):
+        buf = io.StringIO()
+        write_samples(buf, "A", (1,), "gaussian", 1, [np.full((1, 1), x)])
+        assert buf.getvalue().splitlines()[1] == f"[[[{text},0.0]]]"
+
+    @pytest.mark.parametrize("kind", ["gaussian", "circular"])
+    def test_same_file_as_the_repr_writer(self, kind):
+        draws = _draw("C", (5,), kind, 4)
+        ours, theirs = io.StringIO(), io.StringIO()
+        write_samples(ours, "C", (5,), kind, 5, draws)
+        oracles.write_samples_repr(theirs, "C", (5,), kind, 5, draws)
+        assert ours.getvalue() == theirs.getvalue()
+
+
+def _entry_record(entry, at=(1, 0)):
+    """A 3 x 3 record of [0.5, -1.0] pairs with the JSON text ``entry``
+    at ``at``."""
+    raw = [[[0.5, -1.0] for _ in range(3)] for _ in range(3)]
+    raw[at[0]][at[1]] = "@"
+    return json.dumps(raw).replace('"@"', entry)
+
+
+def _int_record(value):
+    """A 1 x 1 record of the integer pair [value, 0]: an array of ints."""
+    return f"[[[{value},0]]]"
+
+
+_PARITY_RECORDS = {
+    "nan": [_entry_record("[NaN, 0]")],
+    "infinity": [_entry_record("[0, Infinity]")],
+    "minus-infinity": [_entry_record("[-Infinity, 0]")],
+    "1e999": [_entry_record("[1e999, 0]")],
+    "minus-1e-400": [_entry_record("[-1e-400, 0]")],
+    "int-2^63-1": [_entry_record(f"[{2 ** 63 - 1}, 0]"),
+                   _entry_record(f"[{2 ** 63 - 1}, 0]")],
+    "int-2^64-1": [_entry_record(f"[{2 ** 64 - 1}, 0]")],
+    "int-2^64": [_entry_record(f"[{2 ** 64}, 0]")],
+    "int-minus-2^63-1": [_entry_record(f"[{-2 ** 63 - 1}, 0]")],
+    "ints-2^63-1": [_int_record(2 ** 63 - 1)],
+    "ints-2^64-1": [_int_record(2 ** 64 - 1)],
+    "ints-2^64": [_int_record(2 ** 64)],
+    "ints-minus-2^63": [_int_record(-2 ** 63)],
+    "ints-minus-2^63-1": [_int_record(-2 ** 63 - 1)],
+    "floats-from-2^63": [_entry_record("[1e+19, -9.3e+18]"),
+                         _entry_record("[18446744073709551616.0, "
+                                       "0.00012345678901234567]")],
+    "true-false": [_entry_record("[true, false]")],
+    "booleans-only": ["[[[true,false]]]"],
+    "nested-1000": ["[" * 1000 + "]" * 1000],
+    "nested-1020": ["[" * 1020 + "]" * 1020],
+    "nested-100000": ["[" * 100_000 + "]" * 100_000],
+    "lone-surrogate": [_entry_record('["\\ud800", 0]')],
+    "whitespace": [" [ [\t[ 1 ,\t0 ] , [0,0]],[[ 0 , 0],[2e0, -0 ]]]\t",
+                   "[[[1,0],[0,0]],[[0,0],[2,0]]]"],
+    "ragged": [_entry_record("[1]")],
+    "second-record-smaller": [_entry_record("[1, 0]"), _int_record(1)],
+    "trailing-comma": ["[[[1,0],]]"],
+    "leading-zero": [_entry_record("[01, 0]")],
+}
+
+
+def _read_both(tmp_path, records):
+    """``read_samples`` and the json-only reader on one file: each side
+    is (metadata, matrices) or the raised (field, message)."""
+    path = tmp_path / "s.txt"
+    path.write_text("\n".join(["# tenfold sample class=A dims=3 "
+                               "kind=gaussian seed=0", *records]) + "\n",
+                    encoding="utf-8")
+    results = []
+    for reader in (read_samples, oracles.read_samples_json):
+        try:
+            results.append(reader(path))
+        except SpecFileError as err:
+            results.append((err.field, str(err)))
+    return results
+
+
+def _same_reading(ours, theirs):
+    if isinstance(ours[1], str):
+        return ours == theirs
+    return (not isinstance(theirs[1], str) and ours[0] == theirs[0] and
+            len(ours[1]) == len(theirs[1]) and
+            all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                for a, b in zip(ours[1], theirs[1])))
+
+
+class TestReaderParity:
+    """The orjson reader returns the json reader's matrices bit for bit,
+    or its field and message, on every record."""
+
+    @pytest.mark.parametrize("case", list(_PARITY_RECORDS))
+    def test_record(self, case, tmp_path):
+        ours, theirs = _read_both(tmp_path, _PARITY_RECORDS[case])
+        assert _same_reading(ours, theirs), (ours, theirs)
+
+    def test_outcomes_are_pinned(self, tmp_path):
+        # both refusals and readings occur in the table
+        read = {case for case, records in _PARITY_RECORDS.items()
+                if not isinstance(_read_both(tmp_path, records)[0][1], str)}
+        assert read == {"minus-1e-400", "int-2^63-1", "int-2^64-1",
+                        "ints-2^63-1", "ints-2^64-1", "ints-minus-2^63",
+                        "floats-from-2^63",
+                        "true-false", "booleans-only", "whitespace"}
+
+    @pytest.mark.parametrize("line, long", [
+        ("[[[1e+19,0.00012345678901234567]]]", False),
+        ("[[[922337203685477580,1e+300]]]", False),
+        ("[[[9223372036854775808,0]]]", True),
+        ("[[[0,-18446744073709551616]]]", True),
+        ("[[[1e+19, 12345678901234567890.5]]]", True)])
+    def test_long_integers_are_found_in_the_text(self, line, long):
+        # orjson reads an integer beyond 64 bits as a float; a record
+        # with a 19-digit integer and an |x| >= 2^63 goes to json
+        assert specfile._has_long_integer(line) is long
+
+    def test_long_and_halfway_decimals(self, tmp_path):
+        # 17 to 30 significant digits, and the exact midpoints between
+        # neighbouring doubles, which round to the even one
+        rng = np.random.default_rng(7)
+        texts = []
+        for size in rng.integers(17, 31, 3600):
+            digits = "".join(map(str, rng.integers(0, 10, size)))
+            texts.append(f"{digits[0]}.{digits[1:]}e{rng.integers(-330, 300)}")
+        for x in rng.standard_normal(3600) * 10.0 ** rng.integers(-20, 20,
+                                                                  3600):
+            # mid = p / 2^k, exactly p 5^k / 10^k
+            mid = (Fraction(x) + Fraction(np.nextafter(x, np.inf))) / 2
+            k = mid.denominator.bit_length() - 1
+            texts.append(f"{mid.numerator * 5 ** k}e-{k}")
+        rng.shuffle(texts)
+        pairs = [f"[{a},{b}]" for a, b in zip(texts[::2], texts[1::2])]
+        record = "[" + ",".join("[" + ",".join(pairs[i:i + 60]) + "]"
+                                for i in range(0, 3600, 60)) + "]"
+        ours, theirs = _read_both(tmp_path, [record])
+        assert not isinstance(ours[1], str)
+        assert _same_reading(ours, theirs)
+
+
+class TestSampleFileLimit:
+    def _file(self, tmp_path):
+        path = tmp_path / "s.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_samples(fh, "A", (2,), "gaussian", 0, [np.eye(2)] * 2)
+        return path, path.stat().st_size, len("[[[1.0,0.0],[0.0,0.0]],"
+                                              "[[0.0,0.0],[1.0,0.0]]]")
+
+    def test_oversized_file_refused_before_reading(self, tmp_path,
+                                                   monkeypatch):
+        path, size, record = self._file(tmp_path)
+        monkeypatch.setattr(specfile, "MAX_SAMPLE_BYTES", size + 2 * record)
+        assert np.array_equal(read_samples(path)[1][1], np.eye(2))
+
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(specfile, "_read_text", unread)
+        monkeypatch.setattr(specfile, "MAX_SAMPLE_BYTES", size - 1)
+        with pytest.raises(SpecFileError) as err:
+            read_samples(path)
+        assert err.value.field == "$"
+        assert str(err.value) == (
+            f"$: {path} has {size} bytes; reading a sample file takes about "
+            f"twice its size, so the limit is {size - 1} bytes")
+
+    def test_long_record_refused_before_decoding(self, tmp_path,
+                                                 monkeypatch):
+        # the file fits, and each record is one byte over half of what
+        # the file leaves of the limit
+        path, size, record = self._file(tmp_path)
+        monkeypatch.setattr(specfile, "MAX_SAMPLE_BYTES",
+                            size + 2 * record - 2)
+        monkeypatch.setattr(specfile, "_record_array", None)
+        with pytest.raises(SpecFileError) as err:
+            read_samples(path)
+        assert err.value.field == "record[0]"
+        assert str(err.value) == (
+            f"record[0]: has {record} bytes; decoding a record takes about "
+            f"4 times its size besides twice the file's {size} bytes, so "
+            f"the limit is {record - 1} bytes")
+
+    def test_limits_keep_the_read_within_three_array_caps(self):
+        # twice the file plus four times its longest record
+        assert specfile.MAX_SAMPLE_BYTES == 3 * linalg.MAX_ARRAY_BYTES // 2
+
+    def test_records_from_the_orjson_limit_on_are_decoded_by_json(
+            self, tmp_path, monkeypatch):
+        import orjson
+
+        path, _, record = self._file(tmp_path)
+        decoded = []
+        monkeypatch.setattr(orjson, "loads",
+                            lambda line, loads=orjson.loads:
+                            decoded.append(line) or loads(line))
+        monkeypatch.setattr(specfile, "_ORJSON_RECORD_CHARS", record + 1)
+        assert len(read_samples(path)[1]) == 2 and len(decoded) == 2
+        monkeypatch.setattr(specfile, "_ORJSON_RECORD_CHARS", record)
+        meta, matrices = read_samples(path)
+        assert len(decoded) == 2
+        assert (meta, [m.tobytes() for m in matrices]) == (
+            oracles.read_samples_json(path)[0],
+            [m.tobytes() for m in oracles.read_samples_json(path)[1]])
