@@ -85,14 +85,9 @@ def _parse_matrix(raw, dim, field):
     # one np.array for lists of finite numbers; the loop diagnoses the rest
     if all(type(row) is list and len(row) == dim and
            all(type(e) is list and len(e) == 2 for e in row) for row in raw):
-        with contextlib.suppress(ValueError):  # a ragged entry
-            pairs = np.array(raw)
-            if pairs.dtype.kind in "biuf" and pairs.shape == (dim, dim, 2):
-                # finite after the cast: a longdouble can overflow a float
-                with np.errstate(over="ignore"):
-                    pairs = pairs.astype(float)
-                if np.isfinite(pairs).all():
-                    return pairs.view(complex).reshape(dim, dim)
+        pairs = _record_array(raw)
+        if pairs is not None:
+            return pairs.view(complex).reshape(dim, dim)
     flat = []
     for i, row in enumerate(raw):
         _require(isinstance(row, list) and len(row) == dim, field,
@@ -233,31 +228,10 @@ def parse_spec(path):
 
 _HEADER = "# tenfold sample "
 # Floats per written row block: whatever the record size, the writer
-# holds about 7 MB at once (orjson's bytes of one block, the offsets of
-# its commas, the template around its rewritten floats and the text).
+# holds about 6 MB at once (the block with its placeholders, orjson's
+# bytes of it, those bytes with "%r" for each placeholder, the filled-in
+# bytes and their text).
 _BLOCK_FLOATS = 1 << 16
-
-
-def _token_cuts(raw, odd, cols):
-    """Offsets in the orjson text ``raw`` of a (rows, cols, 2) float block
-    around the tokens of the floats marked in ``odd``: 1, the start and
-    end of each token, then the offset of the outer "]".  A float that
-    orjson writes with an exponent is marked too."""
-    chars = np.frombuffer(raw, np.uint8)
-    commas = np.flatnonzero(chars == ord(","))
-    # exactly one comma lies between two floats, so float k has k before it
-    odd[np.searchsorted(commas, np.flatnonzero(chars == ord("e")))] = True
-    k = np.flatnonzero(odd)
-    # float k lies between separators k and k + 1 (the outer "[", the
-    # commas, the outer "]"), after the "[" of its pair and of its row
-    # when it opens them, before the "]" of those it closes
-    seps = np.concatenate(([0], commas, [len(raw) - 1]))
-    at = k % (2 * cols)
-    cuts = np.empty(2 * k.size + 2, int)
-    cuts[0], cuts[-1] = 1, len(raw) - 1
-    cuts[1:-1:2] = seps[k] + 1 + (at == 0) + (k % 2 == 0)
-    cuts[2:-1:2] = seps[k + 1] - (at == 2 * cols - 1) - (k % 2)
-    return cuts.tolist()
 
 
 def _write_rows(fh, block):
@@ -265,30 +239,26 @@ def _write_rows(fh, block):
     commas, the bytes ``json.dumps`` with separators (",", ":") gives.
 
     orjson writes the shortest round-trip digits of each float, as
-    ``repr`` does.  ``repr`` writes an exponent exactly for 0 < |x| < 1e-4
-    and |x| >= 1e16; those floats, and any that orjson writes with an
-    exponent, are written with ``repr`` through one ``%r`` template of
-    the text around them.  A block where most floats are such is written
-    with ``repr`` alone.
+    ``repr`` does, but ``repr`` writes an exponent exactly for
+    0 < |x| < 1e-4 and |x| >= 1e16.  Those floats go to orjson as NaN,
+    which it writes as ``null``; records are finite, so each ``null``
+    is a placeholder, and one ``%r`` template fills in their ``repr``.
+    A block where orjson still writes an exponent is written with
+    ``repr`` alone.
     """
     import orjson  # here, not at import: only sample files need it
 
-    flat = block.ravel()
-    mags = np.abs(flat)
+    mags = np.abs(block)
     odd = ((mags < 1e-4) & (mags > 0)) | (mags >= 1e16)
-    if 2 * np.count_nonzero(odd) > odd.size:
+    raw = orjson.dumps(np.where(odd, np.nan, block),
+                       option=orjson.OPT_SERIALIZE_NUMPY)
+    if b"e" in raw:
         row = "[" + ",".join(["[%r,%r]"] * block.shape[1]) + "]"
-        fh.write(",".join([row] * len(block)) % tuple(flat.tolist()))
+        fh.write(",".join([row] * len(block)) % tuple(block.ravel().tolist()))
         return
-    raw = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-    if not odd.any() and b"e" not in raw:
-        fh.write(raw[1:-1].decode())  # within the outer brackets
-        return
-    bounds = iter(_token_cuts(raw, odd, block.shape[1]))
-    text = raw.decode()
-    del raw  # one copy of the block's text less while the template is built
-    fh.write("%r".join([text[a:b] for a, b in zip(bounds, bounds)])
-             % tuple(flat[odd].tolist()))
+    # within the outer brackets; %r of bytes is ascii(), a float's repr
+    fh.write((raw[1:-1].replace(b"null", b"%r")
+              % tuple(block[odd].tolist())).decode())
 
 
 def write_samples(fh, family, dims, kind, seed, matrices):
@@ -296,14 +266,14 @@ def write_samples(fh, family, dims, kind, seed, matrices):
     the bytes of ``json.dumps`` with separators (",", ":"), written in
     row blocks of at most ``_BLOCK_FLOATS`` floats.  A record that is not
     finite raises ``SpecFileError`` before anything is written."""
-    records = [np.ascontiguousarray(m, dtype=complex) for m in matrices]
-    for i, m in enumerate(records):
+    for i, m in enumerate(matrices):
         _require(np.isfinite(m).all(), f"record[{i}]",
                  "must hold finite numbers")
     dims_text = ",".join(str(d) for d in dims)
     fh.write(f"{_HEADER}class={family} dims={dims_text} kind={kind} "
              f"seed={seed}\n")
-    for m in records:
+    for m in matrices:
+        m = np.ascontiguousarray(m, dtype=complex)  # one record's copy
         pairs = m.view(float).reshape(*m.shape, 2)
         rows = max(1, _BLOCK_FLOATS // (2 * m.shape[1]))
         for start in range(0, len(pairs), rows):
@@ -313,15 +283,18 @@ def write_samples(fh, family, dims, kind, seed, matrices):
 
 
 def _record_array(raw):
-    """``raw`` as an array when it is a square array of finite [re, im]
-    pairs of numbers, else None."""
+    """``raw`` as a float array when it is a square array of [re, im]
+    pairs of numbers, finite as floats, else None."""
     arr = np.array(None)  # stays for a ragged record
     with contextlib.suppress(ValueError):
         arr = np.array(raw)
-    if (arr.dtype.kind in "biuf" and arr.ndim == 3 and arr.shape[2] == 2
-            and arr.shape[0] == arr.shape[1] and np.isfinite(arr).all()):
-        return arr
-    return None
+    if not (arr.dtype.kind in "biuf" and arr.ndim == 3 and arr.shape[2] == 2
+            and arr.shape[0] == arr.shape[1]):
+        return None
+    # finite after the cast: a longdouble can overflow a float
+    with np.errstate(over="ignore"):
+        arr = arr.astype(float, copy=False)
+    return arr if np.isfinite(arr).all() else None
 
 
 def _has_long_integer(line):
@@ -383,6 +356,6 @@ def read_samples(path):
         _require(len(arr) == n, field,
                  f"expected a {n} x {n} matrix like the first record")
         # through the float view, which keeps the sign of a zero
-        matrices.append(arr.astype(float).view(complex)[..., 0])
+        matrices.append(arr.view(complex)[..., 0])
     _require(matrices, "$", "sample file holds no records")
     return meta, matrices

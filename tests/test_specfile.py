@@ -275,8 +275,8 @@ class TestSampleFiles:
             read_samples(path)
 
 
-def _draw(family, dims, kind, size):
-    spec = EnsembleSpec(label(family, *dims), kind=kind)
+def _draw(family, dims, kind, size, sigma=1.0):
+    spec = EnsembleSpec(label(family, *dims), sigma=sigma, kind=kind)
     sampler = sample_gaussian if kind == "gaussian" else sample_circular
     return sampler(spec, RngStream(5), size=size)
 
@@ -350,6 +350,22 @@ class TestWriterBytes:
                 tracemalloc.stop()
         assert peak < 16e6
 
+    def test_peak_memory_does_not_grow_with_the_record_count(self,
+                                                             tmp_path):
+        # Gaussian draws are not C-contiguous, so each record is copied,
+        # one at a time
+        peaks = []
+        for count in (1, 8):
+            draws = _draw("A", (512,), "gaussian", count)
+            with open(tmp_path / "a.txt", "w", encoding="utf-8") as fh:
+                tracemalloc.start()
+                try:
+                    write_samples(fh, "A", (512,), "gaussian", 5, draws)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 1e6
+
 
 def _random_bit_record(rng, n, exponents=None):
     """An n x n record of finite doubles from random bits, led by the
@@ -372,20 +388,21 @@ def _random_bit_record(rng, n, exponents=None):
 
 class TestWriterNotation:
     """orjson's notation differs from ``repr`` for 0 < |x| < 1e-4 and
-    |x| >= 1e16, where ``repr`` writes an exponent; the writer rewrites
-    those floats, and only the tokens of those floats."""
+    |x| >= 1e16, where ``repr`` writes an exponent; the writer sends
+    those floats to orjson as NaN placeholders and writes their ``repr``
+    in place of each ``null``."""
 
     def test_random_bit_doubles_match_json(self):
         # 708^2 complex entries: 1 002 528 floats, about 96 % of them in
-        # one of the rewritten ranges, so every block of 46 rows is
-        # written by repr alone
+        # one of the rewritten ranges, so about 96 % of the tokens of
+        # every block of 46 rows are placeholders
         m = _random_bit_record(np.random.default_rng(31), 708)
         assert _mismatch([m]) is None
 
     def test_mixed_notations_match_json(self):
         # binary exponents -40 to 69: about 39 % of the 1 002 528 floats
         # in the rewritten ranges, a share each block holds, so each is
-        # written by orjson with those floats' tokens rewritten
+        # written by orjson with those floats as placeholders
         m = _random_bit_record(np.random.default_rng(32), 708, (-40, 70))
         floats = np.abs(m.view(float))
         share = np.mean(((floats < 1e-4) & (floats > 0)) | (floats >= 1e16))
@@ -393,8 +410,8 @@ class TestWriterNotation:
         assert _mismatch([m]) is None
 
     def test_exponents_orjson_writes_are_rewritten(self, monkeypatch):
-        # whatever the magnitude, a float that orjson writes with an
-        # exponent is written by repr
+        # whatever the magnitude, a block where orjson writes an exponent
+        # is written by repr alone
         import orjson
 
         monkeypatch.setattr(orjson, "dumps",
@@ -414,13 +431,42 @@ class TestWriterNotation:
         write_samples(buf, "A", (1,), "gaussian", 1, [np.full((1, 1), x)])
         assert buf.getvalue().splitlines()[1] == f"[[[{text},0.0]]]"
 
-    @pytest.mark.parametrize("kind", ["gaussian", "circular"])
-    def test_same_file_as_the_repr_writer(self, kind):
-        draws = _draw("C", (5,), kind, 4)
+    # of the 760 nonzero floats, sigma 1e-6 and 1e20 rewrite all, 2e-4
+    # 510, 1e16 24 and 1 none; circular draws are unitary whatever sigma
+    # is
+    @pytest.mark.parametrize("kind, sigma", [
+        pytest.param("gaussian", 1.0, id="gaussian"),
+        pytest.param("circular", 1.0, id="circular"),
+        *(pytest.param("gaussian", s, id=f"gaussian-{s!r}")
+          for s in (1e-6, 2e-4, 1e16, 1e20))])
+    def test_same_file_as_the_repr_writer(self, kind, sigma):
+        draws = _draw("C", (5,), kind, 4, sigma)
         ours, theirs = io.StringIO(), io.StringIO()
         write_samples(ours, "C", (5,), kind, 5, draws)
         oracles.write_samples_repr(theirs, "C", (5,), kind, 5, draws)
         assert ours.getvalue() == theirs.getvalue()
+
+    def test_orjson_writes_nan_as_null(self):
+        # the placeholder the writer fills in
+        import orjson
+
+        assert orjson.dumps(np.array([[[np.nan, -np.nan]]]),
+                            option=orjson.OPT_SERIALIZE_NUMPY) == \
+            b"[[[null,null]]]"
+
+    def test_orjson_writes_repr_between_the_cutoffs(self):
+        # the floats the writer leaves to orjson: 1e-4 <= |x| < 1e16,
+        # log-uniform, both signs, with 1e-4 and the doubles next to both
+        # ends inside the range
+        import orjson
+
+        rng = np.random.default_rng(33)
+        ends = [1e-4, np.nextafter(1e-4, 1.0), np.nextafter(1e16, 0.0)]
+        mags = np.concatenate((ends, 10.0 ** rng.uniform(-4, 16, 200_000)))
+        x = np.clip(mags, ends[0], ends[-1]) * rng.choice([-1.0, 1.0],
+                                                          mags.size)
+        assert orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY) == \
+            ("[" + ",".join(map(repr, x.tolist())) + "]").encode()
 
 
 def _entry_record(entry, at=(1, 0)):
