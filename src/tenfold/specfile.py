@@ -23,10 +23,12 @@ from .errors import InputShapeError, SpecFileError
 SCHEMA_VERSION = "1"
 # "none" is the trivial group, built as the finite group of order one.
 _MODES = ("none", "finite-group", "lie-algebra", "spin-half")
-# Parsing a spec file peaks at about 7 times its size (346 MB for a
-# 51 MB file, 1232 MB for 207 MB: one 1024 or 2048 matrix), so a larger
-# file than this is refused before it is read: its parse would pass
-# three times linalg.MAX_ARRAY_BYTES, the stage peak that cap accepts.
+# Parsing a spec file peaks at up to 7 times its size (max RSS of
+# `classify` with one BLAS thread: 335 MB for a 51 MB file, 1234 MB for
+# 207 MB, one 1024 or 2048 matrix; 348 and 1234 MB with json as the
+# decoder), so a larger file than this is refused before it is read:
+# its parse would pass three times linalg.MAX_ARRAY_BYTES, the stage
+# peak that cap accepts.
 MAX_SPEC_BYTES = 3 * linalg.MAX_ARRAY_BYTES // 7
 # Reading a sample file peaks at about twice its size (its text, its
 # lines and its matrices) plus about 4 times the record being decoded
@@ -41,6 +43,9 @@ MAX_SAMPLE_BYTES = 3 * linalg.MAX_ARRAY_BYTES // 2
 # orjson's own document of a record adds about 0.9 times its length to
 # the peak (+39 MB for a record of 44 MB).
 _ORJSON_RECORD_CHARS = 1 << 21
+# orjson reads a text this short without a nesting scan: it cannot nest
+# deeper than its length, and orjson 3.8.3 survives 120 000 levels.
+_ORJSON_SHALLOW_CHARS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,6 +210,59 @@ def _load_json(text, field):
         raise SpecFileError(field, f"invalid JSON: {err}")
 
 
+# Brackets as steps of +1 and -1; quotes and backslashes kept, every
+# other byte dropped.
+_NESTING = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
+_NOT_NESTING = bytes(sorted(set(range(256)) - set(b'[{]}"\\')))
+
+
+def _nests_at_most(text, depth):
+    """Whether the JSON ``text`` nests arrays and objects at most
+    ``depth`` deep.  A text with a bracket or a backslash in a string is
+    not shown to, since its strings are not told apart from the rest."""
+    marks = text.encode().translate(_NESTING, _NOT_NESTING)
+    pieces = marks.split(b'"')
+    if b"\\" in marks or any(pieces[1::2]):
+        return False
+    steps = np.frombuffer(b"".join(pieces[::2]), np.int8)
+    return bool(np.cumsum(steps, dtype=np.int32).max(initial=0) <= depth)
+
+
+# Digits as "0" and "." kept, every other byte a space.
+_DIGIT_RUNS = bytes(c if c == ord(".") else ord("0") if chr(c).isdigit()
+                    else ord(" ") for c in range(256))
+_LONG_RUN = b"0" * 19
+
+
+def _has_long_integer(text):
+    """Whether ``text`` holds a run of 19 digits that does not follow a
+    ".": every integer of magnitude 2^63 or more does, and no float that
+    json writes (below 1e16 it has at most 16 digits before the ".", and
+    an exponent has at most 3)."""
+    runs = text.encode().translate(_DIGIT_RUNS)
+    return runs.startswith(_LONG_RUN) or b" " + _LONG_RUN in runs
+
+
+def _decode(text, field, depth):
+    """The value ``json`` decodes from ``text``; ``SpecFileError`` naming
+    ``field`` where json refuses it.
+
+    orjson decodes the text instead, in a quarter of json's time, where
+    it is shown to give json's value: the text nests at most ``depth``
+    levels and holds no integer of magnitude 2^63 or more.
+    orjson 3.8.3 has no depth limit, so 150 000 nested "[" overflow its
+    stack (SIGSEGV), and it reads about 1000 levels that json refuses
+    (RecursionError); it reads an integer beyond 64 bits as a float.
+    What orjson refuses (NaN, Infinity, 1e400, a lone surrogate) is left
+    to json too."""
+    import orjson  # here, not at import: only commands with files need it
+
+    if _nests_at_most(text, depth) and not _has_long_integer(text):
+        with contextlib.suppress(orjson.JSONDecodeError):
+            return orjson.loads(text)
+    return _load_json(text, field)
+
+
 def _file_size(path):
     try:
         return os.stat(path).st_size
@@ -219,7 +277,8 @@ def parse_spec(path):
     _require(size <= MAX_SPEC_BYTES, "$",
              f"{path} has {size} bytes; a parse takes about 7 times the "
              f"file size, so the limit is {MAX_SPEC_BYTES} bytes")
-    return parse_spec_data(_load_json(_read_text(path), "$"))
+    # a spec nests 6 deep: itself, g0, generators, matrix, row, pair
+    return parse_spec_data(_decode(_read_text(path), "$", 6))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +305,7 @@ def _write_rows(fh, block):
     A block where orjson still writes an exponent is written with
     ``repr`` alone.
     """
-    import orjson  # here, not at import: only sample files need it
+    import orjson  # here, not at import: only commands with files need it
 
     mags = np.abs(block)
     odd = ((mags < 1e-4) & (mags > 0)) | (mags >= 1e16)
@@ -297,18 +356,6 @@ def _record_array(raw):
     return arr if np.isfinite(arr).all() else None
 
 
-def _has_long_integer(line):
-    """Whether ``line`` holds a run of 19 digits that does not follow a
-    ".": every integer of magnitude 2^63 or more does, and no float that
-    json writes (below 1e16 it has at most 16 digits before the ".", and
-    an exponent has at most 3)."""
-    chars = np.frombuffer(line.encode(), np.uint8)
-    digit = (chars >= ord("0")) & (chars <= ord("9"))
-    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
-    starts = edges[::2][edges[1::2] - edges[::2] >= 19]
-    return bool((chars[starts - 1] != ord(".")).any())
-
-
 def read_samples(path):
     """Read a sample file; returns (metadata dict, list of matrices).
     Records are square arrays of finite [re, im] pairs of numbers.  A
@@ -316,13 +363,15 @@ def read_samples(path):
     a record longer than half of what the file leaves of that limit
     before it is decoded.
 
-    A record shorter than ``_ORJSON_RECORD_CHARS`` is decoded by orjson.
-    Where orjson refuses it (NaN, Infinity, 1e309, a lone surrogate), or
-    its value fails the check or holds an |x| >= 2^63 written as an
-    integer (orjson reads an integer beyond 64 bits as a float, json as
-    an int that the check refuses), and for every longer record, ``json``
+    A record shorter than ``_ORJSON_RECORD_CHARS`` is decoded by orjson
+    when it is shown not to overflow orjson's stack: it has at most
+    ``_ORJSON_SHALLOW_CHARS`` characters or nests at most 3 deep.  Where
+    orjson refuses it (NaN, Infinity, 1e309, a lone surrogate), or its
+    value fails the check or holds an |x| >= 2^63 written as an integer
+    (orjson reads an integer beyond 64 bits as a float, json as an int
+    that the check refuses), and for every other record, ``json``
     decodes it, so every record is read or refused as ``json`` reads it."""
-    import orjson  # here, not at import: only sample files need it
+    import orjson  # here, not at import: only commands with files need it
 
     size = _file_size(path)
     _require(size <= MAX_SAMPLE_BYTES, "$",
@@ -344,7 +393,9 @@ def read_samples(path):
                  f"times its size besides twice the file's {size} bytes, "
                  f"so the limit is {record_limit} bytes")
         arr = None
-        if len(line) < _ORJSON_RECORD_CHARS:
+        # a record nests 3 deep; the record check refuses a deeper value
+        if len(line) < _ORJSON_RECORD_CHARS and (
+                len(line) <= _ORJSON_SHALLOW_CHARS or _nests_at_most(line, 3)):
             with contextlib.suppress(orjson.JSONDecodeError):
                 arr = _record_array(orjson.loads(line))
         if arr is None or (np.abs(arr).max() >= 2.0 ** 63

@@ -721,6 +721,18 @@ def write_samples_repr(fh, family, dims, kind, seed, matrices):
         fh.write("]\n")
 
 
+def parse_spec_json(path):
+    """The former ``specfile.parse_spec``: the whole file through
+    ``json.loads``."""
+    size = specfile._file_size(path)
+    specfile._require(size <= specfile.MAX_SPEC_BYTES, "$",
+                      f"{path} has {size} bytes; a parse takes about 7 "
+                      f"times the file size, so the limit is "
+                      f"{specfile.MAX_SPEC_BYTES} bytes")
+    return specfile.parse_spec_data(
+        specfile._load_json(specfile._read_text(path), "$"))
+
+
 def read_samples_json(path):
     """The former ``specfile.read_samples``: every record through
     ``json.loads``, and no limit on the file size."""

@@ -538,10 +538,13 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_orjson_is_imported_only_for_sample_files(tmp_path):
-    # classify and verify run without it; sample and stats --in load it
+    # commands that read and write no file run without it; sample, stats
+    # --in and the spec readers (classify, verify SPEC) load it
     code = ("import sys\n"
             "from tenfold.cli import main\n"
             "assert main(['verify', '--all-classes']) == 0\n"
+            "assert main(['fock-verify', '--modes', '1', '--trials', "
+            "'1']) == 0\n"
             "assert 'orjson' not in sys.modules\n"
             f"assert main(['sample', '--class', 'A', '--dims', '2', '--out', "
             f"{str(tmp_path / 's.txt')!r}]) == 0\n"
@@ -1134,6 +1137,22 @@ def test_malformed_input_exits_two_naming_the_field(probe, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field}: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, depth, field", [
+    ("stats", 150_000, "record[0]"), ("stats", 1_000_000, "record[0]"),
+    ("classify", 150_000, "$")])
+def test_deep_nesting_exits_two_in_a_child(command, depth, field, tmp_path):
+    # orjson 3.8.3 has no depth limit, and 150 000 levels overflow its
+    # stack: the process dies of SIGSEGV, which would kill pytest too
+    deep = "[" * depth + "]" * depth
+    argv = (_stats_in(tmp_path, deep) if command == "stats" else
+            _spec_argv(tmp_path, deep))
+    run = subprocess.run([sys.executable, "-m", "tenfold.cli", *argv],
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith(f"error: {field}: invalid JSON: ")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
 
 
 _SEED_ARGV = {

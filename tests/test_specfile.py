@@ -3,9 +3,11 @@
 import io
 import json
 import os
+import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -564,7 +566,11 @@ class TestReaderParity:
         ("[[[922337203685477580,1e+300]]]", False),
         ("[[[9223372036854775808,0]]]", True),
         ("[[[0,-18446744073709551616]]]", True),
-        ("[[[1e+19, 12345678901234567890.5]]]", True)])
+        ("[[[1e+19, 12345678901234567890.5]]]", True),
+        ("1234567890123456789", True),
+        ("[0.12345678901234567890,1234567890123456789]", True),
+        ("[0.12345678901234567890e+12,123456789012345678]", False),
+        ("-0.0001234567890123456789", False)])
     def test_long_integers_are_found_in_the_text(self, line, long):
         # orjson reads an integer beyond 64 bits as a float; a record
         # with a 19-digit integer and an |x| >= 2^63 goes to json
@@ -591,6 +597,134 @@ class TestReaderParity:
         ours, theirs = _read_both(tmp_path, [record])
         assert not isinstance(ours[1], str)
         assert _same_reading(ours, theirs)
+
+
+def _spec_text(version='"1"', dimension="2", seed="0", entry="[1, 0]",
+               extra="", space=" "):
+    """A spec of the swap group <sigma_x> with T = diag(1, entry) K, its
+    fields the JSON texts given and ``space`` between its tokens."""
+    text = ('{"schema_version": %s, "dimension": %s, "setting": "hilbert", '
+            '"seed": %s, "g0": {"mode": "finite-group", "generators": '
+            '[[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]]}, "time_reversal": '
+            '{"matrix": [[[1, 0], [0, 0]], [[0, 0], %s]]}%s}'
+            % (version, dimension, seed, entry, extra))
+    return text.replace(" ", space)
+
+
+def _lie_text(entry):
+    """A spec of the Lie algebra of diag(i entry, 0)."""
+    return ('{"schema_version": "1", "dimension": 2, "setting": "hilbert", '
+            '"g0": {"mode": "lie-algebra", "generators": '
+            '[[[[0, %s], [0, 0]], [[0, 0], [0, 0]]]]}}' % entry)
+
+
+_NON_FINITE = {"nan": "NaN", "infinity": "Infinity",
+               "minus-infinity": "-Infinity", "1e400": "1e400"}
+_LONG_INTEGERS = {"2^63-1": 2 ** 63 - 1, "2^63": 2 ** 63, "2^64": 2 ** 64,
+                  "minus-2^63-1": -2 ** 63 - 1, "10^20": 10 ** 20}
+_PARITY_SPECS = {
+    **{f"entry-{name}": _spec_text(entry=f"[{text}, 0]")
+       for name, text in _NON_FINITE.items()},
+    **{f"unknown-{name}": _spec_text(extra=f', "x": [{text}]')
+       for name, text in _NON_FINITE.items()},
+    "entry-minus-1e-400": _spec_text(entry="[1, -1e-400]"),
+    **{f"{field}-{name}": _spec_text(**{field: str(value)})
+       for field in ("version", "dimension", "seed")
+       for name, value in _LONG_INTEGERS.items()},
+    **{f"entry-{name}": _spec_text(entry=f"[{value}, 0]")
+       for name, value in {**_LONG_INTEGERS, "10^400": 10 ** 400}.items()},
+    **{f"lie-{name}": _lie_text(value)
+       for name, value in {**_LONG_INTEGERS, "10^400": 10 ** 400}.items()},
+    "bom": "\ufeff" + _spec_text(),
+    "duplicate-keys": _spec_text(dimension='3, "dimension": 2'),
+    "lone-surrogate-key": _spec_text(extra=', "\\ud800": 1'),
+    "whitespace": _spec_text(space="\t\n \r"),
+    "trailing-comma": _spec_text(extra=","),
+    "leading-zero": _spec_text(dimension="02"),
+    "version-nested-995": _spec_text(version="[" * 995 + "]" * 995),
+    "unknown-nested-1000": _spec_text(
+        extra=', "x": ' + "[" * 1000 + "]" * 1000),
+}
+
+
+def _spec_reading(parse, path):
+    """A parse as its plain fields and matrices, or the raised
+    (field, message)."""
+    try:
+        spec = parse(path)
+    except SpecFileError as err:
+        return err.field, str(err)
+    setting = spec.setting
+    matrices = [*setting.g0.generators, setting.particle_hole,
+                *(op.u for op in (setting.time_reversal,
+                                  setting.charge_conjugation) if op)]
+    if setting.g0.elements is not None:
+        matrices.append(setting.g0.elements)
+    return ((spec.declared_kind, spec.seed, spec.tolerance, setting.kind,
+             setting.dim, setting.tol),
+            [(m.dtype, m.shape, m.tobytes()) for m in matrices
+             if m is not None])
+
+
+def _benchmark_specs(tmp_path):
+    """The spec files of the two classify benchmark workloads, seed 1."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] /
+                           "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for name in ("classify-wide", "classify-big-group"):
+        workloads.build(name, 1, tmp_path / name)
+    return sorted(tmp_path.glob("*/spec*.json"))
+
+
+class TestSpecDecoderParity:
+    """``parse_spec`` reads every spec as the json-only parser does: the
+    same fields and matrices bit for bit, or the same field and
+    message."""
+
+    @pytest.mark.parametrize("case", list(_PARITY_SPECS))
+    def test_document(self, case, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(_PARITY_SPECS[case], encoding="utf-8")
+        assert (_spec_reading(parse_spec, path) ==
+                _spec_reading(oracles.parse_spec_json, path))
+
+    def test_outcomes_are_pinned(self, tmp_path):
+        # both refusals and readings occur in the table
+        path = tmp_path / "spec.json"
+        read = set()
+        for case, text in _PARITY_SPECS.items():
+            path.write_text(text, encoding="utf-8")
+            if isinstance(_spec_reading(parse_spec, path)[1], list):
+                read.add(case)
+        assert read == {"unknown-nan", "unknown-infinity",
+                        "unknown-minus-infinity", "unknown-1e400",
+                        "entry-minus-1e-400", "seed-2^63-1", "seed-2^63",
+                        "lie-2^63-1", "lie-2^63", "lie-2^64",
+                        "lie-minus-2^63-1", "lie-10^20", "duplicate-keys",
+                        "lone-surrogate-key", "whitespace"}
+
+    def test_benchmark_specs(self, tmp_path):
+        paths = _benchmark_specs(tmp_path)
+        assert len(paths) == 19
+        for path in paths:
+            ours = _spec_reading(parse_spec, path)
+            assert isinstance(ours[1], list), (path, ours)
+            assert ours == _spec_reading(oracles.parse_spec_json, path)
+
+
+@pytest.mark.parametrize("text, depth", [
+    ("1", 0), ("[]", 1), ('{"a": [[1, 2], {"b": [3]}]}', 4),
+    ('{"a": "]]]]", "b": [[[[1]]]]}', None),
+    ('{"a": "[[", "b": 1}', None), ('{"a\\u00e9": [1]}', None),
+    ("[" * 1000 + "]" * 1000, 1000)])
+def test_nesting_guard(text, depth):
+    # a bracket or an escape in a string leaves the text to json
+    for bound in (0, 1, 3, 4, 999, 1000):
+        assert specfile._nests_at_most(text, bound) is (
+            depth is not None and depth <= bound)
 
 
 class TestSampleFileLimit:
